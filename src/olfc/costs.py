@@ -118,13 +118,15 @@ class PiecewiseCost:
             if missing:
                 raise ValidationError(f"cost piece missing fields: {sorted(missing)}")
 
-        def _bound(v: object, which: str) -> float:
+        def _bound(v: object, name: str, unbounded: float) -> float:
             if v is None:
-                return -np.inf if which == "lo" else np.inf
+                return unbounded
+            if not np.isfinite(v):
+                raise ValidationError(f"cost piece {name} must be finite, or null for unbounded, got {v}")
             return float(v)
 
-        lo = [_bound(p["x_min"], "lo") for p in pieces]
-        hi = [_bound(p["x_max"], "hi") for p in pieces]
+        lo = [_bound(p["x_min"], "x_min", -np.inf) for p in pieces]
+        hi = [_bound(p["x_max"], "x_max", np.inf) for p in pieces]
         if lo[0] != -np.inf:
             raise ValidationError("first cost piece must have x_min = null (covers the real line)")
         if hi[-1] != np.inf:

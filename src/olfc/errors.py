@@ -7,6 +7,8 @@ different exit codes.
 
 from __future__ import annotations
 
+import math
+
 
 class OlfcError(Exception):
     """Base class for all package errors."""
@@ -26,3 +28,13 @@ class InfeasibleProblemError(OlfcError):
     def __init__(self, message: str, certificate: object | None = None):
         super().__init__(message)
         self.certificate = certificate
+
+
+def require_finite(where: str, **values: float | None) -> None:
+    """Raise ValidationError naming the first value that is NaN or infinite.
+
+    None stands for an absent optional field and passes.
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{where}: {name} must be finite, got {value}")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import Box, PiecewiseCost
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 
 class BusKind(str, Enum):
@@ -42,6 +42,9 @@ class Bus:
     cost: PiecewiseCost
 
     def __post_init__(self) -> None:
+        require_finite(
+            f"bus {self.id}", D=self.damping, M=self.inertia, p_l_min=self.load_lower, p_l_max=self.load_upper
+        )
         if self.damping <= 0:
             raise ValidationError(f"damping must be positive (bus {self.id})")
         if self.kind is BusKind.GENERATOR:
@@ -65,6 +68,7 @@ class Line:
     angle_upper: float
 
     def __post_init__(self) -> None:
+        require_finite(f"line {self.index}", B=self.susceptance, theta_min=self.angle_lower, theta_max=self.angle_upper)
         if self.from_bus == self.to_bus:
             raise ValidationError(f"line {self.index} must join two distinct buses")
         if self.susceptance <= 0:
@@ -245,6 +249,9 @@ def _require_fields(obj: dict, required: dict[str, type | tuple], optional: dict
     missing = set(required) - set(obj)
     if missing:
         raise ValidationError(f"missing fields {sorted(missing)} in {where}")
+    for name, types in {**required, **optional}.items():
+        if name in obj and (isinstance(obj[name], bool) or not isinstance(obj[name], types)):
+            raise ValidationError(f"{where}: field {name!r} has the wrong type ({type(obj[name]).__name__})")
 
 
 def _parse_bus(raw: dict, pos: int) -> Bus:

@@ -14,7 +14,13 @@ The hot path packs the whole state into one flat vector
 and evaluates the right-hand side as one precomputed affine operator applied
 to (y, p_l, eta+, eta-, g, z) plus the disturbance feedthrough. The readable
 per-module functions in `dynamics` and `controller` define the semantics;
-the packed operator is tested to match them.
+`tests/test_differential.py` checks the packed right-hand side against them
+on every bundled network, selection rule and mismatch source.
+
+The fused operator and the matrices of the measurement (`estimate`) path are
+stored as `scipy.sparse` CSR when they hold at least 2**15 entries and as
+dense arrays otherwise, chosen from each matrix's shape; the products are
+written the same way for both.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
 from .costs import SELECTION_RULES, CostBatch, normalize_selection_rule
 from .dynamics import PlantState
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite
 from .network import NetworkModel, load_network
 
 
@@ -44,6 +51,7 @@ class ControllerConfig:
         object.__setattr__(self, "selection", normalize_selection_rule(self.selection))
         if self.mismatch not in MISMATCH_SOURCES:
             raise ValidationError(f"mismatch source must be one of {MISMATCH_SOURCES}, got {self.mismatch!r}")
+        require_finite("controller", epsilon=self.epsilon)
         if not self.epsilon > 0:
             raise ValidationError("controller time scale epsilon must be positive")
 
@@ -55,6 +63,9 @@ class Event:
     time: float
     bus: int
     delta_p_m: float
+
+    def __post_init__(self) -> None:
+        require_finite("event", time=self.time, delta_p_m=self.delta_p_m)
 
 
 @dataclass
@@ -71,6 +82,7 @@ class Scenario:
     log_decimation: int = 1
 
     def __post_init__(self) -> None:
+        require_finite("scenario", t_end=self.t_end, dt=self.dt)
         if not self.dt > 0:
             raise ValidationError("scenario dt must be positive")
         if self.t_end < 0:
@@ -108,12 +120,23 @@ def load_scenario(path: str | Path) -> Scenario:
         if req not in data:
             raise ValidationError(f"{path}: scenario needs field '{req}'")
 
+    def number(value: object, where: str, kind: type | tuple = (int, float)) -> int | float:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValidationError(f"{path}: {where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        return value
+
     base = path.parent
     events = []
     for i, raw in enumerate(data.get("events", [])):
         if not isinstance(raw, dict) or set(raw) != {"time", "bus", "delta_p_m"}:
             raise ValidationError(f"{path}: events[{i}] must have exactly time, bus, delta_p_m")
-        events.append(Event(time=float(raw["time"]), bus=int(raw["bus"]), delta_p_m=float(raw["delta_p_m"])))
+        time = float(number(raw["time"], f"events[{i}].time"))
+        bus = number(raw["bus"], f"events[{i}].bus", int)
+        delta_p_m = float(number(raw["delta_p_m"], f"events[{i}].delta_p_m"))
+        try:
+            events.append(Event(time=time, bus=bus, delta_p_m=delta_p_m))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: events[{i}]: {exc}") from None
 
     cfg_raw = data.get("controller", {})
     if not isinstance(cfg_raw, dict):
@@ -124,7 +147,7 @@ def load_scenario(path: str | Path) -> Scenario:
     config = ControllerConfig(
         selection=cfg_raw.get("selection", "minnorm"),
         mismatch=cfg_raw.get("mismatch", "model"),
-        epsilon=float(cfg_raw.get("epsilon", 1.0)),
+        epsilon=float(number(cfg_raw.get("epsilon", 1.0), "controller.epsilon")),
     )
 
     init_raw = data.get("init", {})
@@ -133,13 +156,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
     return Scenario(
         network_path=base / str(data["network"]),
-        t_end=float(data["t_end"]),
-        dt=float(data["dt"]),
+        t_end=float(number(data["t_end"], "t_end")),
+        dt=float(number(data["dt"], "dt")),
         events=events,
         config=config,
         init_plant=base / init_raw["plant"] if "plant" in init_raw else None,
         init_controller=base / init_raw["controller"] if "controller" in init_raw else None,
-        log_decimation=int(data.get("log_decimation", 1)),
+        log_decimation=number(data.get("log_decimation", 1), "log_decimation", int),
     )
 
 
@@ -157,6 +180,19 @@ def load_plant_state(path: str | Path, model: NetworkModel) -> PlantState:
     state = PlantState(theta_e=vec[:m], omega_g=vec[m:])
     state.validate(model)
     return state
+
+
+# A dense matvec costs ~2 us of call overhead plus 0.2-0.4 ns per stored
+# entry; a CSR matvec costs ~5-7 us at the sparsity of these operators (well
+# under 1 % nonzero on large networks). Measured on a 2-vCPU Xeon guest with
+# numpy 2.4 and scipy 1.17, the two meet near 2**15 entries (68-bus frequency
+# map, 68 x 478: 8.2 us dense vs 7.8 us CSR).
+_CSR_MIN_ENTRIES = 2**15
+
+
+def _hot_operator(A: np.ndarray) -> np.ndarray | csr_matrix:
+    """A stored for repeated matvecs: CSR when it is large, else dense."""
+    return csr_matrix(A) if A.size >= _CSR_MIN_ENTRIES else A
 
 
 class ClosedLoop:
@@ -266,12 +302,12 @@ class ClosedLoop:
             Kpm[ctrl_rows] *= eps
             k0[ctrl_rows] *= eps
 
-        self.K = K
+        self.K = _hot_operator(K)
         self.Kpm = Kpm
         self.k0 = k0
-        self._Wy, self._Wpl, self._Wpm = Wy, Wpl, Wpm
-        self._Vy, self._Vpl, self._Vpm = Vy, Vpl, Vpm
-        self._Cw = Cw
+        self._Wy, self._Wpl, self._Wpm = _hot_operator(Wy), Wpl, Wpm
+        self._Vy, self._Vpl, self._Vpm = _hot_operator(Vy), Vpl, Vpm
+        self._Cw = _hot_operator(Cw)
         self._D = D
         self._M = M
         self._gidx = gidx

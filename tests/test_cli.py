@@ -71,6 +71,52 @@ def test_no_arguments_exits_1(capsys):
     assert main([]) == 1
 
 
+# -- non-finite input ---------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("buses", "D", NAN),
+        ("buses", "M", NAN),
+        ("buses", "p_l_max", INF),
+        ("lines", "theta_max", NAN),
+        ("lines", "B", INF),
+    ],
+)
+def test_validate_rejects_non_finite_network_field(tmp_path, capsys, section, field, value):
+    doc = json.loads(network_path("three_bus").read_text())
+    doc[section][0][field] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    _, errs = read_stderr_json(capsys)
+    assert errs[0]["error"] == "validation"
+    assert f"{field} must be finite" in errs[0]["message"]
+
+
+@pytest.mark.parametrize(
+    "over, flags, field",
+    [
+        ({"t_end": NAN, "events": []}, [], "t_end"),
+        ({"dt": INF}, [], "dt"),
+        ({"events": [{"time": 0.0, "bus": 0, "delta_p_m": NAN}]}, [], "delta_p_m"),
+        ({"events": [{"time": NAN, "bus": 0, "delta_p_m": 0.3}]}, [], "time"),
+        ({"events": [{"time": 0.0, "bus": NAN, "delta_p_m": 0.3}]}, [], "events[0].bus"),
+        ({"controller": {"epsilon": INF}}, [], "epsilon"),
+        ({"events": []}, ["--t-end", "nan"], "t_end"),
+    ],
+)
+def test_run_rejects_non_finite_scenario_field(tmp_scenario, tmp_path, capsys, over, flags, field):
+    assert main(["run", tmp_scenario(**over), "--out", str(tmp_path / "x.csv"), *flags]) == 1
+    _, errs = read_stderr_json(capsys)
+    assert errs[-1]["error"] == "validation"
+    assert field in errs[-1]["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 # -- run ----------------------------------------------------------------------
 
 

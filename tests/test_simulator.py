@@ -4,10 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from olfc.errors import NumericalError, ValidationError
 from olfc.network import load_network
 from olfc.simulator import (
+    ClosedLoop,
     ControllerConfig,
     Event,
     Scenario,
@@ -116,12 +118,50 @@ def test_controller_config_validation():
 # -- integration behavior -----------------------------------------------------
 
 
+def sixty_eight_bus_scenario(mismatch, t_end=0.1):
+    return Scenario(
+        network_path=network_path("sixty_eight_bus"),
+        t_end=t_end,
+        dt=2e-3,
+        events=[Event(time=0.0, bus=20, delta_p_m=0.5), Event(time=0.04, bus=45, delta_p_m=0.6)],
+        config=ControllerConfig(mismatch=mismatch, epsilon=4.0),
+        log_decimation=5,
+    )
+
+
 def test_runs_are_bit_identical(model):
-    scn = make_scenario(t_end=0.5, events=[Event(time=0.1, bus=0, delta_p_m=0.3)])
-    a = run(scn, model)
-    b = run(scn, model)
-    for name in ("omega", "p_l", "mu", "theta_e", "flows", "cost"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    """Dense operator (3-bus) and CSR operator (68-bus, 50 steps, both mismatch sources)."""
+    big = load_network(network_path("sixty_eight_bus"))
+    cases = [(make_scenario(t_end=0.5, events=[Event(time=0.1, bus=0, delta_p_m=0.3)]), model)]
+    cases += [(sixty_eight_bus_scenario(mismatch), big) for mismatch in ("model", "estimate")]
+    for scn, net in cases:
+        a = run(scn, net)
+        b = run(scn, net)
+        for name in ("omega", "p_l", "mu", "theta_e", "flows", "cost"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_settle_is_bit_identical(model):
+    big = load_network(network_path("sixty_eight_bus"))
+    cases = [(model, np.array([0.3, 0.0, 0.0]), ControllerConfig(), 60.0)]
+    p_m = np.zeros(big.n)
+    p_m[20] = 0.5
+    cases += [(big, p_m, ControllerConfig(mismatch=mismatch, epsilon=4.0), 0.1) for mismatch in ("model", "estimate")]
+    for net, p_m, cfg, t_max in cases:
+        a = settle(net, p_m, tol=1e-8, t_max=t_max, config=cfg, dt=2e-3)
+        b = settle(net, p_m, tol=1e-8, t_max=t_max, config=cfg, dt=2e-3)
+        assert (a.t, a.converged, a.residual) == (b.t, b.converged, b.residual)
+        for x, y in ((a.plant, b.plant), (a.ctrl, b.ctrl)):
+            for name, value in vars(x).items():
+                assert np.array_equal(value, getattr(y, name)), name
+
+
+def test_operator_storage_follows_size(model):
+    """Large operators are held as CSR, small ones as dense arrays."""
+    small = ClosedLoop(model, ControllerConfig(mismatch="estimate"))
+    big = ClosedLoop(load_network(network_path("sixty_eight_bus")), ControllerConfig(mismatch="estimate"))
+    assert isinstance(small.K, np.ndarray) and isinstance(small._Wy, np.ndarray)
+    assert issparse(big.K)
 
 
 def test_zero_disturbance_observables_stay_zero(model):
