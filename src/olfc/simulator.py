@@ -585,6 +585,7 @@ def settle(
     A timeout is reported via converged=False, not an exception: slow
     convergence is a finding, not a crash.
     """
+    require_finite("settle", tol=tol, t_max=t_max, dt=dt)
     if not tol > 0:
         raise ValidationError("settle tolerance must be positive")
     loop = ClosedLoop(model, config)

@@ -117,6 +117,16 @@ def test_run_rejects_non_finite_scenario_field(tmp_scenario, tmp_path, capsys, o
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, field", [(["--t-max", "nan"], "t_max"), (["--t-max", "inf"], "t_max"), (["--tol", "inf"], "tol")]
+)
+def test_settle_rejects_non_finite_budget(tmp_scenario, capsys, flags, field):
+    assert main(["settle", tmp_scenario(t_end=0.01), *flags]) == 1
+    _, errs = read_stderr_json(capsys)
+    assert errs[-1]["error"] == "validation"
+    assert f"{field} must be finite" in errs[-1]["message"]
+
+
 # -- run ----------------------------------------------------------------------
 
 
