@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import FullState, check_theorem1
-from .errors import InfeasibleProblemError, NumericalError, OlfcError, ValidationError
+from .errors import InfeasibleProblemError, NumericalError, OlfcError, ValidationError, require_finite
 from .network import load_network
 from .oracle import solve_olc
 from .simulator import load_scenario, run, settle
@@ -286,6 +286,7 @@ def _cmd_solve(ns) -> int:
 
 
 def _cmd_check(ns) -> int:
+    require_finite("check", tol=ns.tol)
     job_args = [(p, ns.tol, ns.t_max, _ns_dict(ns)) for p in ns.scenario]
     results = _map_jobs(_check_job, job_args, ns.jobs)
     all_passed = True

@@ -111,12 +111,19 @@ class PiecewiseCost:
             raise ValidationError("cost needs at least one piece")
         allowed = {"x_min", "x_max", "a", "b", "c"}
         for p in pieces:
+            if not isinstance(p, dict):
+                raise ValidationError(f"cost piece must be an object, got {p!r}")
             unknown = set(p) - allowed
             if unknown:
                 raise ValidationError(f"unknown cost piece fields: {sorted(unknown)}")
             missing = allowed - set(p)
             if missing:
                 raise ValidationError(f"cost piece missing fields: {sorted(missing)}")
+            for name, v in p.items():
+                if v is None and name in ("x_min", "x_max"):
+                    continue
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ValidationError(f"cost piece field {name!r} must be a number, got {v!r}")
 
         def _bound(v: object, name: str, unbounded: float) -> float:
             if v is None:

@@ -269,8 +269,6 @@ def _parse_bus(raw: dict, pos: int) -> Bus:
         kind = BusKind(kind_raw)
     except ValueError:
         raise ValidationError(f"{where}: kind must be 'generator' or 'load', got {kind_raw!r}") from None
-    if not isinstance(raw["cost"], list):
-        raise ValidationError(f"{where}: cost must be a list of pieces")
     return Bus(
         id=int(raw["id"]),
         kind=kind,

@@ -118,10 +118,16 @@ def test_run_rejects_non_finite_scenario_field(tmp_scenario, tmp_path, capsys, o
 
 
 @pytest.mark.parametrize(
-    "flags, field", [(["--t-max", "nan"], "t_max"), (["--t-max", "inf"], "t_max"), (["--tol", "inf"], "tol")]
+    "command, flags, field",
+    [
+        ("settle", ["--t-max", "nan"], "t_max"),
+        ("settle", ["--t-max", "inf"], "t_max"),
+        ("settle", ["--tol", "inf"], "tol"),
+        ("check", ["--tol", "inf"], "tol"),
+    ],
 )
-def test_settle_rejects_non_finite_budget(tmp_scenario, capsys, flags, field):
-    assert main(["settle", tmp_scenario(t_end=0.01), *flags]) == 1
+def test_non_finite_tolerance_or_budget_exits_1(tmp_scenario, capsys, command, flags, field):
+    assert main([command, tmp_scenario(t_end=0.01), *flags]) == 1
     _, errs = read_stderr_json(capsys)
     assert errs[-1]["error"] == "validation"
     assert f"{field} must be finite" in errs[-1]["message"]

@@ -109,6 +109,8 @@ def test_from_pieces_rejects_bad_data():
         ])
     with pytest.raises(ValidationError):
         PiecewiseCost.from_pieces([{"x_min": None, "x_max": None, "a": 1.0, "b": 0.0}])
+    with pytest.raises(ValidationError, match="field 'x_max' must be a number"):
+        PiecewiseCost.from_pieces([{"x_min": None, "x_max": "abc", "a": 1.0, "b": 0.0, "c": 0.0}])
     with pytest.raises(ValidationError, match="x_min must be finite, or null"):
         # unbounded is spelled null, not -inf
         PiecewiseCost.from_pieces([{"x_min": float("-inf"), "x_max": None, "a": 1.0, "b": 0.0, "c": 0.0}])

@@ -12,6 +12,8 @@ zero boundary of the filter projections, where the projected and selected
 signals switch.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,17 +36,14 @@ from conftest import network_path
 NETWORKS = ("two_bus", "three_bus", "three_bus_congested", "nine_bus", "sixty_eight_bus")
 RTOL = 1e-12
 
-_models: dict = {}
-_loops: dict = {}
+@functools.cache
+def _model(name: str):
+    return load_network(network_path(name))
 
 
+@functools.cache
 def _loop(name: str, config: ControllerConfig) -> ClosedLoop:
-    if name not in _models:
-        _models[name] = load_network(network_path(name))
-    key = (name, config)
-    if key not in _loops:
-        _loops[key] = ClosedLoop(_models[name], config)
-    return _loops[key]
+    return ClosedLoop(_model(name), config)
 
 
 def reference_rhs(model, plant: PlantState, ctrl: ControllerState, p_m, config: ControllerConfig) -> np.ndarray:
@@ -63,12 +62,11 @@ def reference_rhs(model, plant: PlantState, ctrl: ControllerState, p_m, config: 
 def _values(rng: np.random.Generator, share: float, points: list[list[float]]) -> np.ndarray:
     """Free floats, with about `share` of the components on a pinned point.
 
-    points[i] lists the switching points of component i; an empty list
-    keeps that component free.
+    points[i] lists the switching points of component i.
     """
     out = rng.uniform(-1.5, 1.5, len(points))
     for i, pts in enumerate(points):
-        if pts and rng.random() < share:
+        if rng.random() < share:
             out[i] = pts[rng.integers(len(pts))]
     return out
 

@@ -98,6 +98,10 @@ def test_rejects_unknown_fields():
     doc["lines"][0]["rating"] = 1.0
     with pytest.raises(ValidationError, match="unknown fields"):
         parse_network(doc)
+    doc = two_bus_doc()
+    doc["buses"][0]["D"] = "1.0"
+    with pytest.raises(ValidationError, match="field 'D' has the wrong type"):
+        parse_network(doc)
 
 
 def test_rejects_bad_ids_and_duplicates():

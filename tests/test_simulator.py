@@ -118,10 +118,10 @@ def test_controller_config_validation():
 # -- integration behavior -----------------------------------------------------
 
 
-def sixty_eight_bus_scenario(mismatch, t_end=0.1):
+def sixty_eight_bus_scenario(mismatch):
     return Scenario(
         network_path=network_path("sixty_eight_bus"),
-        t_end=t_end,
+        t_end=0.1,
         dt=2e-3,
         events=[Event(time=0.0, bus=20, delta_p_m=0.5), Event(time=0.04, bus=45, delta_p_m=0.6)],
         config=ControllerConfig(mismatch=mismatch, epsilon=4.0),
