@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import ControllerState
-from .costs import project_box
+from .costs import CostBatch, project_box
 from .dynamics import Injection, PlantState, assemble_frequencies
 from .errors import ValidationError
 from .network import NetworkModel
@@ -138,11 +138,7 @@ def kkt_residuals(model: NetworkModel, costs, p_m: np.ndarray, candidate: Optima
     L = model.laplacian
     edge = model.incidence.T @ phi
 
-    g_lo = np.empty(n)
-    g_hi = np.empty(n)
-    for j, c in enumerate(costs):
-        iv = c.clarke(float(p[j]))
-        g_lo[j], g_hi[j] = iv.lo, iv.hi
+    g_lo, g_hi = CostBatch(costs).bounds(p)
     reach_lo = np.clip(p - mu - g_hi, box.lower, box.upper)
     reach_hi = np.clip(p - mu - g_lo, box.lower, box.upper)
     stat_load = float(np.max(np.maximum.reduce([reach_lo - p, p - reach_hi, np.zeros(n)])))
@@ -291,12 +287,7 @@ def equilibrium_from_state(
     phi = ctrl.phi.copy()
     ep = np.maximum(ctrl.varphi_plus, 0.0)
     em = np.maximum(ctrl.varphi_minus, 0.0)
-    n = model.n
-    g_lo = np.empty(n)
-    g_hi = np.empty(n)
-    for j, c in enumerate(model.costs):
-        iv = c.clarke(float(p[j]))
-        g_lo[j], g_hi[j] = iv.lo, iv.hi
+    g_lo, g_hi = CostBatch(model.costs).bounds(p)
     g = np.clip(-mu, g_lo, g_hi)
     d_star = p - g - mu
     edge = model.incidence.T @ phi

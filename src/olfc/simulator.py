@@ -21,6 +21,12 @@ The fused operator and the matrices of the measurement (`estimate`) path are
 stored as `scipy.sparse` CSR when they hold at least 2**15 entries and as
 dense arrays otherwise, chosen from each matrix's shape; the products are
 written the same way for both.
+
+The operand stack (y, p_l, eta+, eta-, g, z) lives in one buffer that every
+right-hand-side evaluation overwrites in place: the projections and z are
+written straight into their blocks with `out=` ufuncs. `rhs` returns a new
+array on every call, and `observe` copies what it reads from the buffer, so
+no caller ever holds a view of it.
 """
 
 from __future__ import annotations
@@ -311,7 +317,14 @@ class ClosedLoop:
         self._D = D
         self._M = M
         self._gidx = gidx
+        # Operand buffer of K; its blocks are written in place on every call.
         self._u = np.empty(U)
+        self._u_y = self._u[:S]
+        self._u_pl = self._u[self.u_pl]
+        self._u_ep = self._u[self.u_ep]
+        self._u_em = self._u[self.u_em]
+        self._u_g = self._u[self.u_g]
+        self._u_z = self._u[self.u_z]
 
     # -- state packing ------------------------------------------------------
 
@@ -339,34 +352,32 @@ class ClosedLoop:
         return self.Kpm @ p_m + self.k0
 
     def _signals(self, y: np.ndarray, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        p_l = np.clip(y[self.sl_d], self.box_lower, self.box_upper)
-        eta_p = np.maximum(y[self.sl_vp], 0.0)
-        eta_m = np.maximum(y[self.sl_vm], 0.0)
+        """Write p_l, eta+, eta- and z into the operand buffer; return its views of them."""
+        p_l, eta_p, eta_m, z = self._u_pl, self._u_ep, self._u_em, self._u_z
+        # minimum(maximum(.)) is np.clip bit for bit, without clip's wrapper cost.
+        np.minimum(np.maximum(y[self.sl_d], self.box_lower, out=p_l), self.box_upper, out=p_l)
+        np.maximum(y[self.sl_vp], 0.0, out=eta_p)
+        np.maximum(y[self.sl_vm], 0.0, out=eta_m)
         if self.config.mismatch == "model":
-            mis = p_l - p_m
+            np.subtract(p_l, p_m, out=z)
         else:
             # Measurement path: rebuild p_l - p_m from frequency, generator
             # acceleration and line flows (exact on the linear plant).
             omega = self._Wy @ y + self._Wpl @ p_l + self._Wpm @ p_m
             dog = self._Vy @ y + self._Vpl @ p_l + self._Vpm @ p_m
-            mis = -self._D * omega - self._Cw @ y[self.sl_theta]
-            mis[self._gidx] -= self._M * dog
-        z = mis + self.L @ y[self.sl_phi]
+            np.subtract(-self._D * omega, self._Cw @ y[self.sl_theta], out=z)
+            z[self._gidx] -= self._M * dog
+        z += self.L @ y[self.sl_phi]
         return p_l, eta_p, eta_m, z
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
         """Packed derivative dy/dt."""
         if aff is None:
             aff = self.feedthrough(p_m)
-        p_l, eta_p, eta_m, z = self._signals(y, p_m)
-        u = self._u
-        u[: self.dim] = y
-        u[self.u_pl] = p_l
-        u[self.u_ep] = eta_p
-        u[self.u_em] = eta_m
-        u[self.u_g] = self.batch.select(p_l, self.config.selection)
-        u[self.u_z] = z
-        return self.K @ u + aff
+        self._u_y[...] = y
+        p_l = self._signals(y, p_m)[0]
+        self._u_g[...] = self.batch.select(p_l, self.config.selection)
+        return self.K @ self._u + aff
 
     def rk4(self, y: np.ndarray, p_m: np.ndarray, dt: float, aff: np.ndarray, k1: np.ndarray | None = None) -> np.ndarray:
         if k1 is None:
@@ -380,7 +391,7 @@ class ClosedLoop:
 
     def observe(self, y: np.ndarray, p_m: np.ndarray) -> dict:
         """Logged signals at a state: omega, outputs, flows, running cost."""
-        p_l, eta_p, eta_m, z = self._signals(y, p_m)
+        p_l, eta_p, eta_m, z = (a.copy() for a in self._signals(y, p_m))
         omega = self._Wy @ y + self._Wpl @ p_l + self._Wpm @ p_m
         flows = self.B * y[self.sl_theta]
         cost = float(self.batch.value(p_l).sum())

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olfc.costs import (
+    SELECTION_RULES,
     Box,
     CostBatch,
     PiecewiseCost,
     SubgradientInterval,
-    clarke,
-    evaluate,
     normalize_selection_rule,
     project_box,
     project_nonneg,
@@ -31,22 +30,22 @@ def reference_cost() -> PiecewiseCost:
 
 def test_reference_cost_values():
     cost = reference_cost()
-    assert evaluate(cost, 0.1) == pytest.approx(0.005)
-    assert evaluate(cost, 0.2) == pytest.approx(0.02)
-    assert evaluate(cost, 0.5) == pytest.approx(0.23)
-    assert evaluate(cost, -0.2) == pytest.approx(0.02)
-    assert evaluate(cost, -0.5) == pytest.approx(0.23)
+    assert cost.value(0.1) == pytest.approx(0.005)
+    assert cost.value(0.2) == pytest.approx(0.02)
+    assert cost.value(0.5) == pytest.approx(0.23)
+    assert cost.value(-0.2) == pytest.approx(0.02)
+    assert cost.value(-0.5) == pytest.approx(0.23)
 
 
 def test_reference_cost_clarke_intervals():
     cost = reference_cost()
-    iv = clarke(cost, 0.0)
+    iv = cost.clarke(0.0)
     assert iv.lo == iv.hi == 0.0
-    iv = clarke(cost, 0.2)
+    iv = cost.clarke(0.2)
     assert (iv.lo, iv.hi) == pytest.approx((0.2, 0.4))
-    iv = clarke(cost, -0.2)
+    iv = cost.clarke(-0.2)
     assert (iv.lo, iv.hi) == pytest.approx((-0.4, -0.2))
-    iv = clarke(cost, 0.5)
+    iv = cost.clarke(0.5)
     assert iv.lo == iv.hi == pytest.approx(1.0)
 
 
@@ -121,7 +120,7 @@ def test_round_trip_pieces():
     again = PiecewiseCost.from_pieces(cost.to_pieces())
     x = np.linspace(-1, 1, 101)
     for xi in x:
-        assert evaluate(again, xi) == evaluate(cost, xi)
+        assert again.value(xi) == cost.value(xi)
 
 
 def test_project_box():
@@ -157,17 +156,58 @@ def test_clarke_supports_convexity(x):
             assert cost.value(y) >= cost.value(float(x)) + g * (y - float(x)) - 1e-9
 
 
-def test_cost_batch_matches_scalar_paths():
-    costs = [reference_cost(),
-             PiecewiseCost.from_pieces([{"x_min": None, "x_max": None, "a": 0.7, "b": -0.05, "c": 0.1}])]
+@st.composite
+def convex_costs(draw, pieces: int) -> PiecewiseCost:
+    """A continuous convex piecewise quadratic with real kinks, some of them on 0.
+
+    Every kink raises the slope by at least 1e-3, so rounding cannot put the
+    one-sided derivatives out of order (the scalar interval would reject it).
+    """
+    knot = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, width=32))
+    bps = sorted(draw(st.lists(knot, min_size=pieces - 1, max_size=pieces - 1, unique=True)))
+    a = [draw(st.floats(0.1, 2.0)) for _ in range(pieces)]
+    b = [draw(st.floats(-1.0, 1.0))]
+    c = [draw(st.floats(-1.0, 1.0))]
+    for k, x in enumerate(bps):
+        jump = draw(st.floats(1e-3, 1.0))
+        b.append(2.0 * a[k] * x + b[k] + jump - 2.0 * a[k + 1] * x)
+        c.append(a[k] * x * x + b[k] * x + c[k] - a[k + 1] * x * x - b[k + 1] * x)
+    return PiecewiseCost(a=a, b=b, c=c, breakpoints=bps)
+
+
+@st.composite
+def batch_points(draw):
+    """1- and 3-piece buses padded into one batch (the 68-bus mix), and one point per bus.
+
+    Each point is free or pinned on a breakpoint of its bus, a bound of a
+    load box around it, 0.0 or -0.0.
+    """
+    counts = draw(st.permutations([1, 3, *draw(st.lists(st.sampled_from([1, 2, 3]), max_size=5))]))
+    costs = [draw(convex_costs(k)) for k in counts]
+    x = []
+    for cost in costs:
+        lower = draw(st.floats(-1.5, 0.0))
+        upper = draw(st.floats(0.0, 1.5))
+        pinned = [*cost.breakpoints.tolist(), lower, upper, 0.0, -0.0]
+        x.append(draw(st.one_of(st.floats(-2.0, 2.0), st.sampled_from(pinned))))
+    return costs, np.array(x)
+
+
+def same_bits(got: np.ndarray, expect: list[float]) -> bool:
+    expect = np.array(expect, dtype=float)
+    return got.dtype == np.float64 and np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_points())
+def test_cost_batch_matches_scalar_paths(case):
+    """CostBatch reproduces the scalar value, Clarke bounds and selections bit for bit."""
+    costs, x = case
     batch = CostBatch(costs)
-    x = np.array([0.2, -0.3])
-    assert np.allclose(batch.value(x), [costs[0].value(0.2), costs[1].value(-0.3)])
+    intervals = [cost.clarke(float(xj)) for cost, xj in zip(costs, x)]
+    assert same_bits(batch.value(x), [cost.value(float(xj)) for cost, xj in zip(costs, x)])
     lo, hi = batch.bounds(x)
-    iv0, iv1 = costs[0].clarke(0.2), costs[1].clarke(-0.3)
-    assert np.allclose(lo, [iv0.lo, iv1.lo])
-    assert np.allclose(hi, [iv0.hi, iv1.hi])
-    for rule in ("minnorm", "left", "right", "midpoint"):
-        picked = batch.select(x, rule)
-        expect = [select_subgradient(iv0, rule), select_subgradient(iv1, rule)]
-        assert np.allclose(picked, expect)
+    assert same_bits(lo, [iv.lo for iv in intervals])
+    assert same_bits(hi, [iv.hi for iv in intervals])
+    for rule in SELECTION_RULES:
+        assert same_bits(batch.select(x, rule), [select_subgradient(iv, rule) for iv in intervals]), rule

@@ -164,6 +164,29 @@ def test_operator_storage_follows_size(model):
     assert issparse(big.K)
 
 
+@pytest.mark.parametrize("mismatch", ["model", "estimate"])
+def test_rhs_and_observe_return_independent_arrays(mismatch):
+    """The operand buffer is reused in place; nothing handed out may alias it."""
+    net = load_network(network_path("nine_bus"))
+    loop = ClosedLoop(net, ControllerConfig(mismatch=mismatch))
+    rng = np.random.default_rng(11)
+    y1, y2 = rng.uniform(-1.0, 1.0, (2, loop.dim))
+    p_m = rng.uniform(-0.5, 0.5, net.n)
+    k1 = loop.rhs(y1, p_m)
+    k1_before = k1.copy()
+    k2 = loop.rhs(y2, p_m)
+    assert not np.shares_memory(k1, k2)
+    assert np.array_equal(k1, k1_before)
+    keys = ("omega", "p_l", "eta_plus", "eta_minus", "z")
+    obs = loop.observe(y1, p_m)
+    before = {key: obs[key].copy() for key in keys}
+    loop.rhs(y2, p_m)
+    later = loop.observe(y2, p_m)
+    for key in keys:
+        assert np.array_equal(obs[key], before[key]), key
+        assert not np.array_equal(later[key], before[key]), key
+
+
 def test_zero_disturbance_observables_stay_zero(model):
     scn = make_scenario(t_end=2.0)
     log = run(scn, model)
