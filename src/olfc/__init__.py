@@ -1,108 +1,23 @@
 """Distributed optimal load-frequency control: simulator, controller and oracle."""
 
-from .analysis import (
-    EquilibriumPoint,
-    FullState,
-    KktReport,
-    Theorem1Report,
-    candidate_from_state,
-    check_theorem1,
-    equilibrium_from_state,
-    kkt_residuals,
-    lyapunov,
-    lyapunov_series,
-    nodal_angles,
-)
-from .controller import (
-    ControllerOutputs,
-    ControllerState,
-    controller_rhs,
-    estimate_mismatch,
-    init_controller,
-    outputs,
-)
-from .costs import (
-    SELECTION_RULES,
-    Box,
-    PiecewiseCost,
-    SubgradientInterval,
-    project_box,
-    project_nonneg,
-    select_subgradient,
-)
-from .dynamics import Injection, PlantState, assemble_frequencies, load_bus_frequencies, plant_rhs
+from .analysis import check_theorem1
 from .errors import InfeasibleProblemError, NumericalError, OlfcError, ValidationError
-from .network import Bus, BusKind, Line, NetworkModel, incidence, laplacian_weighted, load_network, serialize_network
-from .oracle import OptimalSolution, check_feasibility, lattice_search, solve_olc
-from .simulator import (
-    ClosedLoop,
-    ControllerConfig,
-    Event,
-    Scenario,
-    SettleResult,
-    TrajectoryLog,
-    load_scenario,
-    run,
-    settle,
-    step,
-)
+from .network import load_network
+from .oracle import solve_olc
+from .simulator import ClosedLoop, load_scenario, run, settle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
-    "Bus",
-    "BusKind",
     "ClosedLoop",
-    "ControllerConfig",
-    "ControllerOutputs",
-    "ControllerState",
-    "EquilibriumPoint",
-    "Event",
-    "FullState",
     "InfeasibleProblemError",
-    "Injection",
-    "KktReport",
-    "Line",
-    "NetworkModel",
     "NumericalError",
     "OlfcError",
-    "OptimalSolution",
-    "PiecewiseCost",
-    "PlantState",
-    "Scenario",
-    "SettleResult",
-    "SELECTION_RULES",
-    "SubgradientInterval",
-    "Theorem1Report",
-    "TrajectoryLog",
     "ValidationError",
-    "assemble_frequencies",
-    "candidate_from_state",
-    "check_feasibility",
     "check_theorem1",
-    "controller_rhs",
-    "equilibrium_from_state",
-    "estimate_mismatch",
-    "incidence",
-    "init_controller",
-    "kkt_residuals",
-    "laplacian_weighted",
-    "lattice_search",
-    "load_bus_frequencies",
     "load_network",
     "load_scenario",
-    "lyapunov",
-    "lyapunov_series",
-    "nodal_angles",
-    "outputs",
-    "plant_rhs",
-    "project_box",
-    "project_nonneg",
     "run",
-    "select_subgradient",
-    "serialize_network",
     "settle",
     "solve_olc",
-    "step",
 ]

@@ -121,9 +121,8 @@ def candidate_from_state(model: NetworkModel, ctrl: ControllerState) -> OptimalS
     )
 
 
-def kkt_residuals(model: NetworkModel, costs, p_m: np.ndarray, candidate: OptimalSolution) -> KktReport:
+def kkt_residuals(model: NetworkModel, p_m: np.ndarray, candidate: OptimalSolution) -> KktReport:
     """Evaluate every optimality identity of the allocation problem as a residual."""
-    costs = list(costs) if costs is not None else model.costs
     p_m = np.asarray(p_m, dtype=float)
     p = np.asarray(candidate.p_l_star, dtype=float)
     mu = np.asarray(candidate.mu_star, dtype=float)
@@ -138,7 +137,7 @@ def kkt_residuals(model: NetworkModel, costs, p_m: np.ndarray, candidate: Optima
     L = model.laplacian
     edge = model.incidence.T @ phi
 
-    g_lo, g_hi = CostBatch(costs).bounds(p)
+    g_lo, g_hi = CostBatch(model.costs).bounds(p)
     reach_lo = np.clip(p - mu - g_hi, box.lower, box.upper)
     reach_hi = np.clip(p - mu - g_lo, box.lower, box.upper)
     stat_load = float(np.max(np.maximum.reduce([reach_lo - p, p - reach_hi, np.zeros(n)])))
@@ -214,13 +213,8 @@ def _v_terms(
     return v1 + v2
 
 
-def lyapunov(model: NetworkModel, costs, state: FullState, star: FullState) -> float:
-    """Energy distance from `state` to the equilibrium `star` (V = V1 + V2).
-
-    `costs` is accepted for interface symmetry with the other analysis entry
-    points; the load box lives on the model and is all that is needed here.
-    """
-    del costs
+def lyapunov(model: NetworkModel, state: FullState, star: FullState) -> float:
+    """Energy distance from `state` to the equilibrium `star` (V = V1 + V2)."""
     plant, ctrl = state.plant, state.ctrl
     ctrl.validate(model)
     plant.validate(model)
@@ -282,11 +276,10 @@ def equilibrium_from_state(
     angle slack, and theta_e* = C^T phi*). The returned report measures how
     close the polished point is to true optimality.
     """
-    p = project_box(ctrl.d, model.load_box)
-    mu = ctrl.mu.copy()
+    candidate = candidate_from_state(model, ctrl)
+    p, mu = candidate.p_l_star, candidate.mu_star
+    ep, em = candidate.eta_plus_star, candidate.eta_minus_star
     phi = ctrl.phi.copy()
-    ep = np.maximum(ctrl.varphi_plus, 0.0)
-    em = np.maximum(ctrl.varphi_minus, 0.0)
     g_lo, g_hi = CostBatch(model.costs).bounds(p)
     g = np.clip(-mu, g_lo, g_hi)
     d_star = p - g - mu
@@ -297,15 +290,7 @@ def equilibrium_from_state(
         plant=PlantState(theta_e=edge.copy(), omega_g=np.zeros(model.n_g)),
         ctrl=ControllerState(d=d_star, mu=mu, phi=phi, varphi_plus=vp_star, varphi_minus=vm_star),
     )
-    candidate = OptimalSolution(
-        p_l_star=p,
-        phi_star=phi - phi[0],
-        mu_star=mu,
-        eta_plus_star=ep,
-        eta_minus_star=em,
-        objective=float(sum(c.value(float(x)) for c, x in zip(model.costs, p))),
-    )
-    report = kkt_residuals(model, model.costs, p_m, candidate)
+    report = kkt_residuals(model, p_m, candidate)
     return star, report
 
 
@@ -370,7 +355,7 @@ def check_theorem1(
     omega_inf = float(np.max(np.abs(omega)))
 
     candidate = candidate_from_state(model, ctrl)
-    kkt = kkt_residuals(model, model.costs, p_m, candidate)
+    kkt = kkt_residuals(model, p_m, candidate)
 
     edge_ctrl = model.incidence.T @ ctrl.phi
     theta_phi_gap = float(np.max(np.abs(plant.theta_e - edge_ctrl))) if model.m else 0.0

@@ -24,11 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import FullState, check_theorem1
+from .analysis import FullState, Theorem1Report, check_theorem1
+from .costs import project_box
+from .dynamics import Injection, assemble_frequencies
 from .errors import InfeasibleProblemError, NumericalError, OlfcError, ValidationError, require_finite
-from .network import load_network
-from .oracle import solve_olc
-from .simulator import load_scenario, run, settle
+from .network import NetworkModel, load_network
+from .oracle import OptimalSolution, solve_olc
+from .simulator import Scenario, SettleResult, TrajectoryLog, load_scenario, run, settle
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -152,36 +154,66 @@ def _run_job(args: tuple) -> dict:
     }
 
 
-def _check_job(args: tuple) -> dict:
-    path, tol, t_max, ns_dict = args
-    ns = argparse.Namespace(**ns_dict)
-    scenario = _apply_overrides(load_scenario(path), ns)
+@dataclasses.dataclass
+class ScenarioResult:
+    """One scenario taken to rest and, once checked, the oracle optimum and the verdict."""
+
+    scenario: Scenario
+    model: NetworkModel
+    log: TrajectoryLog
+    settled: SettleResult
+    oracle: OptimalSolution | None = None
+    report: Theorem1Report | None = None
+
+    @property
+    def p_m(self) -> np.ndarray:
+        return self.log.p_m_final
+
+
+def settle_scenario(scenario: Scenario, tol: float, t_max: float) -> ScenarioResult:
+    """Integrate a scenario over its horizon, then settle it from the run's end state."""
     model = scenario.load_model()
     log = run(scenario, model)
-    p_m = log.p_m_final
-    sr = settle(
+    settled = settle(
         model,
-        p_m,
-        tol=1e-8,
+        log.p_m_final,
+        tol=tol,
         t_max=t_max,
         plant=log.final_plant(model),
         ctrl=log.final_controller(),
         config=scenario.config,
         dt=scenario.dt,
     )
+    return ScenarioResult(scenario, model, log, settled)
+
+
+def check_scenario(scenario: Scenario, label: str, tol: float, t_max: float) -> ScenarioResult:
+    """Settle a scenario, solve for the optimum independently and check the claims at `tol`.
+
+    Raises NumericalError, naming `label`, when the closed loop does not settle
+    within t_max seconds of model time.
+    """
+    res = settle_scenario(scenario, tol=1e-8, t_max=t_max)
+    sr = res.settled
     if sr.timed_out:
-        raise NumericalError(f"{path}: closed loop did not settle within {t_max:g} s (residual {sr.residual:.3e})")
-    sol = solve_olc(model, model.costs, p_m, tol=1e-6)
-    report = check_theorem1(model, FullState(sr.plant, sr.ctrl), sol, tol=tol, p_m=p_m)
-    edge = model.incidence.T @ sr.ctrl.phi
-    flows = model.susceptances * sr.plant.theta_e
+        raise NumericalError(f"{label}: closed loop did not settle within {t_max:g} s (residual {sr.residual:.3e})")
+    res.oracle = solve_olc(res.model, res.model.costs, res.p_m, tol=1e-6)
+    res.report = check_theorem1(res.model, FullState(sr.plant, sr.ctrl), res.oracle, tol=tol, p_m=res.p_m)
+    return res
+
+
+def _check_job(args: tuple) -> dict:
+    path, tol, t_max, ns_dict = args
+    scenario = _apply_overrides(load_scenario(path), argparse.Namespace(**ns_dict))
+    res = check_scenario(scenario, path, tol=tol, t_max=t_max)
+    sr = res.settled
     return {
         "scenario": path,
         "settle_time": sr.t,
-        "report": report.to_dict(),
-        "flows": flows.tolist(),
-        "edge_angles": edge.tolist(),
-        "objective": sol.objective,
+        "report": res.report.to_dict(),
+        "flows": (res.model.susceptances * sr.plant.theta_e).tolist(),
+        "edge_angles": (res.model.incidence.T @ sr.ctrl.phi).tolist(),
+        "objective": res.oracle.objective,
         "mu": sr.ctrl.mu.tolist(),
     }
 
@@ -231,24 +263,10 @@ def _cmd_run(ns) -> int:
 
 def _cmd_settle(ns) -> int:
     scenario = _apply_overrides(load_scenario(ns.scenario), ns)
-    model = scenario.load_model()
-    log = run(scenario, model)
-    p_m = log.p_m_final
-    sr = settle(
-        model,
-        p_m,
-        tol=ns.tol,
-        t_max=ns.t_max,
-        plant=log.final_plant(model),
-        ctrl=log.final_controller(),
-        config=scenario.config,
-        dt=scenario.dt,
-    )
-    from .costs import project_box  # local import to keep CLI import light
-    from .dynamics import Injection, assemble_frequencies
-
-    p_l = project_box(sr.ctrl.d, model.load_box)
-    omega = assemble_frequencies(model, sr.plant, Injection(p_m=p_m, p_l=p_l))
+    res = settle_scenario(scenario, tol=ns.tol, t_max=ns.t_max)
+    sr = res.settled
+    p_l = project_box(sr.ctrl.d, res.model.load_box)
+    omega = assemble_frequencies(res.model, sr.plant, Injection(p_m=res.p_m, p_l=p_l))
     print(json.dumps(_jsonify({
         "converged": sr.converged,
         "t": sr.t,

@@ -27,7 +27,6 @@ produce identical trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -158,21 +157,7 @@ def estimate_mismatch(
     return est
 
 
-def init_controller(model: NetworkModel, warm_start: str | Path | None = None) -> ControllerState:
-    """All-zeros controller state, or a warm start from a flat vector file.
-
-    Warm-start layout: d | mu | phi | varphi+ | varphi-, whitespace-separated.
-    """
-    if warm_start is None:
-        n, m = model.n, model.m
-        return ControllerState(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(m), np.zeros(m))
-    path = Path(warm_start)
-    try:
-        vec = np.loadtxt(path, dtype=float).reshape(-1)
-    except OSError as exc:
-        raise ValidationError(f"cannot read warm-start file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"warm-start file {path} is not a flat numeric vector: {exc}") from exc
-    state = ControllerState.unpack(vec, model)
-    state.validate(model)
-    return state
+def init_controller(model: NetworkModel) -> ControllerState:
+    """All-zeros controller state."""
+    n, m = model.n, model.m
+    return ControllerState(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(m), np.zeros(m))

@@ -97,7 +97,7 @@ class PiecewiseCost:
                 raise ValidationError(f"cost pieces must agree in value at breakpoint {x} (got {left} vs {right})")
             dleft = 2.0 * a[k] * x + b[k]
             dright = 2.0 * a[k + 1] * x + b[k + 1]
-            if dleft > dright + 1e-12 * max(1.0, abs(dleft)):
+            if dleft > dright:
                 raise ValidationError(f"cost derivative must be nondecreasing at breakpoint {x} (convexity)")
 
     @classmethod

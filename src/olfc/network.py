@@ -232,16 +232,6 @@ class NetworkModel:
         }
 
 
-def incidence(model: NetworkModel) -> np.ndarray:
-    """Oriented incidence matrix C (n x m), +1 at the from-bus of each line."""
-    return model.incidence
-
-
-def laplacian_weighted(model: NetworkModel) -> np.ndarray:
-    """Susceptance-weighted Laplacian C diag(B) C^T."""
-    return model.laplacian
-
-
 def _require_fields(obj: dict, required: dict[str, type | tuple], optional: dict[str, type | tuple], where: str) -> None:
     unknown = set(obj) - set(required) - set(optional)
     if unknown:

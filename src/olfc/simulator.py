@@ -100,11 +100,7 @@ class Scenario:
                 raise ValidationError(f"event time {ev.time} outside [0, t_end={self.t_end}]")
 
     def load_model(self) -> NetworkModel:
-        model = load_network(self.network_path)
-        for ev in self.events:
-            if not 0 <= ev.bus < model.n:
-                raise ValidationError(f"event references unknown bus {ev.bus}")
-        return model
+        return load_network(self.network_path)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -170,22 +166,6 @@ def load_scenario(path: str | Path) -> Scenario:
         init_controller=base / init_raw["controller"] if "controller" in init_raw else None,
         log_decimation=number(data.get("log_decimation", 1), "log_decimation", int),
     )
-
-
-def load_plant_state(path: str | Path, model: NetworkModel) -> PlantState:
-    """Warm-start plant state from a flat vector file: theta_e | omega_g."""
-    try:
-        vec = np.loadtxt(Path(path), dtype=float).reshape(-1)
-    except OSError as exc:
-        raise ValidationError(f"cannot read plant warm-start file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"plant warm-start file {path} is not a flat numeric vector: {exc}") from exc
-    m, g = model.m, model.generator_index.size
-    if vec.size != m + g:
-        raise ValidationError(f"plant warm-start must have length {m + g} (theta_e | omega_g), got {vec.size}")
-    state = PlantState(theta_e=vec[:m], omega_g=vec[m:])
-    state.validate(model)
-    return state
 
 
 # A dense matvec costs ~2 us of call overhead plus 0.2-0.4 ns per stored
@@ -398,26 +378,6 @@ class ClosedLoop:
         return {"omega": omega, "p_l": p_l, "eta_plus": eta_p, "eta_minus": eta_m, "z": z, "flows": flows, "cost": cost}
 
 
-def step(
-    model: NetworkModel,
-    plant: PlantState,
-    ctrl: ControllerState,
-    p_m: np.ndarray,
-    dt: float,
-    config: ControllerConfig | None = None,
-) -> tuple[PlantState, ControllerState]:
-    """One RK4 step of the coupled system; projections applied inside stages."""
-    if not dt > 0:
-        raise ValidationError("step size dt must be positive")
-    loop = ClosedLoop(model, config)
-    y = loop.pack(plant, ctrl)
-    p_m = np.asarray(p_m, dtype=float)
-    y_next = loop.rk4(y, p_m, dt, loop.feedthrough(p_m))
-    if not np.all(np.isfinite(y_next)):
-        raise NumericalError("non-finite state after one integration step")
-    return loop.unpack(y_next)
-
-
 @dataclass
 class TrajectoryLog:
     """Uniformly decimated record of a closed-loop run."""
@@ -435,7 +395,6 @@ class TrajectoryLog:
     eta_minus: np.ndarray
     flows: np.ndarray
     cost: np.ndarray
-    lyapunov: np.ndarray
     p_m_final: np.ndarray
 
     def final_plant(self, model: NetworkModel) -> PlantState:
@@ -465,7 +424,7 @@ class TrajectoryLog:
         cols += [f"eta_plus[{k}]" for k in range(m)]
         cols += [f"eta_minus[{k}]" for k in range(m)]
         cols += [f"flow[{k}]" for k in range(m)]
-        cols += ["V", "cost"]
+        cols += ["cost"]
         data = np.column_stack(
             [
                 self.times,
@@ -480,32 +439,50 @@ class TrajectoryLog:
                 self.eta_plus,
                 self.eta_minus,
                 self.flows,
-                self.lyapunov,
                 self.cost,
             ]
         )
         np.savetxt(path, data, delimiter=",", header=",".join(cols), comments="", fmt="%.17g")
 
 
-def _initial_states(scenario: Scenario, model: NetworkModel) -> tuple[PlantState, ControllerState]:
-    plant = load_plant_state(scenario.init_plant, model) if scenario.init_plant else PlantState.zero(model)
-    ctrl = init_controller(model, scenario.init_controller)
-    ctrl.validate(model)
-    plant.validate(model)
-    return plant, ctrl
+def _initial_states(scenario: Scenario, loop: ClosedLoop) -> np.ndarray:
+    """Packed start state: zero, or warm-started from flat vector files.
+
+    A plant file holds theta_e | omega_g and a controller file
+    d | mu | phi | varphi+ | varphi-: the two halves of the packed layout.
+    """
+    y = loop.zero_state()
+    split = loop.sl_d.start
+    halves = (
+        (scenario.init_plant, y[:split], "theta_e | omega_g"),
+        (scenario.init_controller, y[split:], "d | mu | phi | varphi+ | varphi-"),
+    )
+    for path, block, layout in halves:
+        if path is None:
+            continue
+        try:
+            vec = np.loadtxt(path, dtype=float).reshape(-1)
+        except OSError as exc:
+            raise ValidationError(f"cannot read warm-start file {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValidationError(f"warm-start file {path} is not a flat numeric vector: {exc}") from exc
+        if vec.size != block.size:
+            raise ValidationError(f"warm-start file {path} must hold {block.size} numbers ({layout}), got {vec.size}")
+        if not np.all(np.isfinite(vec)):
+            raise ValidationError(f"warm-start file {path} must hold finite numbers")
+        block[...] = vec
+    return y
 
 
 def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     """Integrate a scenario from t=0 to t_end, logging at the configured decimation."""
     if model is None:
         model = scenario.load_model()
-    else:
-        for ev in scenario.events:
-            if not 0 <= ev.bus < model.n:
-                raise ValidationError(f"event references unknown bus {ev.bus}")
+    for ev in scenario.events:
+        if not 0 <= ev.bus < model.n:
+            raise ValidationError(f"event references unknown bus {ev.bus}")
     loop = ClosedLoop(model, scenario.config)
-    plant, ctrl = _initial_states(scenario, model)
-    y = loop.pack(plant, ctrl)
+    y = _initial_states(scenario, loop)
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
 
@@ -563,7 +540,7 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
         if k < n_steps:
             y = loop.rk4(y, p_m, dt, aff)
 
-    return TrajectoryLog(lyapunov=np.full(n_rec, np.nan), p_m_final=p_m, **out)
+    return TrajectoryLog(p_m_final=p_m, **out)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Shared fixtures: fixture paths and a session cache of settled pipelines."""
+"""Shared fixtures: fixture paths and a cache of checked pipelines shared by all tests."""
 
 import dataclasses
 import time
@@ -6,24 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from olfc import load_scenario, run, settle, solve_olc
+from olfc import load_scenario
+from olfc.cli import ScenarioResult, check_scenario
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "olfc" / "data"
 SCENARIO_DIR = DATA_DIR / "scenarios"
 
 
 @dataclasses.dataclass
-class Pipeline:
-    """One scenario taken to rest: trajectory, settled state, oracle optimum."""
+class Pipeline(ScenarioResult):
+    """A bundled scenario taken through `olfc check`'s pipeline, with its wall time."""
 
-    name: str
-    scenario: object
-    model: object
-    log: object
-    settled: object
-    p_m: object
-    oracle: object
-    wall_seconds: float
+    name: str = ""
+    wall_seconds: float = 0.0
 
 
 def network_path(name: str) -> Path:
@@ -34,48 +29,20 @@ def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / f"{name}.json"
 
 
-def _build_pipeline(name: str, selection: str, mismatch: str, settle_tol: float, t_max: float) -> Pipeline:
-    scenario = load_scenario(scenario_path(name))
-    cfg = dataclasses.replace(scenario.config, selection=selection, mismatch=mismatch)
-    scenario = dataclasses.replace(scenario, config=cfg)
-    model = scenario.load_model()
-    t0 = time.perf_counter()
-    log = run(scenario, model)
-    settled = settle(
-        model,
-        log.p_m_final,
-        tol=settle_tol,
-        t_max=t_max,
-        plant=log.final_plant(model),
-        ctrl=log.final_controller(),
-        config=scenario.config,
-        dt=scenario.dt,
-    )
-    wall = time.perf_counter() - t0
-    assert settled.converged, f"{name} did not settle (residual {settled.residual:.3e})"
-    oracle = solve_olc(model, model.costs, log.p_m_final, tol=1e-6)
-    return Pipeline(
-        name=name,
-        scenario=scenario,
-        model=model,
-        log=log,
-        settled=settled,
-        p_m=log.p_m_final,
-        oracle=oracle,
-        wall_seconds=wall,
-    )
-
-
 @pytest.fixture(scope="session")
 def pipeline():
-    """Factory returning cached settled pipelines keyed by (name, selection, mismatch)."""
+    """Factory returning cached checked pipelines keyed by (name, selection, mismatch)."""
     cache: dict = {}
 
-    def build(name: str, selection: str = "minnorm", mismatch: str = "model",
-              settle_tol: float = 1e-8, t_max: float = 600.0) -> Pipeline:
+    def build(name: str, selection: str = "minnorm", mismatch: str = "model") -> Pipeline:
         key = (name, selection, mismatch)
         if key not in cache:
-            cache[key] = _build_pipeline(name, selection, mismatch, settle_tol, t_max)
+            scenario = load_scenario(scenario_path(name))
+            cfg = dataclasses.replace(scenario.config, selection=selection, mismatch=mismatch)
+            scenario = dataclasses.replace(scenario, config=cfg)
+            t0 = time.perf_counter()
+            res = check_scenario(scenario, name, tol=1e-4, t_max=600.0)
+            cache[key] = Pipeline(**vars(res), name=name, wall_seconds=time.perf_counter() - t0)
         return cache[key]
 
     return build

@@ -125,9 +125,7 @@ def lyapunov_audit(pl):
     dt = pl.scenario.dt
     per_record = LYAPUNOV_C[pl.name] * dt * dt * pl.scenario.log_decimation
     worst = float(np.max(np.diff(seg)))
-    v_settle = lyapunov(
-        pl.model, pl.model.costs, FullState(pl.settled.plant, pl.settled.ctrl), star
-    )
+    v_settle = lyapunov(pl.model, FullState(pl.settled.plant, pl.settled.ctrl), star)
     return worst, per_record, v_settle, kkt.max_residual
 
 

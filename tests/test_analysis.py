@@ -63,7 +63,7 @@ def random_full_state(model, rng, scale=1.0):
 
 
 def test_kkt_zero_at_optimum(model, smooth_solution):
-    rep = kkt_residuals(model, model.costs, np.array([0.3, 0.0, 0.0]), smooth_solution)
+    rep = kkt_residuals(model, np.array([0.3, 0.0, 0.0]), smooth_solution)
     assert rep.max_residual < 1e-7
     assert json.dumps(rep.to_dict())  # serializable report
 
@@ -72,7 +72,7 @@ def test_kkt_balance_sees_exact_perturbation(model, smooth_solution):
     bumped = dataclasses.replace(smooth_solution)
     bumped.p_l_star = smooth_solution.p_l_star.copy()
     bumped.p_l_star[1] += 0.1
-    rep = kkt_residuals(model, model.costs, np.array([0.3, 0.0, 0.0]), bumped)
+    rep = kkt_residuals(model, np.array([0.3, 0.0, 0.0]), bumped)
     assert rep.balance == pytest.approx(0.1, abs=1e-7)
     assert rep.box_violation == 0.0
 
@@ -80,7 +80,7 @@ def test_kkt_balance_sees_exact_perturbation(model, smooth_solution):
 def test_kkt_stationarity_sees_price_shift(model, smooth_solution):
     bumped = dataclasses.replace(smooth_solution)
     bumped.mu_star = smooth_solution.mu_star + 0.01
-    rep = kkt_residuals(model, model.costs, np.array([0.3, 0.0, 0.0]), bumped)
+    rep = kkt_residuals(model, np.array([0.3, 0.0, 0.0]), bumped)
     assert rep.stationarity_load == pytest.approx(0.01, abs=1e-7)
 
 
@@ -88,7 +88,7 @@ def test_kkt_rejects_wrong_shapes(model, smooth_solution):
     bad = dataclasses.replace(smooth_solution)
     bad.mu_star = np.zeros(5)
     with pytest.raises(ValidationError):
-        kkt_residuals(model, model.costs, np.zeros(3), bad)
+        kkt_residuals(model, np.zeros(3), bad)
 
 
 # -- energy function ----------------------------------------------------------
@@ -97,13 +97,13 @@ def test_kkt_rejects_wrong_shapes(model, smooth_solution):
 def test_lyapunov_zero_at_star_and_positive_elsewhere(model, settled):
     star, rep = equilibrium_from_state(model, np.array([0.3, 0.0, 0.0]), settled.plant, settled.ctrl)
     assert rep.max_residual < 1e-6
-    assert lyapunov(model, model.costs, star, star) == 0.0
-    here = lyapunov(model, model.costs, FullState(settled.plant, settled.ctrl), star)
+    assert lyapunov(model, star, star) == 0.0
+    here = lyapunov(model, FullState(settled.plant, settled.ctrl), star)
     assert 0.0 <= here < 1e-12
     rng = np.random.default_rng(11)
     for _ in range(50):
         state = random_full_state(model, rng)
-        v = lyapunov(model, model.costs, state, star)
+        v = lyapunov(model, state, star)
         assert v >= 0.0
         assert np.isfinite(v)
 
@@ -116,14 +116,14 @@ def test_lyapunov_nonnegative_for_any_anchor(model):
         state = random_full_state(model, rng)
         anchor = random_full_state(model, rng)
         anchor.plant.omega_g[:] = 0.0
-        assert lyapunov(model, model.costs, state, anchor) >= 0.0
+        assert lyapunov(model, state, anchor) >= 0.0
 
 
 def test_lyapunov_gauge_invariance(model, settled):
     star, _ = equilibrium_from_state(model, np.array([0.3, 0.0, 0.0]), settled.plant, settled.ctrl)
     rng = np.random.default_rng(13)
     state = random_full_state(model, rng)
-    v0 = lyapunov(model, model.costs, state, star)
+    v0 = lyapunov(model, state, star)
     shifted = FullState(
         plant=state.plant,
         ctrl=ControllerState(
@@ -134,7 +134,7 @@ def test_lyapunov_gauge_invariance(model, settled):
             varphi_minus=state.ctrl.varphi_minus,
         ),
     )
-    v1 = lyapunov(model, model.costs, shifted, star)
+    v1 = lyapunov(model, shifted, star)
     assert v1 == pytest.approx(v0, rel=1e-12, abs=1e-12)
 
 
@@ -158,7 +158,7 @@ def test_lyapunov_series_matches_pointwise(model, settled):
                 varphi_plus=log.varphi_plus[k], varphi_minus=log.varphi_minus[k],
             ),
         )
-        assert series[k] == pytest.approx(lyapunov(model, model.costs, state, star), rel=1e-12, abs=1e-15)
+        assert series[k] == pytest.approx(lyapunov(model, state, star), rel=1e-12, abs=1e-15)
     # transient decays toward the settled equilibrium
     assert series[0] > series[-1]
     assert np.all(np.diff(series) <= 1e-12)

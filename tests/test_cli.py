@@ -145,6 +145,19 @@ def test_run_writes_csv(tmp_scenario, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("half, length", [("controller", 14), ("plant", 4), ("controller", None)])
+def test_run_rejects_bad_warm_start_file(tmp_scenario, tmp_path, capsys, half, length):
+    """A short vector or a missing file exits 1 with a message that names the file."""
+    warm = tmp_path / f"{half}.txt"
+    if length is not None:
+        np.savetxt(warm, np.zeros(length))
+    assert main(["run", tmp_scenario(init={half: str(warm)}), "--out", str(tmp_path / "x.csv")]) == 1
+    _, errs = read_stderr_json(capsys)
+    assert errs[-1]["error"] == "validation"
+    assert str(warm) in errs[-1]["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_multiple_scenarios_to_directory(tmp_scenario, tmp_path, capsys):
     a = tmp_scenario("a.json", t_end=0.05)
     b = tmp_scenario("b.json", t_end=0.05)

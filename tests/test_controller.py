@@ -72,18 +72,9 @@ def test_pack_unpack_round_trip(model):
         ControllerState.unpack(np.zeros(4), model)
 
 
-def test_init_controller_zero_and_warm_start(model, tmp_path):
+def test_init_controller_is_zero(model):
     st = init_controller(model)
     assert np.allclose(st.pack(), 0)
-    warm = tmp_path / "warm.txt"
-    vec = np.arange(3 * model.n + 2 * model.m, dtype=float)
-    np.savetxt(warm, vec)
-    st2 = init_controller(model, warm_start=warm)
-    assert np.allclose(st2.pack(), vec)
-    bad = tmp_path / "short.txt"
-    np.savetxt(bad, vec[:-1])
-    with pytest.raises(ValidationError):
-        init_controller(model, warm_start=bad)
 
 
 def _rhs_frozen(model, st, z, omega, rule="minnorm"):

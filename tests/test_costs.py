@@ -106,6 +106,12 @@ def test_from_pieces_rejects_bad_data():
             {"x_min": None, "x_max": 0.0, "a": 1.0, "b": 1.0, "c": 0.0},
             {"x_min": 0.0, "x_max": None, "a": 1.0, "b": -1.0, "c": 0.0},
         ])
+    with pytest.raises(ValidationError, match="nondecreasing at breakpoint -1.0"):
+        # derivative drops by two ulps at the seam: left -1.7, right -1.7000000000000002
+        PiecewiseCost.from_pieces([
+            {"x_min": None, "x_max": -1.0, "a": 1.0, "b": 0.3, "c": 0.0},
+            {"x_min": -1.0, "x_max": None, "a": 1.0, "b": np.nextafter(np.nextafter(0.3, -1), -1), "c": 0.0},
+        ])
     with pytest.raises(ValidationError):
         PiecewiseCost.from_pieces([{"x_min": None, "x_max": None, "a": 1.0, "b": 0.0}])
     with pytest.raises(ValidationError, match="field 'x_max' must be a number"):

@@ -157,5 +157,5 @@ def test_solution_is_kkt_point(three_bus):
 
     p_m = np.array([0.6, 0.0, 0.0])
     sol = solve_olc(three_bus, p_m=p_m, tol=1e-8)
-    report = kkt_residuals(three_bus, three_bus.costs, p_m, sol)
+    report = kkt_residuals(three_bus, p_m, sol)
     assert report.max_residual < 1e-6

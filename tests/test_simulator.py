@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.sparse import issparse
 
+from olfc.controller import init_controller
+from olfc.dynamics import PlantState
 from olfc.errors import NumericalError, ValidationError
 from olfc.network import load_network
 from olfc.simulator import (
@@ -16,7 +18,6 @@ from olfc.simulator import (
     load_scenario,
     run,
     settle,
-    step,
 )
 
 from conftest import network_path, scenario_path
@@ -98,10 +99,12 @@ def test_load_scenario_bad_json_reports_location(tmp_path):
     assert "broken.json:1:" in str(err.value)
 
 
-def test_run_rejects_unknown_event_bus():
+def test_run_rejects_unknown_event_bus(model):
     scn = make_scenario(events=[Event(time=0.0, bus=7, delta_p_m=0.1)])
     with pytest.raises(ValidationError, match="unknown bus"):
         run(scn)
+    with pytest.raises(ValidationError, match="unknown bus"):
+        run(scn, model)
 
 
 def test_controller_config_validation():
@@ -212,18 +215,16 @@ def test_event_snaps_to_step_grid(model):
 
 
 def test_step_matches_run(model):
-    from olfc.controller import init_controller
-    from olfc.dynamics import PlantState
-
+    """One RK4 step of the packed closed loop is the one step `run` takes, bit for bit."""
     scn = make_scenario(t_end=0.01, dt=0.01, events=[Event(time=0.0, bus=0, delta_p_m=0.3)])
     log = run(scn, model)
-    plant, ctrl = PlantState.zero(model), init_controller(model)
+    loop = ClosedLoop(model, scn.config)
     p_m = np.array([0.3, 0.0, 0.0])
-    plant2, ctrl2 = step(model, plant, ctrl, p_m, dt=0.01)
-    assert np.allclose(plant2.theta_e, log.theta_e[-1], atol=0, rtol=0)
-    assert np.allclose(ctrl2.mu, log.mu[-1], atol=0, rtol=0)
-    with pytest.raises(ValidationError):
-        step(model, plant, ctrl, p_m, dt=0.0)
+    y = loop.rk4(loop.pack(PlantState.zero(model), init_controller(model)), p_m, 0.01, loop.feedthrough(p_m))
+    plant2, ctrl2 = loop.unpack(y)
+    assert np.array_equal(plant2.theta_e, log.theta_e[-1])
+    for name, value in vars(ctrl2).items():
+        assert np.array_equal(value, getattr(log, name)[-1]), name
 
 
 def test_integrator_order(model):
@@ -310,14 +311,12 @@ def test_settle_insensitive_to_initial_state(model):
 
 
 def test_step_at_equilibrium_barely_moves(model):
-    from olfc.simulator import ClosedLoop
-
     p_m = np.array([0.3, 0.0, 0.0])
     res = settle(model, p_m, tol=1e-10, t_max=300.0)
     assert res.converged
-    plant2, ctrl2 = step(model, res.plant, res.ctrl, p_m, dt=1e-3)
     loop = ClosedLoop(model, None)
     before = loop.pack(res.plant, res.ctrl)
+    plant2, ctrl2 = loop.unpack(loop.rk4(before, p_m, 1e-3, loop.feedthrough(p_m)))
     after = loop.pack(plant2, ctrl2)
     assert np.max(np.abs(after - before)) < 1e-11
 
@@ -366,7 +365,7 @@ def test_csv_schema_and_read_back(tmp_path, model):
         + [f"eta_plus[{k}]" for k in range(m)]
         + [f"eta_minus[{k}]" for k in range(m)]
         + [f"flow[{k}]" for k in range(m)]
-        + ["V", "cost"]
+        + ["cost"]
     )
     assert header == expected
     data = np.loadtxt(out, delimiter=",", skiprows=1)
