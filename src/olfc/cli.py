@@ -11,6 +11,13 @@ Subcommands:
 Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (timeout, non-finite state, iteration cap); 3 a `check` report failed.
 Errors are emitted as one JSON object per line on standard error.
+
+`check` with several scenarios reports every scenario that finishes: a
+numerical failure in one of them prints one error line naming it (with a
+"scenario" field), and the tables and the `--out` file still hold the
+others. Its exit code is the gravest outcome: 1 if any input is invalid
+(nothing is reported), else 2 if any scenario failed numerically, else 3 if
+any report failed, else 0.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _emit_error(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+def _emit_error(kind: str, message: str, **extra) -> None:
+    print(json.dumps({"error": kind, "message": message, **extra}), file=sys.stderr)
 
 
 def _jsonify(obj):
@@ -203,9 +210,13 @@ def check_scenario(scenario: Scenario, label: str, tol: float, t_max: float) -> 
 
 
 def _check_job(args: tuple) -> dict:
+    """One scenario's report, or its numerical failure as {"scenario", "error"}."""
     path, tol, t_max, ns_dict = args
     scenario = _apply_overrides(load_scenario(path), argparse.Namespace(**ns_dict))
-    res = check_scenario(scenario, path, tol=tol, t_max=t_max)
+    try:
+        res = check_scenario(scenario, path, tol=tol, t_max=t_max)
+    except NumericalError as exc:
+        return {"scenario": path, "error": str(exc)}
     sr = res.settled
     return {
         "scenario": path,
@@ -306,15 +317,21 @@ def _cmd_solve(ns) -> int:
 def _cmd_check(ns) -> int:
     require_finite("check", tol=ns.tol)
     job_args = [(p, ns.tol, ns.t_max, _ns_dict(ns)) for p in ns.scenario]
-    results = _map_jobs(_check_job, job_args, ns.jobs)
-    all_passed = True
-    for res in results:
-        _print_check_table(res)
-        all_passed &= bool(res["report"]["passed"])
-    if ns.out:
+    results = []
+    failed = False
+    for res in _map_jobs(_check_job, job_args, ns.jobs):
+        if "error" in res:
+            _emit_error("numerical", res["error"], scenario=res["scenario"])
+            failed = True
+        else:
+            _print_check_table(res)
+            results.append(res)
+    if ns.out and results:
         Path(ns.out).parent.mkdir(parents=True, exist_ok=True)
         Path(ns.out).write_text(json.dumps(_jsonify(results), indent=2) + "\n")
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    if failed:
+        return EXIT_NUMERICAL
+    return EXIT_OK if all(res["report"]["passed"] for res in results) else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

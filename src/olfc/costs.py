@@ -202,8 +202,13 @@ class CostBatch:
     evaluates, so nothing changes bit for bit. Each breakpoint column is one
     contiguous (n,) array, padded with +inf. A piece index is then the bus's
     row base plus one comparison per column, and coefficients are fetched
-    with `ndarray.take`. The results equal the scalar PiecewiseCost methods
-    (and `select_subgradient`) bit for bit, which the tests check.
+    with `ndarray.take`. A further flat table holds the breakpoint just below
+    each piece (NaN for piece 0 and for padded pieces, so it never compares
+    equal). `minnorm` and `midpoint` need the interval only at a kink: they
+    look up the right-sided piece once and fetch the left-sided one only for
+    the buses whose lower breakpoint equals x. The results equal the scalar
+    PiecewiseCost methods (and `select_subgradient`) bit for bit, which the
+    tests check.
     """
 
     def __init__(self, costs: list[PiecewiseCost]):
@@ -213,6 +218,7 @@ class CostBatch:
         b = np.empty((n, K))
         c = np.empty((n, K))
         bp = np.full((n, K - 1), np.inf)
+        left_bp = np.full((n, K), np.nan)
         for j, cost in enumerate(costs):
             k = cost.a.size
             a[j, :k] = cost.a
@@ -222,12 +228,14 @@ class CostBatch:
             b[j, k:] = cost.b[-1]
             c[j, k:] = cost.c[-1]
             bp[j, : k - 1] = cost.breakpoints
+            left_bp[j, 1:k] = cost.breakpoints
         self._a = a.ravel()
         self._slope = (2.0 * a).ravel()
         self._b = b.ravel()
         self._c = c.ravel()
         self._base = np.arange(n) * K
         self._breakpoints = tuple(np.ascontiguousarray(col) for col in bp.T)
+        self._left_bp = left_bp.ravel()
 
     def _pieces(self, x: np.ndarray, below) -> np.ndarray:
         """Flat index of the piece per bus: row base plus the breakpoints `below` x."""
@@ -236,9 +244,11 @@ class CostBatch:
             idx = idx + below(col, x)
         return idx
 
-    def _derivative(self, x: np.ndarray, below) -> np.ndarray:
-        idx = self._pieces(x, below)
+    def _slope_at(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self._slope.take(idx) * x + self._b.take(idx)
+
+    def _derivative(self, x: np.ndarray, below) -> np.ndarray:
+        return self._slope_at(x, self._pieces(x, below))
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """Per-bus cost values f_j(x_j)."""
@@ -255,13 +265,19 @@ class CostBatch:
             return self._derivative(x, np.less)
         if rule == "right":
             return self._derivative(x, np.less_equal)
+        if rule not in ("minnorm", "midpoint"):
+            raise ValidationError(f"unknown selection rule {rule!r}, expected one of {SELECTION_RULES}")
+        hi = self._pieces(x, np.less_equal)
+        g_hi = self._slope_at(x, hi)
+        kink = self._left_bp.take(hi) == x
+        if not kink.any():
+            # Off every kink the interval is the point g_hi. `+ 0.0` maps
+            # -0.0 to +0.0, as the minnorm `where` chain below does.
+            return g_hi + 0.0 if rule == "minnorm" else 0.5 * (g_hi + g_hi)
+        g_lo = self._slope_at(x, hi - kink)
         if rule == "minnorm":
-            g_lo, g_hi = self.bounds(x)
             return np.where(g_lo > 0.0, g_lo, np.where(g_hi < 0.0, g_hi, 0.0))
-        if rule == "midpoint":
-            g_lo, g_hi = self.bounds(x)
-            return 0.5 * (g_lo + g_hi)
-        raise ValidationError(f"unknown selection rule {rule!r}, expected one of {SELECTION_RULES}")
+        return 0.5 * (g_lo + g_hi)
 
 
 def normalize_selection_rule(rule: str) -> str:

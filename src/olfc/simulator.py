@@ -24,9 +24,16 @@ written the same way for both.
 
 The operand stack (y, p_l, eta+, eta-, g, z) lives in one buffer that every
 right-hand-side evaluation overwrites in place: the projections and z are
-written straight into their blocks with `out=` ufuncs. `rhs` returns a new
-array on every call, and `observe` copies what it reads from the buffer, so
-no caller ever holds a view of it.
+written straight into their blocks with `out=` ufuncs, read from views of
+its y block made once. `rhs` copies y into that block; `rk4` writes each
+stage state there directly and sums the stages in a preallocated
+accumulator, with the operations of the textbook formula in their order, so
+a step is bit-identical to RK4 built from four `rhs` calls (a test checks
+this). `rhs` and `rk4` return new arrays on every call, and `observe` copies
+what it reads from the buffer, so no caller ever holds a view of it.
+
+A plant warm start must be physical: its theta_e must be C^T of bus angles
+(to within rounding), since the dynamics conserve any loop component.
 """
 
 from __future__ import annotations
@@ -294,17 +301,24 @@ class ClosedLoop:
         self._Wy, self._Wpl, self._Wpm = _hot_operator(Wy), Wpl, Wpm
         self._Vy, self._Vpl, self._Vpm = _hot_operator(Vy), Vpl, Vpm
         self._Cw = _hot_operator(Cw)
-        self._D = D
+        self._neg_D = -D
         self._M = M
         self._gidx = gidx
         # Operand buffer of K; its blocks are written in place on every call.
         self._u = np.empty(U)
         self._u_y = self._u[:S]
+        self._y_theta = self._u_y[self.sl_theta]
+        self._y_d = self._u_y[self.sl_d]
+        self._y_phi = self._u_y[self.sl_phi]
+        self._y_vp = self._u_y[self.sl_vp]
+        self._y_vm = self._u_y[self.sl_vm]
         self._u_pl = self._u[self.u_pl]
         self._u_ep = self._u[self.u_ep]
         self._u_em = self._u[self.u_em]
         self._u_g = self._u[self.u_g]
         self._u_z = self._u[self.u_z]
+        # Accumulator of the final RK4 combination.
+        self._acc = np.empty(S)
 
     # -- state packing ------------------------------------------------------
 
@@ -331,13 +345,14 @@ class ClosedLoop:
         """Constant part of the RHS for a fixed p_m segment."""
         return self.Kpm @ p_m + self.k0
 
-    def _signals(self, y: np.ndarray, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Write p_l, eta+, eta- and z into the operand buffer; return its views of them."""
+    def _signals(self, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """From the state in the buffer's y block, write p_l, eta+, eta- and z into the buffer; return its views of them."""
+        y = self._u_y
         p_l, eta_p, eta_m, z = self._u_pl, self._u_ep, self._u_em, self._u_z
         # minimum(maximum(.)) is np.clip bit for bit, without clip's wrapper cost.
-        np.minimum(np.maximum(y[self.sl_d], self.box_lower, out=p_l), self.box_upper, out=p_l)
-        np.maximum(y[self.sl_vp], 0.0, out=eta_p)
-        np.maximum(y[self.sl_vm], 0.0, out=eta_m)
+        np.minimum(np.maximum(self._y_d, self.box_lower, out=p_l), self.box_upper, out=p_l)
+        np.maximum(self._y_vp, 0.0, out=eta_p)
+        np.maximum(self._y_vm, 0.0, out=eta_m)
         if self.config.mismatch == "model":
             np.subtract(p_l, p_m, out=z)
         else:
@@ -345,33 +360,53 @@ class ClosedLoop:
             # acceleration and line flows (exact on the linear plant).
             omega = self._Wy @ y + self._Wpl @ p_l + self._Wpm @ p_m
             dog = self._Vy @ y + self._Vpl @ p_l + self._Vpm @ p_m
-            np.subtract(-self._D * omega, self._Cw @ y[self.sl_theta], out=z)
+            np.subtract(self._neg_D * omega, self._Cw @ self._y_theta, out=z)
             z[self._gidx] -= self._M * dog
-        z += self.L @ y[self.sl_phi]
+        z += self.L @ self._y_phi
         return p_l, eta_p, eta_m, z
+
+    def _derivative(self, p_m: np.ndarray, aff: np.ndarray) -> np.ndarray:
+        """dy/dt at the state held in the buffer's y block, as a new array."""
+        p_l = self._signals(p_m)[0]
+        self._u_g[...] = self.batch.select(p_l, self.config.selection)
+        return self.K @ self._u + aff
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
         """Packed derivative dy/dt."""
         if aff is None:
             aff = self.feedthrough(p_m)
         self._u_y[...] = y
-        p_l = self._signals(y, p_m)[0]
-        self._u_g[...] = self.batch.select(p_l, self.config.selection)
-        return self.K @ self._u + aff
+        return self._derivative(p_m, aff)
 
     def rk4(self, y: np.ndarray, p_m: np.ndarray, dt: float, aff: np.ndarray, k1: np.ndarray | None = None) -> np.ndarray:
+        """One RK4 step, y + (dt / 6) * (k1 + 2 * (k2 + k3) + k4), as a new array.
+
+        Each stage state is written straight into the buffer's y block; the
+        operations and their order are those of the textbook formula, so the
+        result is the same bit for bit. Neither y nor k1 is written to.
+        """
         if k1 is None:
             k1 = self.rhs(y, p_m, aff)
-        k2 = self.rhs(y + (0.5 * dt) * k1, p_m, aff)
-        k3 = self.rhs(y + (0.5 * dt) * k2, p_m, aff)
-        k4 = self.rhs(y + dt * k3, p_m, aff)
-        return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        stage, acc = self._u_y, self._acc
+        np.add(y, np.multiply(0.5 * dt, k1, out=stage), out=stage)
+        k2 = self._derivative(p_m, aff)
+        np.add(y, np.multiply(0.5 * dt, k2, out=stage), out=stage)
+        k3 = self._derivative(p_m, aff)
+        np.add(y, np.multiply(dt, k3, out=stage), out=stage)
+        k4 = self._derivative(p_m, aff)
+        np.add(k2, k3, out=acc)
+        np.multiply(2.0, acc, out=acc)
+        np.add(k1, acc, out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(dt / 6.0, acc, out=acc)
+        return y + acc
 
     # -- observation --------------------------------------------------------
 
     def observe(self, y: np.ndarray, p_m: np.ndarray) -> dict:
         """Logged signals at a state: omega, outputs, flows, running cost."""
-        p_l, eta_p, eta_m, z = (a.copy() for a in self._signals(y, p_m))
+        self._u_y[...] = y
+        p_l, eta_p, eta_m, z = (a.copy() for a in self._signals(p_m))
         omega = self._Wy @ y + self._Wpl @ p_l + self._Wpm @ p_m
         flows = self.B * y[self.sl_theta]
         cost = float(self.batch.value(p_l).sum())
@@ -445,11 +480,19 @@ class TrajectoryLog:
         np.savetxt(path, data, delimiter=",", header=",".join(cols), comments="", fmt="%.17g")
 
 
+# Largest loop component a warm-start theta_e may carry, relative to
+# max(1, max|theta_e|): room for rounding, far below any physical angle.
+_LOOP_TOL = 1e-9
+
+
 def _initial_states(scenario: Scenario, loop: ClosedLoop) -> np.ndarray:
     """Packed start state: zero, or warm-started from flat vector files.
 
     A plant file holds theta_e | omega_g and a controller file
     d | mu | phi | varphi+ | varphi-: the two halves of the packed layout.
+    A plant theta_e must be C^T of some bus angles: the dynamics
+    (theta_e' = C^T omega) conserve any loop component, so the loop could
+    never come to rest with theta_e = C^T phi.
     """
     y = loop.zero_state()
     split = loop.sl_d.start
@@ -471,6 +514,15 @@ def _initial_states(scenario: Scenario, loop: ClosedLoop) -> np.ndarray:
         if not np.all(np.isfinite(vec)):
             raise ValidationError(f"warm-start file {path} must hold finite numbers")
         block[...] = vec
+    if scenario.init_plant is not None:
+        theta = y[loop.sl_theta]
+        angles = np.linalg.lstsq(loop.C.T, theta, rcond=None)[0]
+        loop_part = float(np.max(np.abs(theta - loop.C.T @ angles), initial=0.0))
+        if loop_part > _LOOP_TOL * max(1.0, float(np.max(np.abs(theta), initial=0.0))):
+            raise ValidationError(
+                f"warm-start file {scenario.init_plant}: theta_e has a loop component of {loop_part:.3e} "
+                f"(it must be C^T of bus angles, to within {_LOOP_TOL:g} relative)"
+            )
     return y
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from olfc.cli import main
 
-from conftest import network_path
+from conftest import network_path, scenario_path
 
 
 @pytest.fixture()
@@ -158,6 +158,17 @@ def test_run_rejects_bad_warm_start_file(tmp_scenario, tmp_path, capsys, half, l
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_run_rejects_warm_start_with_loop_angle(tmp_scenario, tmp_path, capsys):
+    """On the 3-bus triangle, theta_e = (-0.1, -0.05, 0) is not C^T of any bus angles."""
+    warm = tmp_path / "plant.txt"
+    np.savetxt(warm, np.linspace(-0.1, 0.1, 5))
+    assert main(["run", tmp_scenario(init={"plant": str(warm)}), "--out", str(tmp_path / "x.csv")]) == 1
+    _, errs = read_stderr_json(capsys)
+    assert errs[-1]["error"] == "validation"
+    assert str(warm) in errs[-1]["message"] and "loop component" in errs[-1]["message"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_multiple_scenarios_to_directory(tmp_scenario, tmp_path, capsys):
     a = tmp_scenario("a.json", t_end=0.05)
     b = tmp_scenario("b.json", t_end=0.05)
@@ -252,6 +263,19 @@ def test_check_settle_budget_exhausted_exits_2(tmp_scenario, capsys):
     assert main(["check", tmp_scenario(), "--t-max", "0.01"]) == 2
     _, errs = read_stderr_json(capsys)
     assert errs[-1]["error"] == "numerical"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_reports_the_scenarios_that_settle(tmp_path, capsys, jobs):
+    """One timeout among several scenarios: the others are still printed and written, exit 2."""
+    paths = [str(scenario_path("three_bus_smooth")), str(scenario_path("two_bus_box"))]
+    report = tmp_path / "report.json"
+    assert main(["check", *paths, "--t-max", "5", "--jobs", jobs, "--out", str(report)]) == 2
+    captured, errs = read_stderr_json(capsys)
+    assert f"scenario: {paths[0]}" in captured.out and f"scenario: {paths[1]}" not in captured.out
+    assert [(e["error"], e["scenario"]) for e in errs] == [("numerical", paths[1])]
+    assert paths[1] in errs[0]["message"]
+    assert [doc["scenario"] for doc in json.loads(report.read_text())] == [paths[0]]
 
 
 def test_packaged_networks_validate(capsys):

@@ -217,3 +217,35 @@ def test_cost_batch_matches_scalar_paths(case):
     assert same_bits(hi, [iv.hi for iv in intervals])
     for rule in SELECTION_RULES:
         assert same_bits(batch.select(x, rule), [select_subgradient(iv, rule) for iv in intervals]), rule
+
+
+def one_piece(a: float, b: float) -> PiecewiseCost:
+    return PiecewiseCost(a=[a], b=[b], c=[0.0])
+
+
+# Each case: costs, points, and how many buses sit on a kink.
+SELECT_CASES = {
+    "off_kinks": ([reference_cost(), one_piece(0.5, 0.1), reference_cost()], [-0.3, 0.7, 0.0], 0),
+    "one_on_kink": ([reference_cost(), one_piece(0.5, -0.1), reference_cost()], [0.05, -0.4, 0.2], 1),
+    "padded_beside_3_piece": ([one_piece(1.0, 0.3), reference_cost(), one_piece(2.0, -0.2)], [5.0, -0.2, -5.0], 1),
+    "negative_zero": ([one_piece(0.5, -0.0), reference_cost()], [-0.0, 0.1], 0),
+}
+
+
+@pytest.mark.parametrize("rule", SELECTION_RULES)
+@pytest.mark.parametrize("case", SELECT_CASES)
+def test_select_branches_match_scalar_bits(case, rule):
+    """Off-kink fast path and kink path of CostBatch.select, pinned by bit pattern."""
+    costs, x, on_kink = SELECT_CASES[case]
+    x = np.array(x)
+    intervals = [cost.clarke(float(xj)) for cost, xj in zip(costs, x)]
+    assert sum(iv.lo < iv.hi for iv in intervals) == on_kink
+    assert same_bits(CostBatch(costs).select(x, rule), [select_subgradient(iv, rule) for iv in intervals])
+
+
+def test_minnorm_maps_negative_zero_to_positive_zero():
+    """The "negative_zero" case above: the derivative is -0.0, minnorm must give +0.0."""
+    batch = CostBatch([one_piece(0.5, -0.0)])
+    x = np.array([-0.0])
+    assert all(np.signbit(g[0]) for g in batch.bounds(x))
+    assert same_bits(batch.select(x, "minnorm"), [0.0])

@@ -327,7 +327,8 @@ def test_step_at_equilibrium_barely_moves(model):
 def test_warm_start_round_trip(tmp_path, model):
     n, m, g = model.n, model.m, model.n_g
     rng = np.random.default_rng(7)
-    plant_vec = rng.uniform(-0.2, 0.2, m + g)
+    # theta_e = C^T (bus angles): a line-angle vector with no loop component.
+    plant_vec = np.concatenate([model.incidence.T @ rng.uniform(-0.2, 0.2, n), rng.uniform(-0.2, 0.2, g)])
     ctrl_vec = rng.uniform(-0.2, 0.2, 3 * n + 2 * m)
     np.savetxt(tmp_path / "plant.txt", plant_vec)
     np.savetxt(tmp_path / "ctrl.txt", ctrl_vec)
