@@ -137,21 +137,29 @@ def _apply_overrides(scenario, ns):
     return dataclasses.replace(scenario, **scn_kwargs)
 
 
-def _out_path(out: str, paths: list[str], current: str) -> Path:
+def _out_paths(out: str, paths: list[str]) -> list[Path]:
+    """The CSV of each scenario: `out` itself, or <out>/<stem>.csv for several scenarios or a directory.
+
+    Two scenarios that would write the same CSV are rejected.
+    """
     out_p = Path(out)
-    if len(paths) > 1 or out_p.is_dir() or out.endswith("/"):
-        out_p.mkdir(parents=True, exist_ok=True)
-        return out_p / (Path(current).stem + ".csv")
-    out_p.parent.mkdir(parents=True, exist_ok=True)
-    return out_p
+    if len(paths) == 1 and not (out_p.is_dir() or out.endswith("/")):
+        return [out_p]
+    owners: dict[Path, str] = {}
+    for path in paths:
+        csv_path = out_p / (Path(path).stem + ".csv")
+        if csv_path in owners:
+            raise ValidationError(f"scenarios {owners[csv_path]} and {path} would both write {csv_path}")
+        owners[csv_path] = path
+    return list(owners)
 
 
 def _run_job(args: tuple) -> dict:
-    path, out, all_paths, ns_dict = args
+    path, csv_path, ns_dict = args
     ns = argparse.Namespace(**ns_dict)
     scenario = _apply_overrides(load_scenario(path), ns)
     log = run(scenario)
-    csv_path = _out_path(out, all_paths, path)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     log.to_csv(csv_path)
     return {
         "scenario": path,
@@ -266,7 +274,7 @@ def _cmd_validate(ns) -> int:
 
 
 def _cmd_run(ns) -> int:
-    job_args = [(p, ns.out, ns.scenario, _ns_dict(ns)) for p in ns.scenario]
+    job_args = [(p, csv_path, _ns_dict(ns)) for p, csv_path in zip(ns.scenario, _out_paths(ns.out, ns.scenario))]
     for res in _map_jobs(_run_job, job_args, ns.jobs):
         print(f"wrote {res['out']} ({res['records']} records, t_end = {res['t_end']:g} s)")
     return EXIT_OK

@@ -18,9 +18,10 @@ per-module functions in `dynamics` and `controller` define the semantics;
 on every bundled network, selection rule and mismatch source.
 
 The fused operator and the matrices of the measurement (`estimate`) path are
-stored as `scipy.sparse` CSR when they hold at least 2**15 entries and as
-dense arrays otherwise, chosen from each matrix's shape; the products are
-written the same way for both.
+assembled from dense blocks. A matrix with at least 2**15 entries is built
+as `scipy.sparse` CSR from the blocks' nonzero entries, so it is never held
+dense; a smaller one is built as a dense array. The choice follows from
+each matrix's shape, and the products are written the same way for both.
 
 The operand stack (y, p_l, eta+, eta-, g, z) lives in one buffer that every
 right-hand-side evaluation overwrites in place: the projections and z are
@@ -29,8 +30,13 @@ its y block made once. `rhs` copies y into that block; `rk4` writes each
 stage state there directly and sums the stages in a preallocated
 accumulator, with the operations of the textbook formula in their order, so
 a step is bit-identical to RK4 built from four `rhs` calls (a test checks
-this). `rhs` and `rk4` return new arrays on every call, and `observe` copies
-what it reads from the buffer, so no caller ever holds a view of it.
+this). `rhs` and `rk4` return new arrays on every call, so no caller ever
+holds a view of the buffer.
+
+`run` records only the packed state (and the time) of each logged step, then
+observes the whole record once after integration: `observe` takes one state
+or a stack of them and never touches the operand buffer. The log's state
+signals are column blocks of the recorded array.
 
 A plant warm start must be physical: its theta_e must be C^T of bus angles
 (to within rounding), since the dynamics conserve any loop component.
@@ -43,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
 from .costs import SELECTION_RULES, CostBatch, normalize_selection_rule
@@ -179,13 +185,44 @@ def load_scenario(path: str | Path) -> Scenario:
 # entry; a CSR matvec costs ~5-7 us at the sparsity of these operators (well
 # under 1 % nonzero on large networks). Measured on a 2-vCPU Xeon guest with
 # numpy 2.4 and scipy 1.17, the two meet near 2**15 entries (68-bus frequency
-# map, 68 x 478: 8.2 us dense vs 7.8 us CSR).
+# map, 68 x 478: 8.2 us dense vs 7.8 us CSR). The rule picks the storage
+# before a matrix is built, so a matrix above it is never held dense.
 _CSR_MIN_ENTRIES = 2**15
 
 
-def _hot_operator(A: np.ndarray) -> np.ndarray | csr_matrix:
-    """A stored for repeated matvecs: CSR when it is large, else dense."""
-    return csr_matrix(A) if A.size >= _CSR_MIN_ENTRIES else A
+def _hot_operator(shape: tuple[int, int], blocks: list[tuple[int, int, np.ndarray]]) -> np.ndarray | csr_matrix:
+    """The sum of dense blocks placed at (row, column) offsets, stored for repeated matvecs.
+
+    Below 2**15 entries the sum is built dense. From there on only the
+    blocks' nonzero entries are collected, into canonical CSR, so the whole
+    matrix is never held dense. Where no entry has more than two nonzero
+    contributions, as in every operator here, the CSR equals `csr_matrix`
+    of the dense sum: a sum of two does not depend on its order.
+    """
+    if shape[0] * shape[1] < _CSR_MIN_ENTRIES:
+        A = np.zeros(shape)
+        for r0, c0, block in blocks:
+            A[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] += block
+        return A
+    rows, cols, vals = [], [], []
+    for r0, c0, block in blocks:
+        i, j = np.nonzero(block)
+        rows.append(i + r0)
+        cols.append(j + c0)
+        vals.append(block[i, j])
+    A = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape).tocsr()
+    A.eliminate_zeros()
+    return A
+
+
+def _packed_layout(n: int, g: int, m: int) -> dict[str, slice]:
+    """Slices of the packed state [theta_e | omega_g | d | mu | phi | varphi+ | varphi-]."""
+    widths = {"theta_e": m, "omega_g": g, "d": n, "mu": n, "phi": n, "varphi_plus": m, "varphi_minus": m}
+    layout, start = {}, 0
+    for name, width in widths.items():
+        layout[name] = slice(start, start + width)
+        start += width
+    return layout
 
 
 class ClosedLoop:
@@ -200,15 +237,15 @@ class ClosedLoop:
         g = gidx.size
         self.n, self.m, self.g = n, m, g
 
-        # Packed layout offsets.
-        self.sl_theta = slice(0, m)
-        self.sl_og = slice(m, m + g)
-        self.sl_d = slice(m + g, m + g + n)
-        self.sl_mu = slice(m + g + n, m + g + 2 * n)
-        self.sl_phi = slice(m + g + 2 * n, m + g + 3 * n)
-        self.sl_vp = slice(m + g + 3 * n, m + g + 3 * n + m)
-        self.sl_vm = slice(m + g + 3 * n + m, m + g + 3 * n + 2 * m)
-        self.dim = m + g + 3 * n + 2 * m
+        layout = _packed_layout(n, g, m)
+        self.sl_theta = layout["theta_e"]
+        self.sl_og = layout["omega_g"]
+        self.sl_d = layout["d"]
+        self.sl_mu = layout["mu"]
+        self.sl_phi = layout["phi"]
+        self.sl_vp = layout["varphi_plus"]
+        self.sl_vm = layout["varphi_minus"]
+        self.dim = self.sl_vm.stop
 
         C = model.incidence
         B = model.susceptances
@@ -223,19 +260,21 @@ class ClosedLoop:
 
         S = self.dim
         # Frequency as an affine map: omega = Wy @ y + Wpl @ p_l + Wpm @ p_m.
-        Wy = np.zeros((n, S))
-        Wy[gidx, m + np.arange(g)] = 1.0
+        # Wy reads only the plant part theta_e | omega_g of y: Wy = [Wp | 0].
+        P = m + g
+        Wp = np.zeros((n, P))
+        Wp[gidx, m + np.arange(g)] = 1.0
         Wpl = np.zeros((n, n))
         Wpm = np.zeros((n, n))
         if lidx.size:
-            Wy[np.ix_(lidx, np.arange(m))] = -Cw[lidx] / D[lidx, None]
+            Wp[np.ix_(lidx, np.arange(m))] = -Cw[lidx] / D[lidx, None]
             Wpl[lidx, lidx] = -1.0 / D[lidx]
             Wpm[lidx, lidx] = 1.0 / D[lidx]
 
-        # Generator acceleration: dog = Vy @ y + Vpl @ p_l + Vpm @ p_m.
-        tmp_y = -D[:, None] * Wy
-        tmp_y[:, :m] -= Cw
-        Vy = tmp_y[gidx] / M[:, None]
+        # Generator acceleration: dog = Vy @ y + Vpl @ p_l + Vpm @ p_m, Vy = [Vp | 0].
+        tmp_p = -D[:, None] * Wp
+        tmp_p[:, :m] -= Cw
+        Vp = tmp_p[gidx] / M[:, None]
         Vpl = (-D[:, None] * Wpl - np.eye(n))[gidx] / M[:, None]
         Vpm = (np.eye(n) - D[:, None] * Wpm)[gidx] / M[:, None]
 
@@ -247,60 +286,71 @@ class ClosedLoop:
         self.u_g = slice(S + n + 2 * m, S + 2 * n + 2 * m)
         self.u_z = slice(S + 2 * n + 2 * m, U)
 
-        K = np.zeros((S, U))
-        Kpm = np.zeros((S, n))
-        k0 = np.zeros(S)
         eye_n = np.eye(n)
         eye_m = np.eye(m)
+        d0, mu0, phi0 = self.sl_d.start, self.sl_mu.start, self.sl_phi.start
+        vp0, vm0 = self.sl_vp.start, self.sl_vm.start
+        pl0, ep0, em0, g0, z0 = self.u_pl.start, self.u_ep.start, self.u_em.start, self.u_g.start, self.u_z.start
 
-        # theta_e' = C^T omega
-        K[self.sl_theta, :S] = C.T @ Wy
-        K[self.sl_theta, self.u_pl] = C.T @ Wpl
+        # The fused operator K as (row, column, dense block) pieces.
+        blocks = [
+            # theta_e' = C^T omega
+            (0, 0, C.T @ Wp),
+            (0, pl0, C.T @ Wpl),
+            # omega_g'
+            (m, 0, Vp),
+            (m, pl0, Vpl),
+            # d' = -d + p_l + omega - g - z - mu
+            (d0, 0, Wp),
+            (d0, d0, -eye_n),
+            (d0, mu0, -eye_n),
+            (d0, pl0, Wpl + eye_n),
+            (d0, g0, -eye_n),
+            (d0, z0, -eye_n),
+            # mu' = z
+            (mu0, z0, eye_n),
+            # phi' = -L(mu + z) + C(eta- - eta+)
+            (phi0, mu0, -L),
+            (phi0, z0, -L),
+            (phi0, ep0, -C),
+            (phi0, em0, C),
+            # varphi+' = -varphi+ + eta+ + C^T phi - theta_max
+            (vp0, phi0, C.T),
+            (vp0, vp0, -eye_m),
+            (vp0, ep0, eye_m),
+            # varphi-' = -varphi- + eta- + theta_min - C^T phi
+            (vm0, phi0, -C.T),
+            (vm0, vm0, -eye_m),
+            (vm0, em0, eye_m),
+        ]
+        Kpm = np.zeros((S, n))
         Kpm[self.sl_theta] = C.T @ Wpm
-        # omega_g'
-        K[self.sl_og, :S] = Vy
-        K[self.sl_og, self.u_pl] = Vpl
         Kpm[self.sl_og] = Vpm
-        # d' = -d + p_l + omega - g - z - mu
-        K[self.sl_d, :S] = Wy
-        K[self.sl_d.start + np.arange(n), self.sl_d.start + np.arange(n)] -= 1.0
-        K[self.sl_d.start + np.arange(n), self.sl_mu.start + np.arange(n)] -= 1.0
-        K[self.sl_d, self.u_pl] = Wpl + eye_n
-        K[self.sl_d, self.u_g] = -eye_n
-        K[self.sl_d, self.u_z] = -eye_n
         Kpm[self.sl_d] = Wpm
-        # mu' = z
-        K[self.sl_mu, self.u_z] = eye_n
-        # phi' = -L(mu + z) + C(eta- - eta+)
-        K[self.sl_phi, self.sl_mu] = -L
-        K[self.sl_phi, self.u_z] = -L
-        K[self.sl_phi, self.u_ep] = -C
-        K[self.sl_phi, self.u_em] = C
-        # varphi+' = -varphi+ + eta+ + C^T phi - theta_max
-        K[self.sl_vp, self.sl_phi] = C.T
-        K[self.sl_vp.start + np.arange(m), self.sl_vp.start + np.arange(m)] = -1.0
-        K[self.sl_vp, self.u_ep] = eye_m
+        k0 = np.zeros(S)
         k0[self.sl_vp] = -model.angle_upper
-        # varphi-' = -varphi- + eta- + theta_min - C^T phi
-        K[self.sl_vm, self.sl_phi] = -C.T
-        K[self.sl_vm.start + np.arange(m), self.sl_vm.start + np.arange(m)] = -1.0
-        K[self.sl_vm, self.u_em] = eye_m
         k0[self.sl_vm] = model.angle_lower
 
-        # Global controller time scale.
+        # Global controller time scale: it scales every row from d on. No
+        # entry of K has two nonzero contributions, so scaling the blocks
+        # equals scaling the sum.
         eps = self.config.epsilon
         if eps != 1.0:
-            ctrl_rows = slice(self.sl_d.start, S)
-            K[ctrl_rows] *= eps
-            Kpm[ctrl_rows] *= eps
-            k0[ctrl_rows] *= eps
+            blocks = [(r0, c0, eps * block if r0 >= d0 else block) for r0, c0, block in blocks]
+            Kpm[d0:] *= eps
+            k0[d0:] *= eps
 
-        self.K = _hot_operator(K)
+        self.K = _hot_operator((S, U), blocks)
         self.Kpm = Kpm
         self.k0 = k0
-        self._Wy, self._Wpl, self._Wpm = _hot_operator(Wy), Wpl, Wpm
-        self._Vy, self._Vpl, self._Vpm = _hot_operator(Vy), Vpl, Vpm
-        self._Cw = _hot_operator(Cw)
+        self._Wy, self._Wpl, self._Wpm = _hot_operator((n, S), [(0, 0, Wp)]), Wpl, Wpm
+        self._Vy, self._Vpl, self._Vpm = _hot_operator((g, S), [(0, 0, Vp)]), Vpl, Vpm
+        self._Cw = _hot_operator((n, m), [(0, 0, Cw)])
+        # The frequency map again, for `observe` on a stack of states: as CSR
+        # (a few entries per row) on the plant part, so that k states cost a
+        # sparse product instead of a dense BLAS gemm, whose worker threads
+        # take memory and time.
+        self._obs_Wp, self._obs_Wpl = csr_matrix(Wp), csr_matrix(Wpl)
         self._neg_D = -D
         self._M = M
         self._gidx = gidx
@@ -345,8 +395,8 @@ class ClosedLoop:
         """Constant part of the RHS for a fixed p_m segment."""
         return self.Kpm @ p_m + self.k0
 
-    def _signals(self, p_m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """From the state in the buffer's y block, write p_l, eta+, eta- and z into the buffer; return its views of them."""
+    def _signals(self, p_m: np.ndarray) -> None:
+        """From the state in the buffer's y block, write p_l, eta+, eta- and z into the buffer."""
         y = self._u_y
         p_l, eta_p, eta_m, z = self._u_pl, self._u_ep, self._u_em, self._u_z
         # minimum(maximum(.)) is np.clip bit for bit, without clip's wrapper cost.
@@ -363,12 +413,11 @@ class ClosedLoop:
             np.subtract(self._neg_D * omega, self._Cw @ self._y_theta, out=z)
             z[self._gidx] -= self._M * dog
         z += self.L @ self._y_phi
-        return p_l, eta_p, eta_m, z
 
     def _derivative(self, p_m: np.ndarray, aff: np.ndarray) -> np.ndarray:
         """dy/dt at the state held in the buffer's y block, as a new array."""
-        p_l = self._signals(p_m)[0]
-        self._u_g[...] = self.batch.select(p_l, self.config.selection)
+        self._signals(p_m)
+        self._u_g[...] = self.batch.select(self._u_pl, self.config.selection)
         return self.K @ self._u + aff
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
@@ -403,28 +452,48 @@ class ClosedLoop:
 
     # -- observation --------------------------------------------------------
 
-    def observe(self, y: np.ndarray, p_m: np.ndarray) -> dict:
-        """Logged signals at a state: omega, outputs, flows, running cost."""
-        self._u_y[...] = y
-        p_l, eta_p, eta_m, z = (a.copy() for a in self._signals(p_m))
-        omega = self._Wy @ y + self._Wpl @ p_l + self._Wpm @ p_m
-        flows = self.B * y[self.sl_theta]
-        cost = float(self.batch.value(p_l).sum())
-        return {"omega": omega, "p_l": p_l, "eta_plus": eta_p, "eta_minus": eta_m, "z": z, "flows": flows, "cost": cost}
+    def observe(self, y: np.ndarray, p_m: np.ndarray, starts: tuple[int, ...] = (0,)) -> dict:
+        """Logged signals at one packed state (dim,) or at each row of a stack (k, dim).
+
+        Returns what a `TrajectoryLog` records besides the state, as new
+        arrays (one row per state for a stack): omega, p_l, eta_plus,
+        eta_minus, flows and the total cost (a float for one state). `p_m`
+        is the injection (n,) at every state, or (s, n) with row i applying
+        from state starts[i] on, so a run's event segments need no copy of
+        p_m per record.
+        """
+        y = np.asarray(y)
+        p_l = np.maximum(y[..., self.sl_d], self.box_lower)
+        np.minimum(p_l, self.box_upper, out=p_l)
+        omega = (self._obs_Wp @ y[..., : self.sl_og.stop].T).T
+        omega += (self._obs_Wpl @ p_l.T).T
+        rows, P_m = omega.reshape(-1, self.n), np.atleast_2d(p_m)
+        for i, start in enumerate(starts):
+            stop = starts[i + 1] if i + 1 < len(starts) else len(rows)
+            rows[start:stop] += self._Wpm @ P_m[i]
+        cost = self.batch.value(p_l).sum(axis=-1)
+        return {
+            "omega": omega,
+            "p_l": p_l,
+            "eta_plus": np.maximum(y[..., self.sl_vp], 0.0),
+            "eta_minus": np.maximum(y[..., self.sl_vm], 0.0),
+            "flows": self.B * y[..., self.sl_theta],
+            "cost": cost if y.ndim == 2 else float(cost),
+        }
 
 
 @dataclass
 class TrajectoryLog:
-    """Uniformly decimated record of a closed-loop run."""
+    """Uniformly decimated record of a closed-loop run.
+
+    `states` holds the packed state of every record; the state signals
+    (theta_e, omega_g, d, mu, phi, varphi+, varphi-) are views of its column
+    blocks, not copies. The other signals are observed from it.
+    """
 
     times: np.ndarray
-    theta_e: np.ndarray
+    states: np.ndarray
     omega: np.ndarray
-    d: np.ndarray
-    mu: np.ndarray
-    phi: np.ndarray
-    varphi_plus: np.ndarray
-    varphi_minus: np.ndarray
     p_l: np.ndarray
     eta_plus: np.ndarray
     eta_minus: np.ndarray
@@ -432,8 +501,23 @@ class TrajectoryLog:
     cost: np.ndarray
     p_m_final: np.ndarray
 
+    def _block(self, name: str) -> np.ndarray:
+        n, m = self.omega.shape[1], self.flows.shape[1]
+        g = self.states.shape[1] - 3 * (n + m)
+        return self.states[:, _packed_layout(n, g, m)[name]]
+
+    theta_e = property(lambda self: self._block("theta_e"))
+    omega_g = property(lambda self: self._block("omega_g"))
+    d = property(lambda self: self._block("d"))
+    mu = property(lambda self: self._block("mu"))
+    phi = property(lambda self: self._block("phi"))
+    varphi_plus = property(lambda self: self._block("varphi_plus"))
+    varphi_minus = property(lambda self: self._block("varphi_minus"))
+
     def final_plant(self, model: NetworkModel) -> PlantState:
-        return PlantState(theta_e=self.theta_e[-1].copy(), omega_g=self.omega[-1][model.generator_index].copy())
+        plant = PlantState(theta_e=self.theta_e[-1].copy(), omega_g=self.omega_g[-1].copy())
+        plant.validate(model)
+        return plant
 
     def final_controller(self) -> ControllerState:
         return ControllerState(
@@ -544,26 +628,13 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
         events_at.setdefault(k, []).append(ev)
 
     dec = scenario.log_decimation
-    record_steps = [k for k in range(n_steps + 1) if k % dec == 0 or k == n_steps]
-    n_rec = len(record_steps)
-    n, m = model.n, model.m
-    out = {
-        "times": np.empty(n_rec),
-        "theta_e": np.empty((n_rec, m)),
-        "omega": np.empty((n_rec, n)),
-        "d": np.empty((n_rec, n)),
-        "mu": np.empty((n_rec, n)),
-        "phi": np.empty((n_rec, n)),
-        "varphi_plus": np.empty((n_rec, m)),
-        "varphi_minus": np.empty((n_rec, m)),
-        "p_l": np.empty((n_rec, n)),
-        "eta_plus": np.empty((n_rec, m)),
-        "eta_minus": np.empty((n_rec, m)),
-        "flows": np.empty((n_rec, m)),
-        "cost": np.empty(n_rec),
-    }
+    n_rec = n_steps // dec + 1 + (n_steps % dec != 0)
+    times = np.empty(n_rec)
+    states = np.empty((n_rec, loop.dim))
 
-    p_m = np.zeros(n)
+    # p_m per event segment: segment i applies from record starts[i] on.
+    p_m = np.zeros(model.n)
+    starts, segments = [0], [p_m.copy()]
     aff = loop.feedthrough(p_m)
     rec = 0
     for k in range(n_steps + 1):
@@ -571,28 +642,19 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
             for ev in events_at[k]:
                 p_m[ev.bus] += ev.delta_p_m
             aff = loop.feedthrough(p_m)
+            starts.append(rec)
+            segments.append(p_m.copy())
         if k % dec == 0 or k == n_steps:
             if not np.all(np.isfinite(y)):
                 raise NumericalError(f"non-finite state at t={k * dt:g}s")
-            obs = loop.observe(y, p_m)
-            out["times"][rec] = k * dt
-            out["theta_e"][rec] = y[loop.sl_theta]
-            out["omega"][rec] = obs["omega"]
-            out["d"][rec] = y[loop.sl_d]
-            out["mu"][rec] = y[loop.sl_mu]
-            out["phi"][rec] = y[loop.sl_phi]
-            out["varphi_plus"][rec] = y[loop.sl_vp]
-            out["varphi_minus"][rec] = y[loop.sl_vm]
-            out["p_l"][rec] = obs["p_l"]
-            out["eta_plus"][rec] = obs["eta_plus"]
-            out["eta_minus"][rec] = obs["eta_minus"]
-            out["flows"][rec] = obs["flows"]
-            out["cost"][rec] = obs["cost"]
+            times[rec] = k * dt
+            states[rec] = y
             rec += 1
         if k < n_steps:
             y = loop.rk4(y, p_m, dt, aff)
 
-    return TrajectoryLog(p_m_final=p_m, **out)
+    obs = loop.observe(states, np.array(segments), tuple(starts))
+    return TrajectoryLog(times=times, states=states, p_m_final=p_m, **obs)
 
 
 @dataclass

@@ -178,6 +178,23 @@ def test_run_multiple_scenarios_to_directory(tmp_scenario, tmp_path, capsys):
     assert (outdir / "b.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_rejects_scenarios_that_share_a_csv(tmp_scenario, tmp_path, capsys, jobs):
+    """Two scenario files with one stem would write one CSV: exit 1 before anything runs."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = tmp_scenario("a/x.json", t_end=0.05)
+    b = tmp_scenario("b/x.json", t_end=0.05)
+    outdir = tmp_path / "out"
+    assert main(["run", a, b, "--out", str(outdir), "--jobs", jobs]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert "wrote" not in captured.out
+    assert errs[-1]["error"] == "validation"
+    assert a in errs[-1]["message"] and b in errs[-1]["message"]
+    assert str(outdir / "x.csv") in errs[-1]["message"]
+    assert not outdir.exists()
+
+
 def test_run_overrides_change_output(tmp_scenario, tmp_path):
     out = tmp_path / "o.csv"
     assert main([

@@ -1,13 +1,15 @@
 """Closed-loop integration: scenario parsing, determinism, logging, accuracy."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+from scipy.sparse import csr_matrix, issparse
 
 from olfc.controller import init_controller
-from olfc.dynamics import PlantState
+from olfc.costs import project_box, project_nonneg
+from olfc.dynamics import Injection, PlantState, assemble_frequencies
 from olfc.errors import NumericalError, ValidationError
 from olfc.network import load_network
 from olfc.simulator import (
@@ -18,6 +20,7 @@ from olfc.simulator import (
     load_scenario,
     run,
     settle,
+    _hot_operator,
 )
 
 from conftest import network_path, scenario_path
@@ -167,6 +170,86 @@ def test_operator_storage_follows_size(model):
     assert issparse(big.K)
 
 
+@pytest.mark.parametrize("shape", [(150, 310), (100, 100)])
+def test_hot_operator_builds_the_dense_block_sum(shape):
+    """CSR from the size rule on, equal to csr_matrix of the dense sum; the dense sum below it."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((40, 60)) * (rng.random((40, 60)) < 0.2)
+    b = rng.standard_normal((30, 50)) * (rng.random((30, 50)) < 0.2)
+    # At most two nonzero contributions to an entry; one pair cancels exactly.
+    blocks = [(0, 0, a), (10, 40, a), (50, 100, b), (50, 100, -b), (100, 250, a)]
+    blocks = [(r0, c0, x) for r0, c0, x in blocks if r0 + x.shape[0] <= shape[0] and c0 + x.shape[1] <= shape[1]]
+    dense = np.zeros(shape)
+    for r0, c0, block in blocks:
+        dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] += block
+    A = _hot_operator(shape, blocks)
+    if shape[0] * shape[1] < 2**15:
+        assert isinstance(A, np.ndarray) and np.array_equal(A, dense)
+        return
+    ref = csr_matrix(dense)
+    assert issparse(A) and A.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(ref, name)), name
+
+
+def test_sixty_eight_bus_build_never_holds_dense_K():
+    """K is assembled sparse: the build never allocates one dense S x U array."""
+    net = load_network(network_path("sixty_eight_bus"))
+    ClosedLoop(net)
+    for eps in (1.0, 4.0):
+        tracemalloc.start()
+        try:
+            loop = ClosedLoop(net, ControllerConfig(epsilon=eps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, cols = loop.K.shape
+        assert peak < rows * cols * 8, f"build peaked at {peak} bytes"
+        assert loop.K.has_canonical_format
+        assert loop.K.nnz == np.count_nonzero(loop.K.toarray())
+
+
+@pytest.mark.parametrize("name, t_end", [("three_bus", 0.1), ("nine_bus", 0.1), ("sixty_eight_bus", 0.05)])
+@pytest.mark.parametrize("mismatch", ["model", "estimate"])
+@pytest.mark.parametrize("decimation", [1, 7])
+def test_log_matches_readable_observation(name, t_end, mismatch, decimation):
+    """Every record of a run equals the readable per-state observation of its state.
+
+    Covers the dense 3- and 9-bus operators and the CSR 68-bus one. One
+    event lands on step 14, a recorded step at either decimation, and one on
+    step 10, between records at decimation 7.
+    """
+    net = load_network(network_path(name))
+    dt = 1e-3
+    events = [Event(time=14 * dt, bus=0, delta_p_m=0.3), Event(time=10 * dt, bus=int(net.load_index[-1]), delta_p_m=-0.2)]
+    scn = Scenario(
+        network_path=network_path(name), t_end=t_end, dt=dt, events=events,
+        config=ControllerConfig(mismatch=mismatch), log_decimation=decimation,
+    )
+    log = run(scn, net)
+    assert np.shares_memory(log.d, log.states) and np.shares_memory(log.theta_e, log.states)
+    steps = np.rint(log.times / dt).astype(int)
+    assert 14 in steps and (10 in steps) == (decimation == 1)
+    for r, k in enumerate(steps):
+        p_m = np.zeros(net.n)
+        for ev in events:
+            if round(ev.time / dt) <= k:
+                p_m[ev.bus] += ev.delta_p_m
+        plant = PlantState(theta_e=log.theta_e[r], omega_g=log.omega_g[r])
+        p_l = project_box(log.d[r], net.load_box)
+        assert np.array_equal(log.p_l[r], p_l)
+        assert np.array_equal(log.eta_plus[r], project_nonneg(log.varphi_plus[r]))
+        assert np.array_equal(log.eta_minus[r], project_nonneg(log.varphi_minus[r]))
+        assert np.array_equal(log.flows[r], net.susceptances * log.theta_e[r])
+        assert log.cost[r] == np.sum([cost.value(x) for cost, x in zip(net.costs, p_l)])
+        omega = assemble_frequencies(net, plant, Injection(p_m=p_m, p_l=p_l))
+        scale = max(1.0, float(np.max(np.abs(omega))))
+        assert np.max(np.abs(log.omega[r] - omega)) <= 1e-12 * scale, f"record {r} (step {k})"
+        assert np.array_equal(log.omega[r, net.generator_index], log.omega_g[r])
+    final = log.final_plant(net)
+    assert np.array_equal(final.omega_g, log.omega_g[-1]) and np.array_equal(final.theta_e, log.theta_e[-1])
+
+
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 def test_rhs_and_observe_return_independent_arrays(mismatch):
     """The operand buffer is reused in place; nothing handed out may alias it."""
@@ -180,9 +263,10 @@ def test_rhs_and_observe_return_independent_arrays(mismatch):
     k2 = loop.rhs(y2, p_m)
     assert not np.shares_memory(k1, k2)
     assert np.array_equal(k1, k1_before)
-    keys = ("omega", "p_l", "eta_plus", "eta_minus", "z")
+    keys = ("omega", "p_l", "eta_plus", "eta_minus", "flows", "cost")
     obs = loop.observe(y1, p_m)
-    before = {key: obs[key].copy() for key in keys}
+    assert set(obs) == set(keys)
+    before = {key: np.copy(obs[key]) for key in keys}
     loop.rhs(y2, p_m)
     later = loop.observe(y2, p_m)
     for key in keys:
