@@ -18,10 +18,11 @@ per-module functions in `dynamics` and `controller` define the semantics;
 on every bundled network, selection rule and mismatch source.
 
 The fused operator and the matrices of the measurement (`estimate`) path are
-assembled from dense blocks. A matrix with at least 2**15 entries is built
-as `scipy.sparse` CSR from the blocks' nonzero entries, so it is never held
-dense; a smaller one is built as a dense array. The choice follows from
-each matrix's shape, and the products are written the same way for both.
+assembled sparse: the nonzero entries of their blocks are collected in COO
+form. A matrix with at least 2**15 entries is then stored as canonical
+`scipy.sparse` CSR, so it is never held dense; a smaller one is summed into
+a dense array. The choice follows from each matrix's shape, and the
+products are written the same way for both.
 
 The operand stack (y, p_l, eta+, eta-, g, z) lives in one buffer that every
 right-hand-side evaluation overwrites in place: the projections and z are
@@ -35,8 +36,9 @@ holds a view of the buffer.
 
 `run` records only the packed state (and the time) of each logged step, then
 observes the whole record once after integration: `observe` takes one state
-or a stack of them and never touches the operand buffer. The log's state
-signals are column blocks of the recorded array.
+or a stack of them and never touches the operand buffer. The record is kept
+in Fortran order, so the sparse frequency map reads it without a copy; the
+log's state signals are column blocks of it.
 
 A plant warm start must be physical: its theta_e must be C^T of bus angles
 (to within rounding), since the dynamics conserve any loop component.
@@ -185,32 +187,36 @@ def load_scenario(path: str | Path) -> Scenario:
 # entry; a CSR matvec costs ~5-7 us at the sparsity of these operators (well
 # under 1 % nonzero on large networks). Measured on a 2-vCPU Xeon guest with
 # numpy 2.4 and scipy 1.17, the two meet near 2**15 entries (68-bus frequency
-# map, 68 x 478: 8.2 us dense vs 7.8 us CSR). The rule picks the storage
-# before a matrix is built, so a matrix above it is never held dense.
+# map, 68 x 478: 8.2 us dense vs 7.8 us CSR). Every operator is collected
+# sparse; the rule only decides how the collected entries are stored.
 _CSR_MIN_ENTRIES = 2**15
 
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _hot_operator(shape: tuple[int, int], blocks: list[tuple[int, int, np.ndarray]]) -> np.ndarray | csr_matrix:
-    """The sum of dense blocks placed at (row, column) offsets, stored for repeated matvecs.
 
-    Below 2**15 entries the sum is built dense. From there on only the
-    blocks' nonzero entries are collected, into canonical CSR, so the whole
-    matrix is never held dense. Where no entry has more than two nonzero
-    contributions, as in every operator here, the CSR equals `csr_matrix`
-    of the dense sum: a sum of two does not depend on its order.
+def _entries(block: np.ndarray) -> Entries:
+    """Rows, columns and values of the nonzero entries of a dense block."""
+    i, j = np.nonzero(block)
+    return i, j, block[i, j]
+
+
+def _hot_operator(shape: tuple[int, int], blocks: list[tuple[int, int, Entries]]) -> np.ndarray | csr_matrix:
+    """A sum of sparse blocks placed at (row, column) offsets, stored for repeated matvecs.
+
+    The blocks' entries are collected in COO form. Below 2**15 entries they
+    are summed into a dense array, in block order; from there on into
+    canonical CSR, so a large operator is never held dense. Where no entry
+    has more than two nonzero contributions, as in every operator here, the
+    CSR equals `csr_matrix` of the dense sum: a sum of two does not depend
+    on its order.
     """
+    rows = np.concatenate([r0 + i for r0, _, (i, _, _) in blocks])
+    cols = np.concatenate([c0 + j for _, c0, (_, j, _) in blocks])
+    vals = np.concatenate([v for _, _, (_, _, v) in blocks])
+    A = coo_matrix((vals, (rows, cols)), shape=shape)
     if shape[0] * shape[1] < _CSR_MIN_ENTRIES:
-        A = np.zeros(shape)
-        for r0, c0, block in blocks:
-            A[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] += block
-        return A
-    rows, cols, vals = [], [], []
-    for r0, c0, block in blocks:
-        i, j = np.nonzero(block)
-        rows.append(i + r0)
-        cols.append(j + c0)
-        vals.append(block[i, j])
-    A = coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape).tocsr()
+        return A.toarray()
+    A = A.tocsr()
     A.eliminate_zeros()
     return A
 
@@ -261,15 +267,18 @@ class ClosedLoop:
         S = self.dim
         # Frequency as an affine map: omega = Wy @ y + Wpl @ p_l + Wpm @ p_m.
         # Wy reads only the plant part theta_e | omega_g of y: Wy = [Wp | 0].
+        # Wpl and Wpm are diagonal, with diagonals wpl and wpm.
         P = m + g
         Wp = np.zeros((n, P))
         Wp[gidx, m + np.arange(g)] = 1.0
-        Wpl = np.zeros((n, n))
-        Wpm = np.zeros((n, n))
+        wpl = np.zeros(n)
+        wpm = np.zeros(n)
         if lidx.size:
             Wp[np.ix_(lidx, np.arange(m))] = -Cw[lidx] / D[lidx, None]
-            Wpl[lidx, lidx] = -1.0 / D[lidx]
-            Wpm[lidx, lidx] = 1.0 / D[lidx]
+            wpl[lidx] = -1.0 / D[lidx]
+            wpm[lidx] = 1.0 / D[lidx]
+        Wpl = np.diag(wpl)
+        Wpm = np.diag(wpm)
 
         # Generator acceleration: dog = Vy @ y + Vpl @ p_l + Vpm @ p_m, Vy = [Vp | 0].
         tmp_p = -D[:, None] * Wp
@@ -277,6 +286,15 @@ class ClosedLoop:
         Vp = tmp_p[gidx] / M[:, None]
         Vpl = (-D[:, None] * Wpl - np.eye(n))[gidx] / M[:, None]
         Vpm = (np.eye(n) - D[:, None] * Wpm)[gidx] / M[:, None]
+
+        # C^T @ X by rows: line k runs from bus frm[k] (+1) to bus to[k] (-1),
+        # so its row is X[frm[k]] - X[to[k]]. That is the value a BLAS product
+        # gives (a sum of two exact products), without waking BLAS threads.
+        frm = np.array([line.from_bus for line in model.lines])
+        to = np.array([line.to_bus for line in model.lines])
+
+        def incidence_t(X: np.ndarray) -> np.ndarray:
+            return X[frm] - X[to]
 
         # Input stack for the fused operator: [y | p_l | eta+ | eta- | g | z].
         U = S + 3 * n + 2 * m
@@ -286,71 +304,74 @@ class ClosedLoop:
         self.u_g = slice(S + n + 2 * m, S + 2 * n + 2 * m)
         self.u_z = slice(S + 2 * n + 2 * m, U)
 
-        eye_n = np.eye(n)
-        eye_m = np.eye(m)
         d0, mu0, phi0 = self.sl_d.start, self.sl_mu.start, self.sl_phi.start
         vp0, vm0 = self.sl_vp.start, self.sl_vm.start
         pl0, ep0, em0, g0, z0 = self.u_pl.start, self.u_ep.start, self.u_em.start, self.u_g.start, self.u_z.start
+        an, am = np.arange(n), np.arange(m)
+        eye_n, neg_eye_n = (an, an, np.ones(n)), (an, an, np.full(n, -1.0))
+        eye_m, neg_eye_m = (am, am, np.ones(m)), (am, am, np.full(m, -1.0))
+        ci, cj, cv = _entries(C)
+        li, lj, lv = _entries(L)
+        wp, vp = _entries(Wp), _entries(Vp)
 
-        # The fused operator K as (row, column, dense block) pieces.
+        # The fused operator K as (row, column, block entries) pieces.
         blocks = [
             # theta_e' = C^T omega
-            (0, 0, C.T @ Wp),
-            (0, pl0, C.T @ Wpl),
+            (0, 0, _entries(incidence_t(Wp))),
+            (0, pl0, _entries(incidence_t(Wpl))),
             # omega_g'
-            (m, 0, Vp),
-            (m, pl0, Vpl),
+            (m, 0, vp),
+            (m, pl0, _entries(Vpl)),
             # d' = -d + p_l + omega - g - z - mu
-            (d0, 0, Wp),
-            (d0, d0, -eye_n),
-            (d0, mu0, -eye_n),
-            (d0, pl0, Wpl + eye_n),
-            (d0, g0, -eye_n),
-            (d0, z0, -eye_n),
+            (d0, 0, wp),
+            (d0, d0, neg_eye_n),
+            (d0, mu0, neg_eye_n),
+            (d0, pl0, (an, an, wpl + 1.0)),
+            (d0, g0, neg_eye_n),
+            (d0, z0, neg_eye_n),
             # mu' = z
             (mu0, z0, eye_n),
             # phi' = -L(mu + z) + C(eta- - eta+)
-            (phi0, mu0, -L),
-            (phi0, z0, -L),
-            (phi0, ep0, -C),
-            (phi0, em0, C),
+            (phi0, mu0, (li, lj, -lv)),
+            (phi0, z0, (li, lj, -lv)),
+            (phi0, ep0, (ci, cj, -cv)),
+            (phi0, em0, (ci, cj, cv)),
             # varphi+' = -varphi+ + eta+ + C^T phi - theta_max
-            (vp0, phi0, C.T),
-            (vp0, vp0, -eye_m),
+            (vp0, phi0, (cj, ci, cv)),
+            (vp0, vp0, neg_eye_m),
             (vp0, ep0, eye_m),
             # varphi-' = -varphi- + eta- + theta_min - C^T phi
-            (vm0, phi0, -C.T),
-            (vm0, vm0, -eye_m),
+            (vm0, phi0, (cj, ci, -cv)),
+            (vm0, vm0, neg_eye_m),
             (vm0, em0, eye_m),
         ]
         Kpm = np.zeros((S, n))
-        Kpm[self.sl_theta] = C.T @ Wpm
+        Kpm[self.sl_theta] = incidence_t(Wpm)
         Kpm[self.sl_og] = Vpm
         Kpm[self.sl_d] = Wpm
         k0 = np.zeros(S)
         k0[self.sl_vp] = -model.angle_upper
         k0[self.sl_vm] = model.angle_lower
 
-        # Global controller time scale: it scales every row from d on. No
-        # entry of K has two nonzero contributions, so scaling the blocks
-        # equals scaling the sum.
+        # Global controller time scale: it scales every row from d on. No two
+        # blocks overlap (each row band meets each column band at most once),
+        # so scaling the blocks' entries scales the rows of K.
         eps = self.config.epsilon
-        if eps != 1.0:
-            blocks = [(r0, c0, eps * block if r0 >= d0 else block) for r0, c0, block in blocks]
-            Kpm[d0:] *= eps
-            k0[d0:] *= eps
+        blocks = [(r0, c0, (i, j, eps * v) if r0 >= d0 else (i, j, v)) for r0, c0, (i, j, v) in blocks]
+        Kpm[d0:] *= eps
+        k0[d0:] *= eps
 
         self.K = _hot_operator((S, U), blocks)
         self.Kpm = Kpm
         self.k0 = k0
-        self._Wy, self._Wpl, self._Wpm = _hot_operator((n, S), [(0, 0, Wp)]), Wpl, Wpm
-        self._Vy, self._Vpl, self._Vpm = _hot_operator((g, S), [(0, 0, Vp)]), Vpl, Vpm
-        self._Cw = _hot_operator((n, m), [(0, 0, Cw)])
-        # The frequency map again, for `observe` on a stack of states: as CSR
-        # (a few entries per row) on the plant part, so that k states cost a
-        # sparse product instead of a dense BLAS gemm, whose worker threads
-        # take memory and time.
-        self._obs_Wp, self._obs_Wpl = csr_matrix(Wp), csr_matrix(Wpl)
+        self._Wy, self._Wpl, self._Wpm = _hot_operator((n, S), [(0, 0, wp)]), Wpl, Wpm
+        self._Vy, self._Vpl, self._Vpm = _hot_operator((g, S), [(0, 0, vp)]), Vpl, Vpm
+        self._Cw = _hot_operator((n, m), [(0, 0, _entries(Cw))])
+        # For `observe` on a stack of states: the frequency map on the plant
+        # part as CSR (a few entries per row), so that k states cost a sparse
+        # product instead of a dense BLAS gemm, whose worker threads take
+        # memory and time; and the diagonal of Wpl.
+        self._obs_Wp, self._wpl = csr_matrix(Wp), wpl
         self._neg_D = -D
         self._M = M
         self._gidx = gidx
@@ -460,18 +481,21 @@ class ClosedLoop:
         eta_minus, flows and the total cost (a float for one state). `p_m`
         is the injection (n,) at every state, or (s, n) with row i applying
         from state starts[i] on, so a run's event segments need no copy of
-        p_m per record.
+        p_m per record. The plant part of a stack in Fortran order (as `run`
+        records it) is read in place; one in C order is copied.
         """
         y = np.asarray(y)
+        # The cost first: its temporaries are freed before the outputs that
+        # follow are allocated.
         p_l = np.maximum(y[..., self.sl_d], self.box_lower)
         np.minimum(p_l, self.box_upper, out=p_l)
+        cost = self.batch.value(p_l).sum(axis=-1)
         omega = (self._obs_Wp @ y[..., : self.sl_og.stop].T).T
-        omega += (self._obs_Wpl @ p_l.T).T
-        rows, P_m = omega.reshape(-1, self.n), np.atleast_2d(p_m)
+        omega += p_l * self._wpl
+        rows, P_m = (omega if omega.ndim == 2 else omega[np.newaxis]), np.atleast_2d(p_m)
         for i, start in enumerate(starts):
             stop = starts[i + 1] if i + 1 < len(starts) else len(rows)
             rows[start:stop] += self._Wpm @ P_m[i]
-        cost = self.batch.value(p_l).sum(axis=-1)
         return {
             "omega": omega,
             "p_l": p_l,
@@ -630,7 +654,9 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     dec = scenario.log_decimation
     n_rec = n_steps // dec + 1 + (n_steps % dec != 0)
     times = np.empty(n_rec)
-    states = np.empty((n_rec, loop.dim))
+    # Fortran order: the transposed record is C-contiguous, which the sparse
+    # frequency map in `observe` reads without a copy.
+    states = np.empty((n_rec, loop.dim), order="F")
 
     # p_m per event segment: segment i applies from record starts[i] on.
     p_m = np.zeros(model.n)

@@ -20,6 +20,7 @@ from olfc.simulator import (
     load_scenario,
     run,
     settle,
+    _entries,
     _hot_operator,
 )
 
@@ -182,7 +183,7 @@ def test_hot_operator_builds_the_dense_block_sum(shape):
     dense = np.zeros(shape)
     for r0, c0, block in blocks:
         dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] += block
-    A = _hot_operator(shape, blocks)
+    A = _hot_operator(shape, [(r0, c0, _entries(x)) for r0, c0, x in blocks])
     if shape[0] * shape[1] < 2**15:
         assert isinstance(A, np.ndarray) and np.array_equal(A, dense)
         return
@@ -190,6 +191,19 @@ def test_hot_operator_builds_the_dense_block_sum(shape):
     assert issparse(A) and A.has_canonical_format
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("name", ["two_bus", "three_bus", "three_bus_congested", "nine_bus", "sixty_eight_bus"])
+def test_epsilon_scales_the_rows_of_K_from_d_on(name):
+    """K at epsilon 4 is K at epsilon 1 with every row from d on scaled by 4, bit for bit."""
+    net = load_network(network_path(name))
+    one, four = (ClosedLoop(net, ControllerConfig(epsilon=eps)) for eps in (1.0, 4.0))
+    dense = lambda A: A.toarray() if issparse(A) else A
+    expected = dense(one.K).copy()
+    expected[one.sl_d.start :] *= 4.0
+    assert np.array_equal(dense(four.K), expected)
+    if issparse(four.K):
+        assert four.K.has_canonical_format and four.K.nnz == one.K.nnz
 
 
 def test_sixty_eight_bus_build_never_holds_dense_K():
