@@ -28,7 +28,7 @@ unaffected, and V can actually reach zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class FullState:
 
     plant: PlantState
     ctrl: ControllerState
-
-
-class EquilibriumPoint(FullState):
-    """A FullState that is (numerically) a closed-loop equilibrium."""
 
 
 @dataclass
@@ -77,33 +73,15 @@ class KktReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.stationarity_load,
-            self.stationarity_plus,
-            self.stationarity_minus,
-            self.balance,
-            self.network,
-            self.comp_plus,
-            self.comp_minus,
-            self.box_violation,
-            self.line_violation,
-            self.eta_violation,
-        )
+        return max(getattr(self, f.name) for f in fields(self))
 
     def to_dict(self) -> dict:
-        return {
-            "stationarity_load": self.stationarity_load,
-            "stationarity_plus": self.stationarity_plus,
-            "stationarity_minus": self.stationarity_minus,
-            "balance": self.balance,
-            "network": self.network,
-            "comp_plus": self.comp_plus,
-            "comp_minus": self.comp_minus,
-            "box_violation": self.box_violation,
-            "line_violation": self.line_violation,
-            "eta_violation": self.eta_violation,
-            "max_residual": self.max_residual,
-        }
+        return {**asdict(self), "max_residual": self.max_residual}
+
+
+def _excess(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Largest distance of an entry of x outside its interval [lo, hi]; 0 when x is empty."""
+    return float(np.max(np.maximum.reduce([lo - x, x - hi, np.zeros(x.shape)]))) if x.size else 0.0
 
 
 def candidate_from_state(model: NetworkModel, ctrl: ControllerState) -> OptimalSolution:
@@ -140,7 +118,6 @@ def kkt_residuals(model: NetworkModel, p_m: np.ndarray, candidate: OptimalSoluti
     g_lo, g_hi = CostBatch(model.costs).bounds(p)
     reach_lo = np.clip(p - mu - g_hi, box.lower, box.upper)
     reach_hi = np.clip(p - mu - g_lo, box.lower, box.upper)
-    stat_load = float(np.max(np.maximum.reduce([reach_lo - p, p - reach_hi, np.zeros(n)])))
 
     stat_plus = float(np.max(np.abs(ep - np.maximum(ep + edge - model.angle_upper, 0.0)))) if m else 0.0
     stat_minus = float(np.max(np.abs(em - np.maximum(em + model.angle_lower - edge, 0.0)))) if m else 0.0
@@ -151,58 +128,48 @@ def kkt_residuals(model: NetworkModel, p_m: np.ndarray, candidate: OptimalSoluti
     comp_plus = float(np.max(np.abs(ep * (model.angle_upper - edge)))) if m else 0.0
     comp_minus = float(np.max(np.abs(em * (edge - model.angle_lower)))) if m else 0.0
 
-    box_violation = float(np.max(np.maximum.reduce([box.lower - p, p - box.upper, np.zeros(n)])))
-    line_violation = (
-        float(np.max(np.maximum.reduce([model.angle_lower - edge, edge - model.angle_upper, np.zeros(m)]))) if m else 0.0
-    )
     eta_violation = float(max(np.max(np.maximum(-ep, 0.0), initial=0.0), np.max(np.maximum(-em, 0.0), initial=0.0)))
 
     return KktReport(
-        stationarity_load=stat_load,
+        stationarity_load=_excess(p, reach_lo, reach_hi),
         stationarity_plus=stat_plus,
         stationarity_minus=stat_minus,
         balance=balance,
         network=network,
         comp_plus=comp_plus,
         comp_minus=comp_minus,
-        box_violation=box_violation,
-        line_violation=line_violation,
+        box_violation=_excess(p, box.lower, box.upper),
+        line_violation=_excess(edge, model.angle_lower, model.angle_upper),
         eta_violation=eta_violation,
     )
 
 
-def _v_terms(
-    model: NetworkModel,
-    d,
-    mu,
-    phi,
-    vp,
-    vm,
-    theta_e,
-    omega_g,
-    star_p,
-    star_mu,
-    star_phi,
-    star_ep,
-    star_em,
-    star_theta,
-):
-    """Vectorized V over leading axes; all trajectory arrays shaped (..., dim)."""
+def _v_terms(model: NetworkModel, ctrl, theta_e, omega_g, star: FullState):
+    """V over leading axes, anchored at `star`.
+
+    `ctrl` has the controller signals d, mu, phi, varphi_plus, varphi_minus
+    (a ControllerState, or a TrajectoryLog with one row per record); they,
+    theta_e and omega_g are shaped (..., dim).
+    """
     box = model.load_box
+    d, mu, phi, vp, vm = ctrl.d, ctrl.mu, ctrl.phi, ctrl.varphi_plus, ctrl.varphi_minus
     p = np.clip(d, box.lower, box.upper)
     ep = np.maximum(vp, 0.0)
     em = np.maximum(vm, 0.0)
-    dphi = phi - star_phi
+    star_p = project_box(star.ctrl.d, box)
+    star_ep = np.maximum(star.ctrl.varphi_plus, 0.0)
+    star_em = np.maximum(star.ctrl.varphi_minus, 0.0)
+    dphi = phi - star.ctrl.phi
     dphi = dphi - dphi.mean(axis=-1, keepdims=True)  # gauge alignment
     b = model.susceptances
     mass = model.inertia_generators
     v1 = 0.5 * (
         np.sum((p - star_p) ** 2, axis=-1)
-        + np.sum((mu - star_mu) ** 2, axis=-1)
+        + np.sum((mu - star.ctrl.mu) ** 2, axis=-1)
         + np.sum(dphi**2, axis=-1)
         + np.sum((ep - star_ep) ** 2, axis=-1)
         + np.sum((em - star_em) ** 2, axis=-1)
-        + np.sum(b * (theta_e - star_theta) ** 2, axis=-1)
+        + np.sum(b * (theta_e - star.plant.theta_e) ** 2, axis=-1)
         + np.sum(mass * omega_g**2, axis=-1)
     )
     v2 = (
@@ -218,56 +185,17 @@ def lyapunov(model: NetworkModel, state: FullState, star: FullState) -> float:
     plant, ctrl = state.plant, state.ctrl
     ctrl.validate(model)
     plant.validate(model)
-    sp = project_box(star.ctrl.d, model.load_box)
-    sep = np.maximum(star.ctrl.varphi_plus, 0.0)
-    sem = np.maximum(star.ctrl.varphi_minus, 0.0)
-    return float(
-        _v_terms(
-            model,
-            ctrl.d,
-            ctrl.mu,
-            ctrl.phi,
-            ctrl.varphi_plus,
-            ctrl.varphi_minus,
-            plant.theta_e,
-            plant.omega_g,
-            sp,
-            star.ctrl.mu,
-            star.ctrl.phi,
-            sep,
-            sem,
-            star.plant.theta_e,
-        )
-    )
+    return float(_v_terms(model, ctrl, plant.theta_e, plant.omega_g, star))
 
 
 def lyapunov_series(model: NetworkModel, log, star: FullState) -> np.ndarray:
     """V(t_k) for every record of a TrajectoryLog (vectorized)."""
-    sp = project_box(star.ctrl.d, model.load_box)
-    sep = np.maximum(star.ctrl.varphi_plus, 0.0)
-    sem = np.maximum(star.ctrl.varphi_minus, 0.0)
-    gidx = model.generator_index
-    return _v_terms(
-        model,
-        log.d,
-        log.mu,
-        log.phi,
-        log.varphi_plus,
-        log.varphi_minus,
-        log.theta_e,
-        log.omega[:, gidx],
-        sp,
-        star.ctrl.mu,
-        star.ctrl.phi,
-        sep,
-        sem,
-        star.plant.theta_e,
-    )
+    return _v_terms(model, log, log.theta_e, log.omega[:, model.generator_index], star)
 
 
 def equilibrium_from_state(
     model: NetworkModel, p_m: np.ndarray, plant: PlantState, ctrl: ControllerState
-) -> tuple[EquilibriumPoint, KktReport]:
+) -> tuple[FullState, KktReport]:
     """Polish a settled closed-loop state into an exact-form equilibrium.
 
     The projected outputs are read off the state; the internal variables are
@@ -286,18 +214,12 @@ def equilibrium_from_state(
     edge = model.incidence.T @ phi
     vp_star = ep + edge - model.angle_upper
     vm_star = em + model.angle_lower - edge
-    star = EquilibriumPoint(
+    star = FullState(
         plant=PlantState(theta_e=edge.copy(), omega_g=np.zeros(model.n_g)),
         ctrl=ControllerState(d=d_star, mu=mu, phi=phi, varphi_plus=vp_star, varphi_minus=vm_star),
     )
     report = kkt_residuals(model, p_m, candidate)
     return star, report
-
-
-def nodal_angles(model: NetworkModel, theta_e: np.ndarray) -> np.ndarray:
-    """Bus angles (gauge: bus 0 at zero) reproducing the edge differences theta_e."""
-    x, *_ = np.linalg.lstsq(model.incidence.T, np.asarray(theta_e, dtype=float), rcond=None)
-    return x - x[0]
 
 
 @dataclass
@@ -318,17 +240,7 @@ class Theorem1Report:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "omega_inf": self.omega_inf,
-            "kkt": self.kkt.to_dict(),
-            "theta_phi_gap": self.theta_phi_gap,
-            "line_violation": self.line_violation,
-            "p_l_gap": self.p_l_gap,
-            "mu_spread": self.mu_spread,
-            "tol": self.tol,
-            "checks": dict(self.checks),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "kkt": self.kkt.to_dict(), "passed": self.passed}
 
 
 def check_theorem1(
@@ -359,17 +271,7 @@ def check_theorem1(
 
     edge_ctrl = model.incidence.T @ ctrl.phi
     theta_phi_gap = float(np.max(np.abs(plant.theta_e - edge_ctrl))) if model.m else 0.0
-    line_violation = (
-        float(
-            np.max(
-                np.maximum.reduce(
-                    [model.angle_lower - plant.theta_e, plant.theta_e - model.angle_upper, np.zeros(model.m)]
-                )
-            )
-        )
-        if model.m
-        else 0.0
-    )
+    line_violation = _excess(plant.theta_e, model.angle_lower, model.angle_upper)
     p_l_gap = float(np.max(np.abs(p_l - oracle.p_l_star)))
     mu_spread = float(np.max(ctrl.mu) - np.min(ctrl.mu))
 

@@ -12,12 +12,13 @@ Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 (timeout, non-finite state, iteration cap); 3 a `check` report failed.
 Errors are emitted as one JSON object per line on standard error.
 
-`check` with several scenarios reports every scenario that finishes: a
-numerical failure in one of them prints one error line naming it (with a
-"scenario" field), and the tables and the `--out` file still hold the
-others. Its exit code is the gravest outcome: 1 if any input is invalid
-(nothing is reported), else 2 if any scenario failed numerically, else 3 if
-any report failed, else 0.
+Every scenario file, with the overrides applied, is validated before any
+scenario is integrated. `check` with several scenarios reports every
+scenario that finishes: a numerical failure in one of them prints one error
+line naming it (with a "scenario" field), and the tables and the `--out`
+file still hold the others. Its exit code is the gravest outcome: 1 if any
+input is invalid (nothing is reported), else 2 if any scenario failed
+numerically, else 3 if any report failed, else 0.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -34,7 +36,7 @@ import numpy as np
 from .analysis import FullState, Theorem1Report, check_theorem1
 from .costs import project_box
 from .dynamics import Injection, assemble_frequencies
-from .errors import InfeasibleProblemError, NumericalError, OlfcError, ValidationError, require_finite
+from .errors import InfeasibleProblemError, NumericalError, OlfcError, ValidationError
 from .network import NetworkModel, load_network
 from .oracle import OptimalSolution, solve_olc
 from .simulator import Scenario, SettleResult, TrajectoryLog, load_scenario, run, settle
@@ -70,6 +72,21 @@ def _jsonify(obj):
     return obj
 
 
+def _positive(convert, name: str):
+    """An argparse type: the text as a finite number above zero, else a parse error naming `name`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{name} must be finite and positive, got {text}")
+        return value
+
+    return parse
+
+
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, default=None, help="integration step override [s]")
     p.add_argument("--t-end", type=float, default=None, help="horizon override [s]")
@@ -91,60 +108,50 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate scenarios and write trajectory CSVs")
     p_run.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
     p_run.add_argument("--out", required=True, help="output CSV path (directory when several scenarios)")
-    p_run.add_argument("--jobs", type=int, default=1, help="scenarios to run concurrently")
+    p_run.add_argument("--jobs", type=_positive(int, "jobs"), default=1, help="scenarios to run concurrently")
     _add_sim_flags(p_run)
 
     p_settle = sub.add_parser("settle", help="integrate a scenario to equilibrium")
     p_settle.add_argument("scenario", help="scenario JSON file")
-    p_settle.add_argument("--tol", type=float, default=1e-8, help="settle tolerance on the state derivative")
+    p_settle.add_argument("--tol", type=_positive(float, "tol"), default=1e-8, help="settle tolerance on the state derivative")
     p_settle.add_argument("--t-max", type=float, default=600.0, help="settle time budget [s of model time]")
     _add_sim_flags(p_settle)
 
     p_solve = sub.add_parser("solve", help="solve the allocation problem with the oracle")
     p_solve.add_argument("network", help="network JSON file")
     p_solve.add_argument("--pm", required=True, help="text file with the injection vector p_m")
-    p_solve.add_argument("--tol", type=float, default=1e-6, help="oracle objective tolerance")
+    p_solve.add_argument("--tol", type=_positive(float, "tol"), default=1e-6, help="oracle objective tolerance")
 
     p_check = sub.add_parser("check", help="run, settle, solve and verify the optimality claims")
     p_check.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
-    p_check.add_argument("--tol", type=float, default=1e-4, help="acceptance tolerance")
+    p_check.add_argument("--tol", type=_positive(float, "tol"), default=1e-4, help="acceptance tolerance")
     p_check.add_argument("--t-max", type=float, default=600.0, help="settle time budget [s of model time]")
-    p_check.add_argument("--jobs", type=int, default=1, help="scenarios to check concurrently")
+    p_check.add_argument("--jobs", type=_positive(int, "jobs"), default=1, help="scenarios to check concurrently")
     p_check.add_argument("--out", default=None, help="write the machine-readable reports to this JSON file")
     _add_sim_flags(p_check)
 
     return parser
 
 
-def _apply_overrides(scenario, ns):
-    cfg = scenario.config
-    cfg_kwargs = {}
-    if ns.selection is not None:
-        cfg_kwargs["selection"] = ns.selection
-    if ns.mismatch is not None:
-        cfg_kwargs["mismatch"] = ns.mismatch
-    if ns.epsilon is not None:
-        cfg_kwargs["epsilon"] = ns.epsilon
-    if cfg_kwargs:
-        cfg = dataclasses.replace(cfg, **cfg_kwargs)
-    scn_kwargs = {"config": cfg}
-    if ns.dt is not None:
-        scn_kwargs["dt"] = ns.dt
-    if getattr(ns, "t_end", None) is not None:
-        scn_kwargs["t_end"] = ns.t_end
-    if ns.log_decimation is not None:
-        scn_kwargs["log_decimation"] = ns.log_decimation
-    return dataclasses.replace(scenario, **scn_kwargs)
+def _load(path: str, ns: argparse.Namespace) -> Scenario:
+    """A scenario file with the command line's overrides applied."""
+    scenario = load_scenario(path)
+    config = {k: getattr(ns, k) for k in ("selection", "mismatch", "epsilon") if getattr(ns, k) is not None}
+    fields = {k: getattr(ns, k) for k in ("dt", "t_end", "log_decimation") if getattr(ns, k) is not None}
+    return dataclasses.replace(scenario, config=dataclasses.replace(scenario.config, **config), **fields)
 
 
 def _out_paths(out: str, paths: list[str]) -> list[Path]:
     """The CSV of each scenario: `out` itself, or <out>/<stem>.csv for several scenarios or a directory.
 
-    Two scenarios that would write the same CSV are rejected.
+    An `out` that is a file while it must be a directory, and two scenarios
+    that would write the same CSV, are rejected.
     """
     out_p = Path(out)
     if len(paths) == 1 and not (out_p.is_dir() or out.endswith("/")):
         return [out_p]
+    if out_p.exists() and not out_p.is_dir():
+        raise ValidationError(f"--out {out} is a file, but several scenarios need a directory")
     owners: dict[Path, str] = {}
     for path in paths:
         csv_path = out_p / (Path(path).stem + ".csv")
@@ -155,9 +162,7 @@ def _out_paths(out: str, paths: list[str]) -> list[Path]:
 
 
 def _run_job(args: tuple) -> dict:
-    path, csv_path, ns_dict = args
-    ns = argparse.Namespace(**ns_dict)
-    scenario = _apply_overrides(load_scenario(path), ns)
+    path, scenario, csv_path = args
     log = run(scenario)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     log.to_csv(csv_path)
@@ -210,17 +215,16 @@ def check_scenario(scenario: Scenario, label: str, tol: float, t_max: float) -> 
     """
     res = settle_scenario(scenario, tol=1e-8, t_max=t_max)
     sr = res.settled
-    if sr.timed_out:
+    if not sr.converged:
         raise NumericalError(f"{label}: closed loop did not settle within {t_max:g} s (residual {sr.residual:.3e})")
-    res.oracle = solve_olc(res.model, res.model.costs, res.p_m, tol=1e-6)
+    res.oracle = solve_olc(res.model, res.p_m, tol=1e-6)
     res.report = check_theorem1(res.model, FullState(sr.plant, sr.ctrl), res.oracle, tol=tol, p_m=res.p_m)
     return res
 
 
 def _check_job(args: tuple) -> dict:
     """One scenario's report, or its numerical failure as {"scenario", "error"}."""
-    path, tol, t_max, ns_dict = args
-    scenario = _apply_overrides(load_scenario(path), argparse.Namespace(**ns_dict))
+    path, scenario, tol, t_max = args
     try:
         res = check_scenario(scenario, path, tol=tol, t_max=t_max)
     except NumericalError as exc:
@@ -256,15 +260,12 @@ def _print_check_table(result: dict) -> None:
 
 
 def _map_jobs(fn, job_args: list[tuple], jobs: int) -> list:
-    if jobs <= 1 or len(job_args) == 1:
+    """fn over job_args, in at most `jobs` worker processes and never more than there are jobs."""
+    workers = min(jobs, len(job_args))
+    if workers <= 1:
         return [fn(a) for a in job_args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, job_args))
-
-
-def _ns_dict(ns: argparse.Namespace) -> dict:
-    keys = ("dt", "t_end", "selection", "mismatch", "epsilon", "log_decimation")
-    return {k: getattr(ns, k, None) for k in keys}
 
 
 def _cmd_validate(ns) -> int:
@@ -274,15 +275,14 @@ def _cmd_validate(ns) -> int:
 
 
 def _cmd_run(ns) -> int:
-    job_args = [(p, csv_path, _ns_dict(ns)) for p, csv_path in zip(ns.scenario, _out_paths(ns.out, ns.scenario))]
+    job_args = [(p, _load(p, ns), csv) for p, csv in zip(ns.scenario, _out_paths(ns.out, ns.scenario))]
     for res in _map_jobs(_run_job, job_args, ns.jobs):
         print(f"wrote {res['out']} ({res['records']} records, t_end = {res['t_end']:g} s)")
     return EXIT_OK
 
 
 def _cmd_settle(ns) -> int:
-    scenario = _apply_overrides(load_scenario(ns.scenario), ns)
-    res = settle_scenario(scenario, tol=ns.tol, t_max=ns.t_max)
+    res = settle_scenario(_load(ns.scenario, ns), tol=ns.tol, t_max=ns.t_max)
     sr = res.settled
     p_l = project_box(sr.ctrl.d, res.model.load_box)
     omega = assemble_frequencies(res.model, sr.plant, Injection(p_m=res.p_m, p_l=p_l))
@@ -295,7 +295,7 @@ def _cmd_settle(ns) -> int:
         "mu": sr.ctrl.mu,
         "mu_spread": float(np.max(sr.ctrl.mu) - np.min(sr.ctrl.mu)),
     })))
-    if sr.timed_out:
+    if not sr.converged:
         _emit_error("numerical", f"did not settle within {ns.t_max:g} s (residual {sr.residual:.3e})")
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -307,7 +307,9 @@ def _cmd_solve(ns) -> int:
         p_m = np.loadtxt(ns.pm, dtype=float, ndmin=1)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read injection vector from {ns.pm}: {exc}") from exc
-    sol = solve_olc(model, model.costs, p_m, tol=ns.tol)
+    if not np.all(np.isfinite(p_m)):
+        raise ValidationError(f"injection vector in {ns.pm} must hold finite numbers, got {p_m}")
+    sol = solve_olc(model, p_m, tol=ns.tol)
     print(json.dumps(_jsonify({
         "objective": sol.objective,
         "dual_objective": sol.dual_objective,
@@ -323,8 +325,7 @@ def _cmd_solve(ns) -> int:
 
 
 def _cmd_check(ns) -> int:
-    require_finite("check", tol=ns.tol)
-    job_args = [(p, ns.tol, ns.t_max, _ns_dict(ns)) for p in ns.scenario]
+    job_args = [(p, _load(p, ns), ns.tol, ns.t_max) for p in ns.scenario]
     results = []
     failed = False
     for res in _map_jobs(_check_job, job_args, ns.jobs):

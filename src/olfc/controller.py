@@ -63,19 +63,6 @@ class ControllerState:
     def pack(self) -> np.ndarray:
         return np.concatenate([self.d, self.mu, self.phi, self.varphi_plus, self.varphi_minus])
 
-    @classmethod
-    def unpack(cls, vec: np.ndarray, model: NetworkModel) -> "ControllerState":
-        n, m = model.n, model.m
-        if vec.shape != (3 * n + 2 * m,):
-            raise ValidationError(f"controller vector must have length {3 * n + 2 * m}, got {vec.shape}")
-        return cls(
-            d=vec[:n].copy(),
-            mu=vec[n : 2 * n].copy(),
-            phi=vec[2 * n : 3 * n].copy(),
-            varphi_plus=vec[3 * n : 3 * n + m].copy(),
-            varphi_minus=vec[3 * n + m :].copy(),
-        )
-
 
 @dataclass
 class ControllerOutputs:

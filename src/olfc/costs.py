@@ -30,9 +30,6 @@ class SubgradientInterval:
         if not self.lo <= self.hi:
             raise ValidationError(f"subgradient interval requires lo <= hi, got [{self.lo}, {self.hi}]")
 
-    def contains(self, g: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= g <= self.hi + tol
-
 
 @dataclass(frozen=True)
 class Box:
@@ -50,10 +47,6 @@ class Box:
             raise ValidationError("box bounds must have matching shapes")
         if np.any(lower > upper):
             raise ValidationError("box requires lower <= upper componentwise")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
 
 
 @dataclass(frozen=True)
@@ -147,14 +140,6 @@ class PiecewiseCost:
             c=np.array([p["c"] for p in pieces], dtype=float),
             breakpoints=np.array(hi[:-1], dtype=float),
         )
-
-    def to_pieces(self) -> list[dict]:
-        """Inverse of from_pieces, for serialization."""
-        edges = [None, *self.breakpoints.tolist(), None]
-        return [
-            {"x_min": edges[k], "x_max": edges[k + 1], "a": float(self.a[k]), "b": float(self.b[k]), "c": float(self.c[k])}
-            for k in range(self.a.size)
-        ]
 
     def _piece(self, x: float) -> int:
         return int(np.searchsorted(self.breakpoints, x, side="right"))

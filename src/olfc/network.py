@@ -203,34 +203,6 @@ class NetworkModel:
     def costs(self) -> list[PiecewiseCost]:
         return [b.cost for b in self.buses]
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "buses": [
-                {
-                    "id": b.id,
-                    "kind": b.kind.value,
-                    **({"M": b.inertia} if b.kind is BusKind.GENERATOR else {}),
-                    "D": b.damping,
-                    "p_l_min": b.load_lower,
-                    "p_l_max": b.load_upper,
-                    "cost": b.cost.to_pieces(),
-                }
-                for b in self.buses
-            ],
-            "lines": [
-                {
-                    "from": ln.from_bus,
-                    "to": ln.to_bus,
-                    "B": ln.susceptance,
-                    "theta_min": ln.angle_lower,
-                    "theta_max": ln.angle_upper,
-                }
-                for ln in self.lines
-            ],
-        }
-
 
 def _require_fields(obj: dict, required: dict[str, type | tuple], optional: dict[str, type | tuple], where: str) -> None:
     unknown = set(obj) - set(required) - set(optional)
@@ -316,8 +288,3 @@ def load_network(path: str | Path) -> NetworkModel:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return parse_network(data, source=str(path))
-
-
-def serialize_network(model: NetworkModel) -> str:
-    """JSON text that load_network parses back to an identical model."""
-    return json.dumps(model.to_dict(), indent=2)

@@ -41,11 +41,12 @@ from .network import NetworkModel
 class _PiecewiseBatch:
     """Oracle-private piecewise quadratic toolkit (vectorized over buses).
 
-    Reads only the public coefficient data of the cost objects; shares no
-    evaluation code with the controller-side `costs` module.
+    Reads only the public coefficient data of the network's cost objects;
+    shares no evaluation code with the controller-side `costs` module.
     """
 
-    def __init__(self, costs, lower: np.ndarray, upper: np.ndarray):
+    def __init__(self, model: NetworkModel):
+        costs = model.costs
         n = len(costs)
         K = max(c.a.size for c in costs)
         self.n, self.K = n, K
@@ -65,8 +66,8 @@ class _PiecewiseBatch:
             # padded pieces keep [inf, inf] intervals: never selected
             self.bp[j, : k - 1] = cost.breakpoints
         self.a_pad = np.where(self.a > 0, self.a, 1.0)
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
+        self.lower = model.load_box.lower
+        self.upper = model.load_box.upper
         self.min_curvature = np.array([c.a.min() for c in costs])
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -114,14 +115,6 @@ class _PiecewiseBatch:
         """(q_j(mu_j), argmin) for the per-bus subproblems."""
         p = self.price_response(mu)
         return self.value(p) + mu * p, p
-
-
-def _problem_data(model: NetworkModel, costs=None):
-    costs = list(costs) if costs is not None else model.costs
-    if len(costs) != model.n:
-        raise ValidationError(f"need one cost per bus ({model.n}), got {len(costs)}")
-    box = model.load_box
-    return costs, _PiecewiseBatch(costs, box.lower, box.upper)
 
 
 def check_feasibility(model: NetworkModel, p_m: np.ndarray) -> np.ndarray:
@@ -189,10 +182,6 @@ class OptimalSolution:
     iterations: int = 0
     balance_residual: float = float("nan")
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def edge_angles(self) -> np.ndarray | None:
-        return self.diagnostics.get("edge_angles")
 
 
 def _admm_solve(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, tol: float, max_iter: int):
@@ -304,26 +293,25 @@ def _dual_lower_bound(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray,
     return best, it
 
 
-def solve_olc(
-    model: NetworkModel,
-    costs=None,
-    p_m: np.ndarray | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 400_000,
-) -> OptimalSolution:
-    """Solve the allocation problem; primal and dual routes must agree within 2 tol."""
-    if p_m is None:
-        raise ValidationError("solve_olc needs the injection vector p_m")
+def solve_olc(model: NetworkModel, p_m: np.ndarray, tol: float = 1e-6, max_iter: int = 400_000) -> OptimalSolution:
+    """Solve the allocation problem; primal and dual routes must agree within 2 tol.
+
+    The certificate and invariant checks are written so that NaN fails them.
+    """
     p_m = np.asarray(p_m, dtype=float)
     if p_m.shape != (model.n,):
         raise ValidationError(f"p_m must have length {model.n}, got {p_m.shape}")
-    costs, pw = _problem_data(model, costs)
+    if not np.all(np.isfinite(p_m)):
+        raise ValidationError(f"p_m must be finite, got {p_m}")
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"oracle tol must be finite and positive, got {tol}")
+    pw = _PiecewiseBatch(model)
     check_feasibility(model, p_m)
 
     primal = _admm_solve(model, pw, p_m, tol, max_iter)
     objective = float(pw.total(primal["p"]))
     lower, dual_iters = _dual_lower_bound(model, pw, p_m, objective, tol, max_iter)
-    if objective - lower > 2.0 * tol + 1e-12:
+    if not objective - lower <= 2.0 * tol + 1e-12:
         raise NumericalError(
             f"oracle tolerance not reached within iteration cap: primal {objective:.9g} vs dual bound {lower:.9g}"
         )
@@ -349,18 +337,18 @@ def solve_olc(
 def _assert_solution_invariants(model: NetworkModel, sol: OptimalSolution, tol: float) -> None:
     box = model.load_box
     slack = max(1e-7, 100 * tol)
-    if np.any(sol.p_l_star < box.lower - slack) or np.any(sol.p_l_star > box.upper + slack):
+    if not (np.all(sol.p_l_star >= box.lower - slack) and np.all(sol.p_l_star <= box.upper + slack)):
         raise NumericalError("oracle solution violates the load box")
     edge = model.incidence.T @ sol.phi_star
-    if model.m and (np.any(edge > model.angle_upper + slack) or np.any(edge < model.angle_lower - slack)):
+    if not (np.all(edge <= model.angle_upper + slack) and np.all(edge >= model.angle_lower - slack)):
         raise NumericalError("oracle solution violates line angle limits")
-    if np.any(sol.eta_plus_star < -slack) or np.any(sol.eta_minus_star < -slack):
+    if not (np.all(sol.eta_plus_star >= -slack) and np.all(sol.eta_minus_star >= -slack)):
         raise NumericalError("oracle multipliers must be nonnegative")
-    if sol.balance_residual > slack:
+    if not sol.balance_residual <= slack:
         raise NumericalError(f"oracle balance residual too large: {sol.balance_residual:g}")
 
 
-def lattice_search(model: NetworkModel, p_m: np.ndarray, grid: float = 1e-4, costs=None) -> tuple[np.ndarray, float]:
+def lattice_search(model: NetworkModel, p_m: np.ndarray, grid: float = 1e-4) -> tuple[np.ndarray, float]:
     """Exhaustive lattice search for n <= 3 networks (brute-force ground truth).
 
     Load coordinates except the last live on a lattice over the box; the last
@@ -372,7 +360,7 @@ def lattice_search(model: NetworkModel, p_m: np.ndarray, grid: float = 1e-4, cos
     set. The final stage spacing equals `grid` exactly.
     """
     p_m = np.asarray(p_m, dtype=float)
-    costs, pw = _problem_data(model, costs)
+    pw = _PiecewiseBatch(model)
     n = model.n
     if n > 3:
         raise ValidationError("lattice_search is a desk-scale oracle (n <= 3)")

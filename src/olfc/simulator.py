@@ -54,7 +54,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
-from .costs import SELECTION_RULES, CostBatch, normalize_selection_rule
+from .costs import CostBatch, normalize_selection_rule
 from .dynamics import PlantState
 from .errors import NumericalError, ValidationError, require_finite
 from .network import NetworkModel, load_network
@@ -231,6 +231,12 @@ def _packed_layout(n: int, g: int, m: int) -> dict[str, slice]:
     return layout
 
 
+def _unpack(y: np.ndarray, layout: dict[str, slice]) -> tuple[PlantState, ControllerState]:
+    """Copies of the plant and controller parts of one packed state."""
+    parts = {name: y[sl].copy() for name, sl in layout.items()}
+    return PlantState(parts.pop("theta_e"), parts.pop("omega_g")), ControllerState(**parts)
+
+
 class ClosedLoop:
     """Precompiled closed-loop right-hand side over the packed state vector."""
 
@@ -243,7 +249,7 @@ class ClosedLoop:
         g = gidx.size
         self.n, self.m, self.g = n, m, g
 
-        layout = _packed_layout(n, g, m)
+        self._layout = layout = _packed_layout(n, g, m)
         self.sl_theta = layout["theta_e"]
         self.sl_og = layout["omega_g"]
         self.sl_d = layout["d"]
@@ -265,27 +271,26 @@ class ClosedLoop:
         self.batch = CostBatch(model.costs)
 
         S = self.dim
-        # Frequency as an affine map: omega = Wy @ y + Wpl @ p_l + Wpm @ p_m.
+        # Frequency as an affine map: omega = Wy @ y + wpl * p_l + wpm * p_m.
         # Wy reads only the plant part theta_e | omega_g of y: Wy = [Wp | 0].
-        # Wpl and Wpm are diagonal, with diagonals wpl and wpm.
         P = m + g
+        ag = np.arange(g)
         Wp = np.zeros((n, P))
-        Wp[gidx, m + np.arange(g)] = 1.0
+        Wp[gidx, m + ag] = 1.0
         wpl = np.zeros(n)
         wpm = np.zeros(n)
         if lidx.size:
             Wp[np.ix_(lidx, np.arange(m))] = -Cw[lidx] / D[lidx, None]
             wpl[lidx] = -1.0 / D[lidx]
             wpm[lidx] = 1.0 / D[lidx]
-        Wpl = np.diag(wpl)
-        Wpm = np.diag(wpm)
 
-        # Generator acceleration: dog = Vy @ y + Vpl @ p_l + Vpm @ p_m, Vy = [Vp | 0].
+        # Generator acceleration: dog = Vy @ y + vpl * p_l[gidx] + vpm * p_m[gidx],
+        # Vy = [Vp | 0]. wpl and wpm vanish at generator buses, so there
+        # (-D wpl - 1) / M = -1 / M and (1 - D wpm) / M = 1 / M.
         tmp_p = -D[:, None] * Wp
         tmp_p[:, :m] -= Cw
         Vp = tmp_p[gidx] / M[:, None]
-        Vpl = (-D[:, None] * Wpl - np.eye(n))[gidx] / M[:, None]
-        Vpm = (np.eye(n) - D[:, None] * Wpm)[gidx] / M[:, None]
+        vpl, vpm = -1.0 / M, 1.0 / M
 
         # C^T @ X by rows: line k runs from bus frm[k] (+1) to bus to[k] (-1),
         # so its row is X[frm[k]] - X[to[k]]. That is the value a BLAS product
@@ -318,10 +323,10 @@ class ClosedLoop:
         blocks = [
             # theta_e' = C^T omega
             (0, 0, _entries(incidence_t(Wp))),
-            (0, pl0, _entries(incidence_t(Wpl))),
+            (0, pl0, _entries(incidence_t(np.diag(wpl)))),
             # omega_g'
             (m, 0, vp),
-            (m, pl0, _entries(Vpl)),
+            (m, pl0, (ag, gidx, vpl)),
             # d' = -d + p_l + omega - g - z - mu
             (d0, 0, wp),
             (d0, d0, neg_eye_n),
@@ -346,9 +351,9 @@ class ClosedLoop:
             (vm0, em0, eye_m),
         ]
         Kpm = np.zeros((S, n))
-        Kpm[self.sl_theta] = incidence_t(Wpm)
-        Kpm[self.sl_og] = Vpm
-        Kpm[self.sl_d] = Wpm
+        Kpm[d0 + an, an] = wpm
+        Kpm[self.sl_theta] = incidence_t(Kpm[self.sl_d])
+        Kpm[m + ag, gidx] = vpm
         k0 = np.zeros(S)
         k0[self.sl_vp] = -model.angle_upper
         k0[self.sl_vm] = model.angle_lower
@@ -364,14 +369,14 @@ class ClosedLoop:
         self.K = _hot_operator((S, U), blocks)
         self.Kpm = Kpm
         self.k0 = k0
-        self._Wy, self._Wpl, self._Wpm = _hot_operator((n, S), [(0, 0, wp)]), Wpl, Wpm
-        self._Vy, self._Vpl, self._Vpm = _hot_operator((g, S), [(0, 0, vp)]), Vpl, Vpm
+        self._Wy, self._wpl, self._wpm = _hot_operator((n, S), [(0, 0, wp)]), wpl, wpm
+        self._Vy, self._vpl, self._vpm = _hot_operator((g, S), [(0, 0, vp)]), vpl, vpm
         self._Cw = _hot_operator((n, m), [(0, 0, _entries(Cw))])
         # For `observe` on a stack of states: the frequency map on the plant
         # part as CSR (a few entries per row), so that k states cost a sparse
         # product instead of a dense BLAS gemm, whose worker threads take
-        # memory and time; and the diagonal of Wpl.
-        self._obs_Wp, self._wpl = csr_matrix(Wp), wpl
+        # memory and time.
+        self._obs_Wp = csr_matrix(Wp)
         self._neg_D = -D
         self._M = M
         self._gidx = gidx
@@ -397,15 +402,7 @@ class ClosedLoop:
         return np.concatenate([plant.theta_e, plant.omega_g, ctrl.pack()])
 
     def unpack(self, y: np.ndarray) -> tuple[PlantState, ControllerState]:
-        plant = PlantState(theta_e=y[self.sl_theta].copy(), omega_g=y[self.sl_og].copy())
-        ctrl = ControllerState(
-            d=y[self.sl_d].copy(),
-            mu=y[self.sl_mu].copy(),
-            phi=y[self.sl_phi].copy(),
-            varphi_plus=y[self.sl_vp].copy(),
-            varphi_minus=y[self.sl_vm].copy(),
-        )
-        return plant, ctrl
+        return _unpack(y, self._layout)
 
     def zero_state(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -429,10 +426,11 @@ class ClosedLoop:
         else:
             # Measurement path: rebuild p_l - p_m from frequency, generator
             # acceleration and line flows (exact on the linear plant).
-            omega = self._Wy @ y + self._Wpl @ p_l + self._Wpm @ p_m
-            dog = self._Vy @ y + self._Vpl @ p_l + self._Vpm @ p_m
+            gidx = self._gidx
+            omega = self._Wy @ y + self._wpl * p_l + self._wpm * p_m
+            dog = self._Vy @ y + self._vpl * p_l[gidx] + self._vpm * p_m[gidx]
             np.subtract(self._neg_D * omega, self._Cw @ self._y_theta, out=z)
-            z[self._gidx] -= self._M * dog
+            z[gidx] -= self._M * dog
         z += self.L @ self._y_phi
 
     def _derivative(self, p_m: np.ndarray, aff: np.ndarray) -> np.ndarray:
@@ -495,7 +493,7 @@ class ClosedLoop:
         rows, P_m = (omega if omega.ndim == 2 else omega[np.newaxis]), np.atleast_2d(p_m)
         for i, start in enumerate(starts):
             stop = starts[i + 1] if i + 1 < len(starts) else len(rows)
-            rows[start:stop] += self._Wpm @ P_m[i]
+            rows[start:stop] += self._wpm * P_m[i]
         return {
             "omega": omega,
             "p_l": p_l,
@@ -525,10 +523,13 @@ class TrajectoryLog:
     cost: np.ndarray
     p_m_final: np.ndarray
 
-    def _block(self, name: str) -> np.ndarray:
+    @property
+    def _layout(self) -> dict[str, slice]:
         n, m = self.omega.shape[1], self.flows.shape[1]
-        g = self.states.shape[1] - 3 * (n + m)
-        return self.states[:, _packed_layout(n, g, m)[name]]
+        return _packed_layout(n, self.states.shape[1] - 3 * (n + m), m)
+
+    def _block(self, name: str) -> np.ndarray:
+        return self.states[:, self._layout[name]]
 
     theta_e = property(lambda self: self._block("theta_e"))
     omega_g = property(lambda self: self._block("omega_g"))
@@ -539,53 +540,35 @@ class TrajectoryLog:
     varphi_minus = property(lambda self: self._block("varphi_minus"))
 
     def final_plant(self, model: NetworkModel) -> PlantState:
-        plant = PlantState(theta_e=self.theta_e[-1].copy(), omega_g=self.omega_g[-1].copy())
+        plant = _unpack(self.states[-1], self._layout)[0]
         plant.validate(model)
         return plant
 
     def final_controller(self) -> ControllerState:
-        return ControllerState(
-            d=self.d[-1].copy(),
-            mu=self.mu[-1].copy(),
-            phi=self.phi[-1].copy(),
-            varphi_plus=self.varphi_plus[-1].copy(),
-            varphi_minus=self.varphi_minus[-1].copy(),
-        )
+        return _unpack(self.states[-1], self._layout)[1]
 
     def to_csv(self, path: str | Path) -> None:
-        n = self.omega.shape[1]
-        m = self.theta_e.shape[1]
-        cols = ["t"]
-        cols += [f"theta_e[{k}]" for k in range(m)]
-        cols += [f"omega[{j}]" for j in range(n)]
-        cols += [f"d[{j}]" for j in range(n)]
-        cols += [f"mu[{j}]" for j in range(n)]
-        cols += [f"phi[{j}]" for j in range(n)]
-        cols += [f"varphi_plus[{k}]" for k in range(m)]
-        cols += [f"varphi_minus[{k}]" for k in range(m)]
-        cols += [f"p_l[{j}]" for j in range(n)]
-        cols += [f"eta_plus[{k}]" for k in range(m)]
-        cols += [f"eta_minus[{k}]" for k in range(m)]
-        cols += [f"flow[{k}]" for k in range(m)]
-        cols += ["cost"]
-        data = np.column_stack(
-            [
-                self.times,
-                self.theta_e,
-                self.omega,
-                self.d,
-                self.mu,
-                self.phi,
-                self.varphi_plus,
-                self.varphi_minus,
-                self.p_l,
-                self.eta_plus,
-                self.eta_minus,
-                self.flows,
-                self.cost,
-            ]
-        )
-        np.savetxt(path, data, delimiter=",", header=",".join(cols), comments="", fmt="%.17g")
+        """Write the log as CSV: a per-record signal is one column, a per-bus or per-line one a column each."""
+        columns = {
+            "t": self.times,
+            "theta_e": self.theta_e,
+            "omega": self.omega,
+            "d": self.d,
+            "mu": self.mu,
+            "phi": self.phi,
+            "varphi_plus": self.varphi_plus,
+            "varphi_minus": self.varphi_minus,
+            "p_l": self.p_l,
+            "eta_plus": self.eta_plus,
+            "eta_minus": self.eta_minus,
+            "flow": self.flows,
+            "cost": self.cost,
+        }
+        header = []
+        for name, values in columns.items():
+            header += [f"{name}[{k}]" for k in range(values.shape[1])] if values.ndim == 2 else [name]
+        data = np.column_stack(list(columns.values()))
+        np.savetxt(path, data, delimiter=",", header=",".join(header), comments="", fmt="%.17g")
 
 
 # Largest loop component a warm-start theta_e may carry, relative to
@@ -693,10 +676,6 @@ class SettleResult:
     converged: bool
     residual: float
 
-    @property
-    def timed_out(self) -> bool:
-        return not self.converged
-
 
 def settle(
     model: NetworkModel,
@@ -725,17 +704,16 @@ def settle(
     n_steps = int(np.ceil(t_max / dt))
     t = 0.0
     residual = np.inf
+    converged = False
     for k in range(n_steps + 1):
         k1 = loop.rhs(y, p_m, aff)
         residual = float(np.max(np.abs(k1)))
         if not np.isfinite(residual):
             raise NumericalError(f"non-finite state while settling at t={t:g}s")
-        if residual < tol:
-            plant_f, ctrl_f = loop.unpack(y)
-            return SettleResult(plant=plant_f, ctrl=ctrl_f, t=t, converged=True, residual=residual)
-        if k == n_steps:
+        converged = residual < tol
+        if converged or k == n_steps:
             break
         y = loop.rk4(y, p_m, dt, aff, k1=k1)
         t = (k + 1) * dt
     plant_f, ctrl_f = loop.unpack(y)
-    return SettleResult(plant=plant_f, ctrl=ctrl_f, t=t, converged=False, residual=residual)
+    return SettleResult(plant=plant_f, ctrl=ctrl_f, t=t, converged=converged, residual=residual)

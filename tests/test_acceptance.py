@@ -241,7 +241,7 @@ def test_07_oracle_matches_lattice_search():
     ]
     for name, p_m in cases:
         model = load_network(network_path(name))
-        sol = solve_olc(model, model.costs, p_m, tol=1e-6)
+        sol = solve_olc(model, p_m, tol=1e-6)
         p_brute, val_brute = lattice_search(model, p_m)
         gap = float(np.max(np.abs(sol.p_l_star - p_brute)))
         assert gap < 1e-3, f"{name} {p_m}: coordinate gap {gap:.3e}"

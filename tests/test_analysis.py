@@ -14,7 +14,6 @@ from olfc.analysis import (
     kkt_residuals,
     lyapunov,
     lyapunov_series,
-    nodal_angles,
 )
 from olfc.controller import ControllerState, init_controller
 from olfc.dynamics import PlantState
@@ -189,14 +188,6 @@ def test_candidate_from_state_projects(model):
     assert np.array_equal(cand.eta_plus_star, [0.0, 2.0, 0.0])
     assert cand.phi_star[0] == 0.0
 
-
-def test_nodal_angles_reproduce_edge_differences(model):
-    rng = np.random.default_rng(14)
-    x = rng.uniform(-0.4, 0.4, model.n)
-    theta_e = model.incidence.T @ x
-    nodal = nodal_angles(model, theta_e)
-    assert nodal[0] == 0.0
-    assert np.allclose(model.incidence.T @ nodal, theta_e, atol=1e-12)
 
 
 def test_check_theorem1_full_report(model, settled, smooth_solution):

@@ -133,6 +133,59 @@ def test_non_finite_tolerance_or_budget_exits_1(tmp_scenario, capsys, command, f
     assert f"{field} must be finite" in errs[-1]["message"]
 
 
+@pytest.mark.parametrize("command", ["settle", "solve", "check"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "abc"])
+def test_tolerance_must_be_finite_and_positive(tmp_scenario, tmp_path, capsys, command, value):
+    """A bad --tol exits 1 at parse time, naming the flag, instead of running to a cap or a FAIL."""
+    if command == "solve":
+        pm = tmp_path / "pm.txt"
+        np.savetxt(pm, np.array([0.3, 0.0, 0.0]))
+        argv = ["solve", str(network_path("three_bus")), "--pm", str(pm)]
+    else:
+        argv = [command, tmp_scenario()]
+    assert main([*argv, "--tol", value]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert captured.out == ""
+    assert errs[-1]["error"] == "validation"
+    assert "--tol" in errs[-1]["message"] and "tol must be finite and positive" in errs[-1]["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+def test_jobs_must_be_a_positive_integer(tmp_scenario, tmp_path, capsys, command, value):
+    assert main([command, tmp_scenario(), "--out", str(tmp_path / "x"), "--jobs", value]) == 1
+    _, errs = read_stderr_json(capsys)
+    assert "--jobs" in errs[-1]["message"]
+    assert not (tmp_path / "x").exists()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+    max_workers: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_jobs_pool_is_capped_at_the_scenario_count(tmp_scenario, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr("olfc.cli.ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    paths = [tmp_scenario("a.json", t_end=0.05), tmp_scenario("b.json", t_end=0.05)]
+    assert main([command, *paths, "--out", str(tmp_path / "out"), "--jobs", "64"]) == 0
+    assert _InlinePool.max_workers == [2]
+
+
 # -- run ----------------------------------------------------------------------
 
 
@@ -195,6 +248,33 @@ def test_run_rejects_scenarios_that_share_a_csv(tmp_scenario, tmp_path, capsys, 
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_rejects_an_existing_file_as_the_directory_of_several(tmp_scenario, tmp_path, capsys, jobs):
+    a = tmp_scenario("a.json", t_end=0.05)
+    b = tmp_scenario("b.json", t_end=0.05)
+    out = tmp_path / "existing.csv"
+    out.write_text("keep me\n")
+    assert main(["run", a, b, "--out", str(out), "--jobs", jobs]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert "wrote" not in captured.out
+    assert errs[-1]["error"] == "validation" and str(out) in errs[-1]["message"]
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_an_invalid_scenario_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command):
+    """The valid first scenario is never run: every scenario is loaded and overridden first."""
+    monkeypatch.setattr("olfc.cli.run", lambda *args: pytest.fail("a scenario was integrated"))
+    good = tmp_scenario("good.json", t_end=0.05)
+    bad = tmp_scenario("bad.json", t_end=0.05, dt=-1.0)
+    out = tmp_path / "out"
+    assert main([command, good, bad, "--out", str(out)]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert captured.out == ""
+    assert errs[-1]["error"] == "validation" and "dt must be positive" in errs[-1]["message"]
+    assert not out.exists()
+
+
 def test_run_overrides_change_output(tmp_scenario, tmp_path):
     out = tmp_path / "o.csv"
     assert main([
@@ -248,6 +328,18 @@ def test_solve_missing_pm_file(tmp_path, capsys):
     assert main(["solve", str(network_path("three_bus")), "--pm", str(tmp_path / "no.txt")]) == 1
     _, errs = read_stderr_json(capsys)
     assert "injection vector" in errs[0]["message"]
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_solve_rejects_a_non_finite_injection(tmp_path, capsys, entry):
+    """A NaN injection exits 1 naming the file, instead of running the oracle to its caps."""
+    pm = tmp_path / "pm.txt"
+    pm.write_text(f"{entry} 0 0\n")
+    assert main(["solve", str(network_path("three_bus")), "--pm", str(pm)]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert captured.out == ""
+    assert errs[-1]["error"] == "validation"
+    assert str(pm) in errs[-1]["message"] and "finite" in errs[-1]["message"]
 
 
 def test_solve_infeasible_exits_1(tmp_path, capsys):

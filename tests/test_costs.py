@@ -121,14 +121,6 @@ def test_from_pieces_rejects_bad_data():
         PiecewiseCost.from_pieces([{"x_min": float("-inf"), "x_max": None, "a": 1.0, "b": 0.0, "c": 0.0}])
 
 
-def test_round_trip_pieces():
-    cost = reference_cost()
-    again = PiecewiseCost.from_pieces(cost.to_pieces())
-    x = np.linspace(-1, 1, 101)
-    for xi in x:
-        assert again.value(xi) == cost.value(xi)
-
-
 def test_project_box():
     box = Box(lower=np.array([-1.0, 0.0]), upper=np.array([1.0, 0.5]))
     out = project_box(np.array([-2.0, 0.25]), box)

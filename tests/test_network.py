@@ -1,12 +1,10 @@
 """Network parsing, validation and matrix views."""
 
-import json
-
 import numpy as np
 import pytest
 
 from olfc.errors import ValidationError
-from olfc.network import load_network, parse_network, serialize_network
+from olfc.network import load_network, parse_network
 
 from conftest import network_path
 
@@ -135,19 +133,6 @@ def test_json_error_reports_location(tmp_path):
     bad.write_text('{"buses": [}')
     with pytest.raises(ValidationError, match=r"bad\.json:1:"):
         load_network(bad)
-
-
-def test_serialize_round_trip(tmp_path):
-    model = load_network(network_path("three_bus"))
-    text = serialize_network(model)
-    path = tmp_path / "again.json"
-    path.write_text(text)
-    again = load_network(path)
-    assert again.n == model.n and again.m == model.m
-    assert np.allclose(again.laplacian, model.laplacian)
-    assert np.allclose(again.load_box.lower, model.load_box.lower)
-    for c1, c2 in zip(again.costs, model.costs):
-        assert json.dumps(c1.to_pieces()) == json.dumps(c2.to_pieces())
 
 
 def test_matrix_views_are_write_protected():

@@ -1,12 +1,14 @@
 """Steady-state dispatch solver against hand-computed and brute-force answers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from olfc.costs import PiecewiseCost
-from olfc.errors import InfeasibleProblemError, ValidationError
-from olfc.network import load_network
-from olfc.oracle import check_feasibility, lattice_search, solve_olc
+from olfc.errors import InfeasibleProblemError, NumericalError, ValidationError
+from olfc.network import NetworkModel, load_network
+from olfc.oracle import _assert_solution_invariants, check_feasibility, lattice_search, solve_olc
 
 from conftest import network_path
 
@@ -61,7 +63,7 @@ def test_congested_line_splits_prices(congested):
     assert sol.eta_plus_star[0] > 0.5
     assert abs(sol.eta_plus_star[1]) < 1e-5
     # saturated line sits on its angle limit
-    edge = sol.edge_angles
+    edge = sol.diagnostics["edge_angles"]
     assert abs(edge[0] - 0.125) < 1e-6
 
 
@@ -140,14 +142,40 @@ def test_infeasible_line_limit_raises(congested):
         solve_olc(congested, p_m=p_m)
 
 
+@pytest.mark.parametrize(
+    "p_m, tol, match",
+    [
+        ([float("nan"), 0.0, 0.0], 1e-6, "p_m must be finite"),
+        ([float("inf"), 0.0, 0.0], 1e-6, "p_m must be finite"),
+        ([0.3, 0.0, 0.0], float("nan"), "tol must be finite and positive"),
+        ([0.3, 0.0, 0.0], -1.0, "tol must be finite and positive"),
+    ],
+)
+def test_non_finite_input_is_rejected_before_solving(three_bus, p_m, tol, match):
+    with pytest.raises(ValidationError, match=match):
+        solve_olc(three_bus, np.array(p_m), tol=tol)
+
+
+@pytest.mark.parametrize("name", ["p_l_star", "phi_star", "eta_plus_star", "balance_residual"])
+def test_nan_solution_fails_the_invariants(three_bus, name):
+    """A NaN anywhere the invariants look must fail them, not slip through a `>` comparison."""
+    sol = solve_olc(three_bus, np.array([0.3, 0.0, 0.0]))
+    value = getattr(sol, name)
+    setattr(sol, name, np.full_like(value, np.nan) if isinstance(value, np.ndarray) else float("nan"))
+    with pytest.raises(NumericalError):
+        _assert_solution_invariants(three_bus, sol, 1e-6)
+
+
 def test_custom_costs_override(three_bus):
+    """The oracle reads each bus's cost off the network it is given."""
     costs = [
         PiecewiseCost.from_pieces(
             [{"x_min": None, "x_max": None, "a": a, "b": 0.0, "c": 0.0}]
         )
         for a in (0.5, 1.0, 1.0)
     ]
-    sol = solve_olc(three_bus, costs=costs, p_m=np.array([0.4, 0.0, 0.0]))
+    buses = [dataclasses.replace(bus, cost=cost) for bus, cost in zip(three_bus.buses, costs)]
+    sol = solve_olc(NetworkModel(buses, three_bus.lines), p_m=np.array([0.4, 0.0, 0.0]))
     # weights 1/a: bus 0 takes half, others a quarter each
     assert np.allclose(sol.p_l_star, [0.2, 0.1, 0.1], atol=1e-6)
 

@@ -366,7 +366,6 @@ def test_unstable_step_raises(model):
 def test_settle_converges_and_is_idempotent(model):
     res = settle(model, np.zeros(3), tol=1e-7, t_max=60.0)
     assert res.converged
-    assert not res.timed_out
     # filter states have relaxed onto the angle limits
     assert np.allclose(res.ctrl.varphi_plus, -model.angle_upper, atol=1e-5)
     again = settle(model, np.zeros(3), tol=1e-7, plant=res.plant, ctrl=res.ctrl)
@@ -377,7 +376,6 @@ def test_settle_converges_and_is_idempotent(model):
 def test_settle_timeout_reports_not_raises(model):
     res = settle(model, np.array([0.3, 0.0, 0.0]), tol=1e-12, t_max=0.05)
     assert not res.converged
-    assert res.timed_out
     assert res.residual > 1e-12
 
 
