@@ -13,12 +13,13 @@ Exit codes: 0 success; 1 validation or parse error; 2 numerical failure
 Errors are emitted as one JSON object per line on standard error.
 
 Every scenario file, with the overrides applied, is validated before any
-scenario is integrated. `check` with several scenarios reports every
-scenario that finishes: a numerical failure in one of them prints one error
-line naming it (with a "scenario" field), and the tables and the `--out`
-file still hold the others. Its exit code is the gravest outcome: 1 if any
-input is invalid (nothing is reported), else 2 if any scenario failed
-numerically, else 3 if any report failed, else 0.
+scenario is integrated, its event buses against its network too. `check`
+with several scenarios reports every scenario that finishes: a numerical
+failure in one of them prints one error line naming it (with a "scenario"
+field), and the tables and the `--out` file still hold the others. Its
+exit code is the gravest outcome: 1 if any input is invalid (nothing is
+reported), else 2 if any scenario failed numerically, else 3 if any report
+failed, else 0.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_settle = sub.add_parser("settle", help="integrate a scenario to equilibrium")
     p_settle.add_argument("scenario", help="scenario JSON file")
     p_settle.add_argument("--tol", type=_positive(float, "tol"), default=1e-8, help="settle tolerance on the state derivative")
-    p_settle.add_argument("--t-max", type=float, default=600.0, help="settle time budget [s of model time]")
+    p_settle.add_argument("--t-max", type=_positive(float, "t_max"), default=600.0, help="settle time budget [s of model time]")
     _add_sim_flags(p_settle)
 
     p_solve = sub.add_parser("solve", help="solve the allocation problem with the oracle")
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run, settle, solve and verify the optimality claims")
     p_check.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
     p_check.add_argument("--tol", type=_positive(float, "tol"), default=1e-4, help="acceptance tolerance")
-    p_check.add_argument("--t-max", type=float, default=600.0, help="settle time budget [s of model time]")
+    p_check.add_argument("--t-max", type=_positive(float, "t_max"), default=600.0, help="settle time budget [s of model time]")
     p_check.add_argument("--jobs", type=_positive(int, "jobs"), default=1, help="scenarios to check concurrently")
     p_check.add_argument("--out", default=None, help="write the machine-readable reports to this JSON file")
     _add_sim_flags(p_check)
@@ -134,11 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, ns: argparse.Namespace) -> Scenario:
-    """A scenario file with the command line's overrides applied."""
+    """A scenario file with the command line's overrides applied, its event buses checked against its network."""
     scenario = load_scenario(path)
     config = {k: getattr(ns, k) for k in ("selection", "mismatch", "epsilon") if getattr(ns, k) is not None}
     fields = {k: getattr(ns, k) for k in ("dt", "t_end", "log_decimation") if getattr(ns, k) is not None}
-    return dataclasses.replace(scenario, config=dataclasses.replace(scenario.config, **config), **fields)
+    scenario = dataclasses.replace(scenario, config=dataclasses.replace(scenario.config, **config), **fields)
+    try:
+        scenario.check_buses(scenario.load_model())
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return scenario
 
 
 def _out_paths(out: str, paths: list[str]) -> list[Path]:

@@ -12,22 +12,25 @@ The hot path packs the whole state into one flat vector
     y = [ theta_e | omega_g | d | mu | phi | varphi+ | varphi- ]
 
 and evaluates the right-hand side as one precomputed affine operator applied
-to (y, p_l, eta+, eta-, g, z) plus the disturbance feedthrough. The readable
+to (y, p_l, eta+, eta-, g) plus the disturbance feedthrough. The local
+imbalance z is an affine function of y, p_l and p_m under either mismatch
+source (`model`, or the measured `estimate`), so it is folded into the
+operator when it is built; a step costs the same for both. The readable
 per-module functions in `dynamics` and `controller` define the semantics;
 `tests/test_differential.py` checks the packed right-hand side against them
 on every bundled network, selection rule and mismatch source.
 
-The fused operator and the matrices of the measurement (`estimate`) path are
-assembled sparse: the nonzero entries of their blocks are collected in COO
-form. A matrix with at least 2**15 entries is then stored as canonical
-`scipy.sparse` CSR, so it is never held dense; a smaller one is summed into
-a dense array. The choice follows from each matrix's shape, and the
-products are written the same way for both.
+The fused operator is assembled sparse: the frequency and the imbalance are
+sparse maps, and the nonzero entries of the operator's blocks are collected
+in COO form. An operator with at least 2**15 entries is then stored as
+canonical `scipy.sparse` CSR, so it is never held dense; a smaller one is
+summed into a dense array. The choice follows from each operator's shape,
+and the products are written the same way for both.
 
-The operand stack (y, p_l, eta+, eta-, g, z) lives in one buffer that every
-right-hand-side evaluation overwrites in place: the projections and z are
-written straight into their blocks with `out=` ufuncs, read from views of
-its y block made once. `rhs` copies y into that block; `rk4` writes each
+The operand stack (y, p_l, eta+, eta-, g) lives in one buffer that every
+right-hand-side evaluation overwrites in place: the projections are written
+straight into their blocks with `out=` ufuncs, read from views of its y
+block made once. `rhs` copies y into that block; `rk4` writes each
 stage state there directly and sums the stages in a preallocated
 accumulator, with the operations of the textbook formula in their order, so
 a step is bit-identical to RK4 built from four `rhs` calls (a test checks
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
 from .costs import CostBatch, normalize_selection_rule
@@ -116,6 +119,12 @@ class Scenario:
 
     def load_model(self) -> NetworkModel:
         return load_network(self.network_path)
+
+    def check_buses(self, model: NetworkModel) -> None:
+        """Every event must name a bus of the network it is integrated on."""
+        for i, ev in enumerate(self.events):
+            if not 0 <= ev.bus < model.n:
+                raise ValidationError(f"events[{i}] references unknown bus {ev.bus} (the network has {model.n} buses)")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -194,21 +203,26 @@ _CSR_MIN_ENTRIES = 2**15
 Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _entries(block: np.ndarray) -> Entries:
-    """Rows, columns and values of the nonzero entries of a dense block."""
+def _entries(block: np.ndarray | csr_matrix) -> Entries:
+    """Rows, columns and values of the entries of a block: the nonzero ones if dense, the stored ones if sparse."""
+    if issparse(block):
+        block = block.tocoo()
+        return block.row, block.col, block.data
     i, j = np.nonzero(block)
     return i, j, block[i, j]
 
 
 def _hot_operator(shape: tuple[int, int], blocks: list[tuple[int, int, Entries]]) -> np.ndarray | csr_matrix:
-    """A sum of sparse blocks placed at (row, column) offsets, stored for repeated matvecs.
+    """A sum of sparse blocks placed at (row, column) offsets, stored for repeated products.
 
     The blocks' entries are collected in COO form. Below 2**15 entries they
     are summed into a dense array, in block order; from there on into
     canonical CSR, so a large operator is never held dense. Where no entry
-    has more than two nonzero contributions, as in every operator here, the
-    CSR equals `csr_matrix` of the dense sum: a sum of two does not depend
-    on its order.
+    has more than two nonzero contributions, the CSR equals `csr_matrix` of
+    the dense sum: a sum of two does not depend on its order. In the closed
+    loop's operator each entry has one: the sums and products that fold the
+    imbalance z into it are formed on its maps before their entries are
+    collected.
     """
     rows = np.concatenate([r0 + i for r0, _, (i, _, _) in blocks])
     cols = np.concatenate([c0 + j for _, c0, (_, j, _) in blocks])
@@ -265,80 +279,87 @@ class ClosedLoop:
         D = model.damping
         M = model.inertia_generators
         Cw = C * B
-        self.C, self.B, self.L = C, B, L
+        self.C, self.B = C, B
         self.box_lower = model.load_box.lower
         self.box_upper = model.load_box.upper
         self.batch = CostBatch(model.costs)
 
         S = self.dim
-        # Frequency as an affine map: omega = Wy @ y + wpl * p_l + wpm * p_m.
-        # Wy reads only the plant part theta_e | omega_g of y: Wy = [Wp | 0].
+        # Frequency on the plant part theta_e | omega_g of y:
+        # omega = Wp @ y[:P] + wpl * p_l + wpm * p_m.
         P = m + g
         ag = np.arange(g)
         Wp = np.zeros((n, P))
         Wp[gidx, m + ag] = 1.0
         wpl = np.zeros(n)
         wpm = np.zeros(n)
-        if lidx.size:
-            Wp[np.ix_(lidx, np.arange(m))] = -Cw[lidx] / D[lidx, None]
-            wpl[lidx] = -1.0 / D[lidx]
-            wpm[lidx] = 1.0 / D[lidx]
+        Wp[np.ix_(lidx, np.arange(m))] = -Cw[lidx] / D[lidx, None]
+        wpl[lidx] = -1.0 / D[lidx]
+        wpm[lidx] = 1.0 / D[lidx]
 
-        # Generator acceleration: dog = Vy @ y + vpl * p_l[gidx] + vpm * p_m[gidx],
-        # Vy = [Vp | 0]. wpl and wpm vanish at generator buses, so there
-        # (-D wpl - 1) / M = -1 / M and (1 - D wpm) / M = 1 / M.
-        tmp_p = -D[:, None] * Wp
-        tmp_p[:, :m] -= Cw
-        Vp = tmp_p[gidx] / M[:, None]
+        # -D omega - C B theta_e on the plant part is Rp @ y[:P]. The bus
+        # balance over M at generator buses is the acceleration:
+        # dog = Vp @ y[:P] + vpl * p_l[gidx] + vpm * p_m[gidx]. wpl and wpm
+        # vanish at generator buses, so there (-D wpl - 1) / M = -1 / M and
+        # (1 - D wpm) / M = 1 / M.
+        Rp = -D[:, None] * Wp
+        Rp[:, :m] -= Cw
+        Vp = Rp[gidx] / M[:, None]
         vpl, vpm = -1.0 / M, 1.0 / M
 
-        # C^T @ X by rows: line k runs from bus frm[k] (+1) to bus to[k] (-1),
-        # so its row is X[frm[k]] - X[to[k]]. That is the value a BLAS product
-        # gives (a sum of two exact products), without waking BLAS threads.
-        frm = np.array([line.from_bus for line in model.lines])
-        to = np.array([line.to_bus for line in model.lines])
+        # The local imbalance z = Zp @ y[:P] + L @ phi + zpl * p_l + zpm * p_m,
+        # the one place the mismatch source is read.
+        if self.config.mismatch == "model":
+            # z = p_l - p_m + L phi
+            Zp, zpl, zpm = np.zeros((n, P)), np.ones(n), np.full(n, -1.0)
+        else:
+            # Measured: -D omega - C B theta_e - M dog (at generator buses)
+            # + L phi, with omega and dog through the maps above. On the
+            # linear plant this is p_l - p_m + L phi again.
+            Zp, zpl, zpm = Rp.copy(), -D * wpl, -D * wpm
+            Zp[gidx] -= M[:, None] * Vp
+            zpl[gidx] -= M * vpl
+            zpm[gidx] -= M * vpm
 
-        def incidence_t(X: np.ndarray) -> np.ndarray:
-            return X[frm] - X[to]
-
-        # Input stack for the fused operator: [y | p_l | eta+ | eta- | g | z].
-        U = S + 3 * n + 2 * m
-        self.u_pl = slice(S, S + n)
-        self.u_ep = slice(S + n, S + n + m)
-        self.u_em = slice(S + n + m, S + n + 2 * m)
-        self.u_g = slice(S + n + 2 * m, S + 2 * n + 2 * m)
-        self.u_z = slice(S + 2 * n + 2 * m, U)
-
+        # Operand stack of K: [y | p_l | eta+ | eta- | g], with its blocks
+        # starting at pl0, ep0, em0 and g0. The operator is assembled on the
+        # stack extended by p_m, x = [y | p_l | ... | g | p_m], whose last n
+        # columns (from pm0) become Kpm.
+        pl0, ep0, em0, g0 = S, S + n, S + n + m, S + n + 2 * m
+        U = pm0 = g0 + n
+        X = U + n
         d0, mu0, phi0 = self.sl_d.start, self.sl_mu.start, self.sl_phi.start
         vp0, vm0 = self.sl_vp.start, self.sl_vm.start
-        pl0, ep0, em0, g0, z0 = self.u_pl.start, self.u_ep.start, self.u_em.start, self.u_g.start, self.u_z.start
         an, am = np.arange(n), np.arange(m)
         eye_n, neg_eye_n = (an, an, np.ones(n)), (an, an, np.full(n, -1.0))
         eye_m, neg_eye_m = (am, am, np.ones(m)), (am, am, np.full(m, -1.0))
         ci, cj, cv = _entries(C)
         li, lj, lv = _entries(L)
-        wp, vp = _entries(Wp), _entries(Vp)
 
-        # The fused operator K as (row, column, block entries) pieces.
+        # omega and z as maps on x, stored by the operators' size rule.
+        W = _hot_operator((n, X), [(0, 0, _entries(Wp)), (0, pl0, (an, an, wpl)), (0, pm0, (an, an, wpm))])
+        Z = _hot_operator((n, X), [(0, 0, _entries(Zp)), (0, phi0, (li, lj, lv)), (0, pl0, (an, an, zpl)), (0, pm0, (an, an, zpm))])
+        p_l_minus_z = _hot_operator((n, X), [(0, pl0, eye_n)]) - Z
+
+        # The fused operator as (row, column, block entries) pieces; no two
+        # pieces share an entry.
         blocks = [
             # theta_e' = C^T omega
-            (0, 0, _entries(incidence_t(Wp))),
-            (0, pl0, _entries(incidence_t(np.diag(wpl)))),
+            (0, 0, _entries(csr_matrix(C.T) @ W)),
             # omega_g'
-            (m, 0, vp),
+            (m, 0, _entries(Vp)),
             (m, pl0, (ag, gidx, vpl)),
+            (m, pm0, (ag, gidx, vpm)),
             # d' = -d + p_l + omega - g - z - mu
-            (d0, 0, wp),
+            (d0, 0, _entries(W + p_l_minus_z)),
             (d0, d0, neg_eye_n),
             (d0, mu0, neg_eye_n),
-            (d0, pl0, (an, an, wpl + 1.0)),
             (d0, g0, neg_eye_n),
-            (d0, z0, neg_eye_n),
             # mu' = z
-            (mu0, z0, eye_n),
+            (mu0, 0, _entries(Z)),
             # phi' = -L(mu + z) + C(eta- - eta+)
+            (phi0, 0, _entries(-(csr_matrix(L) @ Z))),
             (phi0, mu0, (li, lj, -lv)),
-            (phi0, z0, (li, lj, -lv)),
             (phi0, ep0, (ci, cj, -cv)),
             (phi0, em0, (ci, cj, cv)),
             # varphi+' = -varphi+ + eta+ + C^T phi - theta_max
@@ -350,49 +371,32 @@ class ClosedLoop:
             (vm0, vm0, neg_eye_m),
             (vm0, em0, eye_m),
         ]
-        Kpm = np.zeros((S, n))
-        Kpm[d0 + an, an] = wpm
-        Kpm[self.sl_theta] = incidence_t(Kpm[self.sl_d])
-        Kpm[m + ag, gidx] = vpm
         k0 = np.zeros(S)
         k0[self.sl_vp] = -model.angle_upper
         k0[self.sl_vm] = model.angle_lower
 
         # Global controller time scale: it scales every row from d on. No two
-        # blocks overlap (each row band meets each column band at most once),
-        # so scaling the blocks' entries scales the rows of K.
+        # pieces share an entry, so scaling their entries scales the rows.
         eps = self.config.epsilon
         blocks = [(r0, c0, (i, j, eps * v) if r0 >= d0 else (i, j, v)) for r0, c0, (i, j, v) in blocks]
-        Kpm[d0:] *= eps
         k0[d0:] *= eps
 
-        self.K = _hot_operator((S, U), blocks)
-        self.Kpm = Kpm
+        A = _hot_operator((S, X), blocks)
+        self.K, self.Kpm = A[:, :U], A[:, U:]
         self.k0 = k0
-        self._Wy, self._wpl, self._wpm = _hot_operator((n, S), [(0, 0, wp)]), wpl, wpm
-        self._Vy, self._vpl, self._vpm = _hot_operator((g, S), [(0, 0, vp)]), vpl, vpm
-        self._Cw = _hot_operator((n, m), [(0, 0, _entries(Cw))])
+        self._wpl, self._wpm = wpl, wpm
         # For `observe` on a stack of states: the frequency map on the plant
         # part as CSR (a few entries per row), so that k states cost a sparse
         # product instead of a dense BLAS gemm, whose worker threads take
         # memory and time.
         self._obs_Wp = csr_matrix(Wp)
-        self._neg_D = -D
-        self._M = M
-        self._gidx = gidx
         # Operand buffer of K; its blocks are written in place on every call.
         self._u = np.empty(U)
         self._u_y = self._u[:S]
-        self._y_theta = self._u_y[self.sl_theta]
         self._y_d = self._u_y[self.sl_d]
-        self._y_phi = self._u_y[self.sl_phi]
         self._y_vp = self._u_y[self.sl_vp]
         self._y_vm = self._u_y[self.sl_vm]
-        self._u_pl = self._u[self.u_pl]
-        self._u_ep = self._u[self.u_ep]
-        self._u_em = self._u[self.u_em]
-        self._u_g = self._u[self.u_g]
-        self._u_z = self._u[self.u_z]
+        self._u_pl, self._u_ep, self._u_em, self._u_g = self._u[pl0:ep0], self._u[ep0:em0], self._u[em0:g0], self._u[g0:]
         # Accumulator of the final RK4 combination.
         self._acc = np.empty(S)
 
@@ -413,30 +417,18 @@ class ClosedLoop:
         """Constant part of the RHS for a fixed p_m segment."""
         return self.Kpm @ p_m + self.k0
 
-    def _signals(self, p_m: np.ndarray) -> None:
-        """From the state in the buffer's y block, write p_l, eta+, eta- and z into the buffer."""
-        y = self._u_y
-        p_l, eta_p, eta_m, z = self._u_pl, self._u_ep, self._u_em, self._u_z
+    def _derivative(self, aff: np.ndarray) -> np.ndarray:
+        """dy/dt at the state held in the buffer's y block, as a new array.
+
+        Only the projections and the subgradient selection are written into
+        the operand buffer; everything linear, z included, is in K and aff.
+        """
+        p_l = self._u_pl
         # minimum(maximum(.)) is np.clip bit for bit, without clip's wrapper cost.
         np.minimum(np.maximum(self._y_d, self.box_lower, out=p_l), self.box_upper, out=p_l)
-        np.maximum(self._y_vp, 0.0, out=eta_p)
-        np.maximum(self._y_vm, 0.0, out=eta_m)
-        if self.config.mismatch == "model":
-            np.subtract(p_l, p_m, out=z)
-        else:
-            # Measurement path: rebuild p_l - p_m from frequency, generator
-            # acceleration and line flows (exact on the linear plant).
-            gidx = self._gidx
-            omega = self._Wy @ y + self._wpl * p_l + self._wpm * p_m
-            dog = self._Vy @ y + self._vpl * p_l[gidx] + self._vpm * p_m[gidx]
-            np.subtract(self._neg_D * omega, self._Cw @ self._y_theta, out=z)
-            z[gidx] -= self._M * dog
-        z += self.L @ self._y_phi
-
-    def _derivative(self, p_m: np.ndarray, aff: np.ndarray) -> np.ndarray:
-        """dy/dt at the state held in the buffer's y block, as a new array."""
-        self._signals(p_m)
-        self._u_g[...] = self.batch.select(self._u_pl, self.config.selection)
+        np.maximum(self._y_vp, 0.0, out=self._u_ep)
+        np.maximum(self._y_vm, 0.0, out=self._u_em)
+        self._u_g[...] = self.batch.select(p_l, self.config.selection)
         return self.K @ self._u + aff
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
@@ -444,7 +436,7 @@ class ClosedLoop:
         if aff is None:
             aff = self.feedthrough(p_m)
         self._u_y[...] = y
-        return self._derivative(p_m, aff)
+        return self._derivative(aff)
 
     def rk4(self, y: np.ndarray, p_m: np.ndarray, dt: float, aff: np.ndarray, k1: np.ndarray | None = None) -> np.ndarray:
         """One RK4 step, y + (dt / 6) * (k1 + 2 * (k2 + k3) + k4), as a new array.
@@ -457,11 +449,11 @@ class ClosedLoop:
             k1 = self.rhs(y, p_m, aff)
         stage, acc = self._u_y, self._acc
         np.add(y, np.multiply(0.5 * dt, k1, out=stage), out=stage)
-        k2 = self._derivative(p_m, aff)
+        k2 = self._derivative(aff)
         np.add(y, np.multiply(0.5 * dt, k2, out=stage), out=stage)
-        k3 = self._derivative(p_m, aff)
+        k3 = self._derivative(aff)
         np.add(y, np.multiply(dt, k3, out=stage), out=stage)
-        k4 = self._derivative(p_m, aff)
+        k4 = self._derivative(aff)
         np.add(k2, k3, out=acc)
         np.multiply(2.0, acc, out=acc)
         np.add(k1, acc, out=acc)
@@ -621,9 +613,7 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     """Integrate a scenario from t=0 to t_end, logging at the configured decimation."""
     if model is None:
         model = scenario.load_model()
-    for ev in scenario.events:
-        if not 0 <= ev.bus < model.n:
-            raise ValidationError(f"event references unknown bus {ev.bus}")
+    scenario.check_buses(model)
     loop = ClosedLoop(model, scenario.config)
     y = _initial_states(scenario, loop)
     dt = scenario.dt
@@ -695,6 +685,8 @@ def settle(
     require_finite("settle", tol=tol, t_max=t_max, dt=dt)
     if not tol > 0:
         raise ValidationError("settle tolerance must be positive")
+    if t_max < 0:
+        raise ValidationError("settle time budget t_max must be nonnegative")
     loop = ClosedLoop(model, config)
     plant = plant or PlantState.zero(model)
     ctrl = ctrl or init_controller(model)

@@ -124,6 +124,9 @@ def test_run_rejects_non_finite_scenario_field(tmp_scenario, tmp_path, capsys, o
         ("settle", ["--t-max", "inf"], "t_max"),
         ("settle", ["--tol", "inf"], "tol"),
         ("check", ["--tol", "inf"], "tol"),
+        ("settle", ["--t-max", "-1"], "t_max"),
+        ("check", ["--t-max", "-1"], "t_max"),
+        ("check", ["--t-max", "nan"], "t_max"),
     ],
 )
 def test_non_finite_tolerance_or_budget_exits_1(tmp_scenario, capsys, command, flags, field):
@@ -262,16 +265,25 @@ def test_run_rejects_an_existing_file_as_the_directory_of_several(tmp_scenario, 
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
-def test_an_invalid_scenario_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command):
-    """The valid first scenario is never run: every scenario is loaded and overridden first."""
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"dt": -1.0}, "dt must be positive"),
+        # An event bus outside the network is found at load time too, naming the file.
+        ({"events": [{"time": 0.0, "bus": 7, "delta_p_m": 0.1}]}, "bad.json: events[0] references unknown bus 7"),
+    ],
+    ids=["bad_dt", "unknown_bus"],
+)
+def test_an_invalid_scenario_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command, over, message):
+    """The valid first scenario is never run: every scenario is loaded, overridden and checked first."""
     monkeypatch.setattr("olfc.cli.run", lambda *args: pytest.fail("a scenario was integrated"))
     good = tmp_scenario("good.json", t_end=0.05)
-    bad = tmp_scenario("bad.json", t_end=0.05, dt=-1.0)
+    bad = tmp_scenario("bad.json", t_end=0.05, **over)
     out = tmp_path / "out"
     assert main([command, good, bad, "--out", str(out)]) == 1
     captured, errs = read_stderr_json(capsys)
     assert captured.out == ""
-    assert errs[-1]["error"] == "validation" and "dt must be positive" in errs[-1]["message"]
+    assert errs[-1]["error"] == "validation" and message in errs[-1]["message"]
     assert not out.exists()
 
 

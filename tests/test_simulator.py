@@ -111,6 +111,11 @@ def test_run_rejects_unknown_event_bus(model):
         run(scn, model)
 
 
+def test_settle_rejects_a_negative_budget(model):
+    with pytest.raises(ValidationError, match="t_max"):
+        settle(model, np.zeros(model.n), t_max=-1.0)
+
+
 def test_controller_config_validation():
     cfg = ControllerConfig(selection="mid", mismatch="estimate", epsilon=3.0)
     assert cfg.selection == "midpoint"
@@ -167,7 +172,7 @@ def test_operator_storage_follows_size(model):
     """Large operators are held as CSR, small ones as dense arrays."""
     small = ClosedLoop(model, ControllerConfig(mismatch="estimate"))
     big = ClosedLoop(load_network(network_path("sixty_eight_bus")), ControllerConfig(mismatch="estimate"))
-    assert isinstance(small.K, np.ndarray) and isinstance(small._Wy, np.ndarray)
+    assert isinstance(small.K, np.ndarray)
     assert issparse(big.K)
 
 
@@ -193,11 +198,12 @@ def test_hot_operator_builds_the_dense_block_sum(shape):
         assert np.array_equal(getattr(A, name), getattr(ref, name)), name
 
 
+@pytest.mark.parametrize("mismatch", ["model", "estimate"])
 @pytest.mark.parametrize("name", ["two_bus", "three_bus", "three_bus_congested", "nine_bus", "sixty_eight_bus"])
-def test_epsilon_scales_the_rows_of_K_from_d_on(name):
+def test_epsilon_scales_the_rows_of_K_from_d_on(name, mismatch):
     """K at epsilon 4 is K at epsilon 1 with every row from d on scaled by 4, bit for bit."""
     net = load_network(network_path(name))
-    one, four = (ClosedLoop(net, ControllerConfig(epsilon=eps)) for eps in (1.0, 4.0))
+    one, four = (ClosedLoop(net, ControllerConfig(mismatch=mismatch, epsilon=eps)) for eps in (1.0, 4.0))
     dense = lambda A: A.toarray() if issparse(A) else A
     expected = dense(one.K).copy()
     expected[one.sl_d.start :] *= 4.0
@@ -206,14 +212,15 @@ def test_epsilon_scales_the_rows_of_K_from_d_on(name):
         assert four.K.has_canonical_format and four.K.nnz == one.K.nnz
 
 
-def test_sixty_eight_bus_build_never_holds_dense_K():
+@pytest.mark.parametrize("mismatch", ["model", "estimate"])
+def test_sixty_eight_bus_build_never_holds_dense_K(mismatch):
     """K is assembled sparse: the build never allocates one dense S x U array."""
     net = load_network(network_path("sixty_eight_bus"))
-    ClosedLoop(net)
+    ClosedLoop(net, ControllerConfig(mismatch=mismatch))
     for eps in (1.0, 4.0):
         tracemalloc.start()
         try:
-            loop = ClosedLoop(net, ControllerConfig(epsilon=eps))
+            loop = ClosedLoop(net, ControllerConfig(mismatch=mismatch, epsilon=eps))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
