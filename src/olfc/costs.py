@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, naming, require_fields
 
 SELECTION_RULES = ("minnorm", "left", "right", "midpoint")
 
@@ -94,52 +94,43 @@ class PiecewiseCost:
                 raise ValidationError(f"cost derivative must be nondecreasing at breakpoint {x} (convexity)")
 
     @classmethod
-    def from_pieces(cls, pieces: list[dict]) -> "PiecewiseCost":
+    def from_pieces(cls, pieces: list[dict], where: str = "cost") -> "PiecewiseCost":
         """Build from an ordered list of {x_min, x_max, a, b, c} dictionaries.
 
         x_min of the first piece and x_max of the last must be unbounded
         (null in files); interior interval endpoints must chain exactly.
+        Every error starts with `where`, the cost's place in its document.
         """
         if not pieces:
-            raise ValidationError("cost needs at least one piece")
-        allowed = {"x_min", "x_max", "a", "b", "c"}
-        for p in pieces:
-            if not isinstance(p, dict):
-                raise ValidationError(f"cost piece must be an object, got {p!r}")
-            unknown = set(p) - allowed
-            if unknown:
-                raise ValidationError(f"unknown cost piece fields: {sorted(unknown)}")
-            missing = allowed - set(p)
-            if missing:
-                raise ValidationError(f"cost piece missing fields: {sorted(missing)}")
-            for name, v in p.items():
-                if v is None and name in ("x_min", "x_max"):
-                    continue
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ValidationError(f"cost piece field {name!r} must be a number, got {v!r}")
+            raise ValidationError(f"{where} needs at least one piece")
+        fields = {"x_min": "a number or null", "x_max": "a number or null", "a": "a number", "b": "a number", "c": "a number"}
+        for k, p in enumerate(pieces):
+            require_fields(p, f"{where}[{k}]", fields)
 
-        def _bound(v: object, name: str, unbounded: float) -> float:
+        def _bound(k: int, name: str, unbounded: float) -> float:
+            v = pieces[k][name]
             if v is None:
                 return unbounded
             if not np.isfinite(v):
-                raise ValidationError(f"cost piece {name} must be finite, or null for unbounded, got {v}")
+                raise ValidationError(f"{where}[{k}]: {name} must be finite, or null for unbounded, got {v}")
             return float(v)
 
-        lo = [_bound(p["x_min"], "x_min", -np.inf) for p in pieces]
-        hi = [_bound(p["x_max"], "x_max", np.inf) for p in pieces]
+        lo = [_bound(k, "x_min", -np.inf) for k in range(len(pieces))]
+        hi = [_bound(k, "x_max", np.inf) for k in range(len(pieces))]
         if lo[0] != -np.inf:
-            raise ValidationError("first cost piece must have x_min = null (covers the real line)")
+            raise ValidationError(f"{where}: first piece must have x_min = null (covers the real line)")
         if hi[-1] != np.inf:
-            raise ValidationError("last cost piece must have x_max = null (covers the real line)")
+            raise ValidationError(f"{where}: last piece must have x_max = null (covers the real line)")
         for k in range(len(pieces) - 1):
             if hi[k] != lo[k + 1]:
-                raise ValidationError(f"cost pieces must tile the line: piece {k} ends at {hi[k]}, piece {k + 1} starts at {lo[k + 1]}")
-        return cls(
-            a=np.array([p["a"] for p in pieces], dtype=float),
-            b=np.array([p["b"] for p in pieces], dtype=float),
-            c=np.array([p["c"] for p in pieces], dtype=float),
-            breakpoints=np.array(hi[:-1], dtype=float),
-        )
+                raise ValidationError(f"{where}: pieces must tile the line: piece {k} ends at {hi[k]}, piece {k + 1} starts at {lo[k + 1]}")
+        with naming(where):
+            return cls(
+                a=np.array([p["a"] for p in pieces], dtype=float),
+                b=np.array([p["b"] for p in pieces], dtype=float),
+                c=np.array([p["c"] for p in pieces], dtype=float),
+                breakpoints=np.array(hi[:-1], dtype=float),
+            )
 
     def _piece(self, x: float) -> int:
         return int(np.searchsorted(self.breakpoints, x, side="right"))

@@ -12,7 +12,6 @@ dense; target systems are small (tens of buses).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import Box, PiecewiseCost
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, naming, read_json, require_fields, require_finite
 
 
 class BusKind(str, Enum):
@@ -204,27 +203,14 @@ class NetworkModel:
         return [b.cost for b in self.buses]
 
 
-def _require_fields(obj: dict, required: dict[str, type | tuple], optional: dict[str, type | tuple], where: str) -> None:
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise ValidationError(f"unknown fields {sorted(unknown)} in {where}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise ValidationError(f"missing fields {sorted(missing)} in {where}")
-    for name, types in {**required, **optional}.items():
-        if name in obj and (isinstance(obj[name], bool) or not isinstance(obj[name], types)):
-            raise ValidationError(f"{where}: field {name!r} has the wrong type ({type(obj[name]).__name__})")
-
-
-def _parse_bus(raw: dict, pos: int) -> Bus:
+def _parse_bus(raw: object, pos: int) -> Bus:
     where = f"buses[{pos}]"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where} must be an object")
-    _require_fields(
+    number = "a number"
+    require_fields(
         raw,
-        required={"id": int, "kind": str, "D": (int, float), "p_l_min": (int, float), "p_l_max": (int, float), "cost": list},
-        optional={"M": (int, float)},
-        where=where,
+        where,
+        required={"id": "an integer", "kind": "a string", "D": number, "p_l_min": number, "p_l_max": number, "cost": "an array"},
+        optional={"M": number},
     )
     kind_raw = raw["kind"]
     try:
@@ -238,19 +224,16 @@ def _parse_bus(raw: dict, pos: int) -> Bus:
         inertia=float(raw["M"]) if "M" in raw else None,
         load_lower=float(raw["p_l_min"]),
         load_upper=float(raw["p_l_max"]),
-        cost=PiecewiseCost.from_pieces(raw["cost"]),
+        cost=PiecewiseCost.from_pieces(raw["cost"], f"{where}.cost"),
     )
 
 
-def _parse_line(raw: dict, pos: int) -> Line:
-    where = f"lines[{pos}]"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where} must be an object")
-    _require_fields(
+def _parse_line(raw: object, pos: int) -> Line:
+    number = "a number"
+    require_fields(
         raw,
-        required={"from": int, "to": int, "B": (int, float), "theta_min": (int, float), "theta_max": (int, float)},
-        optional={},
-        where=where,
+        f"lines[{pos}]",
+        required={"from": "an integer", "to": "an integer", "B": number, "theta_min": number, "theta_max": number},
     )
     return Line(
         index=pos,
@@ -262,29 +245,15 @@ def _parse_line(raw: dict, pos: int) -> Line:
     )
 
 
-def parse_network(data: dict, source: str = "<data>") -> NetworkModel:
-    """Validate an already-decoded network document."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"{source}: network document must be an object")
-    unknown = set(data) - {"buses", "lines"}
-    if unknown:
-        raise ValidationError(f"{source}: unknown top-level fields {sorted(unknown)}")
-    if "buses" not in data or "lines" not in data:
-        raise ValidationError(f"{source}: network document needs 'buses' and 'lines' arrays")
-    buses = [_parse_bus(b, i) for i, b in enumerate(data["buses"])]
-    lines = [_parse_line(ln, i) for i, ln in enumerate(data["lines"])]
-    return NetworkModel(buses, lines)
+def parse_network(data: object, source: str = "<data>") -> NetworkModel:
+    """Validate an already-decoded network document; every error starts with `source`."""
+    with naming(source):
+        require_fields(data, "network", required={"buses": "an array", "lines": "an array"})
+        buses = [_parse_bus(b, i) for i, b in enumerate(data["buses"])]
+        lines = [_parse_line(ln, i) for i, ln in enumerate(data["lines"])]
+        return NetworkModel(buses, lines)
 
 
 def load_network(path: str | Path) -> NetworkModel:
     """Load and validate a network description file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read network file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_network(data, source=str(path))
+    return parse_network(read_json(path, "network"), source=str(path))

@@ -49,7 +49,6 @@ A plant warm start must be physical: its theta_e must be C^T of bus angles
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,8 +58,13 @@ from scipy.sparse import coo_matrix, csr_matrix, issparse
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
 from .costs import CostBatch, normalize_selection_rule
 from .dynamics import PlantState
-from .errors import NumericalError, ValidationError, require_finite
+from .errors import NumericalError, ValidationError, naming, read_json, require_fields, require_finite
 from .network import NetworkModel, load_network
+
+
+# Largest loop component a warm-start theta_e may carry, relative to
+# max(1, max|theta_e|): room for rounding, far below any physical angle.
+_LOOP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,76 +124,88 @@ class Scenario:
     def load_model(self) -> NetworkModel:
         return load_network(self.network_path)
 
-    def check_buses(self, model: NetworkModel) -> None:
-        """Every event must name a bus of the network it is integrated on."""
+    def start_state(self, model: NetworkModel) -> np.ndarray:
+        """The packed start state on `model`, once every event bus and warm-start file is checked against it.
+
+        The state is zero, or read from flat vector files: a plant file holds
+        theta_e | omega_g and a controller file d | mu | phi | varphi+ | varphi-.
+        A plant theta_e must be C^T of some bus angles: the dynamics
+        (theta_e' = C^T omega) conserve any loop component, so the loop could
+        never come to rest with theta_e = C^T phi.
+        """
         for i, ev in enumerate(self.events):
             if not 0 <= ev.bus < model.n:
                 raise ValidationError(f"events[{i}] references unknown bus {ev.bus} (the network has {model.n} buses)")
+        layout = _packed_layout(model.n, model.n_g, model.m)
+        y = np.zeros(layout["varphi_minus"].stop)
+        split = layout["d"].start
+        halves = (
+            (self.init_plant, y[:split], "theta_e | omega_g"),
+            (self.init_controller, y[split:], "d | mu | phi | varphi+ | varphi-"),
+        )
+        for path, block, names in halves:
+            if path is None:
+                continue
+            try:
+                vec = np.loadtxt(path, dtype=float).reshape(-1)
+            except OSError as exc:
+                raise ValidationError(f"cannot read warm-start file {path}: {exc}") from exc
+            except ValueError as exc:
+                raise ValidationError(f"warm-start file {path} is not a flat numeric vector: {exc}") from exc
+            if vec.size != block.size:
+                raise ValidationError(f"warm-start file {path} must hold {block.size} numbers ({names}), got {vec.size}")
+            if not np.all(np.isfinite(vec)):
+                raise ValidationError(f"warm-start file {path} must hold finite numbers")
+            block[...] = vec
+        if self.init_plant is not None:
+            theta = y[layout["theta_e"]]
+            angles = np.linalg.lstsq(model.incidence.T, theta, rcond=None)[0]
+            loop_part = float(np.max(np.abs(theta - model.incidence.T @ angles), initial=0.0))
+            if loop_part > _LOOP_TOL * max(1.0, float(np.max(np.abs(theta), initial=0.0))):
+                raise ValidationError(
+                    f"warm-start file {self.init_plant}: theta_e has a loop component of {loop_part:.3e} "
+                    f"(it must be C^T of bus angles, to within {_LOOP_TOL:g} relative)"
+                )
+        return y
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario file (strict JSON schema)."""
+    """Load and validate a scenario file (strict JSON schema), its path first in every error; its network is not read."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: scenario document must be an object")
-    allowed = {"network", "t_end", "dt", "events", "controller", "init", "log_decimation"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValidationError(f"{path}: unknown scenario fields {sorted(unknown)}")
-    for req in ("network", "t_end", "dt"):
-        if req not in data:
-            raise ValidationError(f"{path}: scenario needs field '{req}'")
-
-    def number(value: object, where: str, kind: type | tuple = (int, float)) -> int | float:
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValidationError(f"{path}: {where} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-        return value
-
-    base = path.parent
-    events = []
-    for i, raw in enumerate(data.get("events", [])):
-        if not isinstance(raw, dict) or set(raw) != {"time", "bus", "delta_p_m"}:
-            raise ValidationError(f"{path}: events[{i}] must have exactly time, bus, delta_p_m")
-        time = float(number(raw["time"], f"events[{i}].time"))
-        bus = number(raw["bus"], f"events[{i}].bus", int)
-        delta_p_m = float(number(raw["delta_p_m"], f"events[{i}].delta_p_m"))
-        try:
-            events.append(Event(time=time, bus=bus, delta_p_m=delta_p_m))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: events[{i}]: {exc}") from None
-
-    cfg_raw = data.get("controller", {})
-    if not isinstance(cfg_raw, dict):
-        raise ValidationError(f"{path}: controller section must be an object")
-    unknown = set(cfg_raw) - {"selection", "mismatch", "epsilon"}
-    if unknown:
-        raise ValidationError(f"{path}: unknown controller fields {sorted(unknown)}")
-    config = ControllerConfig(
-        selection=cfg_raw.get("selection", "minnorm"),
-        mismatch=cfg_raw.get("mismatch", "model"),
-        epsilon=float(number(cfg_raw.get("epsilon", 1.0), "controller.epsilon")),
-    )
-
-    init_raw = data.get("init", {})
-    if not isinstance(init_raw, dict) or set(init_raw) - {"plant", "controller"}:
-        raise ValidationError(f"{path}: init section allows only 'plant' and 'controller' paths")
-
-    return Scenario(
-        network_path=base / str(data["network"]),
-        t_end=float(number(data["t_end"], "t_end")),
-        dt=float(number(data["dt"], "dt")),
-        events=events,
-        config=config,
-        init_plant=base / init_raw["plant"] if "plant" in init_raw else None,
-        init_controller=base / init_raw["controller"] if "controller" in init_raw else None,
-        log_decimation=number(data.get("log_decimation", 1), "log_decimation", int),
-    )
+    data = read_json(path, "scenario")
+    number = "a number"
+    with naming(path):
+        require_fields(
+            data,
+            "scenario",
+            required={"network": "a string", "t_end": number, "dt": number},
+            optional={"events": "an array", "controller": "an object", "init": "an object", "log_decimation": "an integer"},
+        )
+        events = []
+        for i, raw in enumerate(data.get("events", [])):
+            where = f"events[{i}]"
+            require_fields(raw, where, required={"time": number, "bus": "an integer", "delta_p_m": number})
+            with naming(where):
+                events.append(Event(time=float(raw["time"]), bus=raw["bus"], delta_p_m=float(raw["delta_p_m"])))
+        cfg_raw = require_fields(
+            data.get("controller", {}), "controller", {}, {"selection": "a string", "mismatch": "a string", "epsilon": number}
+        )
+        init_raw = require_fields(data.get("init", {}), "init", {}, {"plant": "a string", "controller": "a string"})
+        base = path.parent
+        return Scenario(
+            network_path=base / data["network"],
+            t_end=float(data["t_end"]),
+            dt=float(data["dt"]),
+            events=events,
+            config=ControllerConfig(
+                selection=cfg_raw.get("selection", "minnorm"),
+                mismatch=cfg_raw.get("mismatch", "model"),
+                epsilon=float(cfg_raw.get("epsilon", 1.0)),
+            ),
+            init_plant=base / init_raw["plant"] if "plant" in init_raw else None,
+            init_controller=base / init_raw["controller"] if "controller" in init_raw else None,
+            log_decimation=data.get("log_decimation", 1),
+        )
 
 
 # A dense matvec costs ~2 us of call overhead plus 0.2-0.4 ns per stored
@@ -563,59 +579,12 @@ class TrajectoryLog:
         np.savetxt(path, data, delimiter=",", header=",".join(header), comments="", fmt="%.17g")
 
 
-# Largest loop component a warm-start theta_e may carry, relative to
-# max(1, max|theta_e|): room for rounding, far below any physical angle.
-_LOOP_TOL = 1e-9
-
-
-def _initial_states(scenario: Scenario, loop: ClosedLoop) -> np.ndarray:
-    """Packed start state: zero, or warm-started from flat vector files.
-
-    A plant file holds theta_e | omega_g and a controller file
-    d | mu | phi | varphi+ | varphi-: the two halves of the packed layout.
-    A plant theta_e must be C^T of some bus angles: the dynamics
-    (theta_e' = C^T omega) conserve any loop component, so the loop could
-    never come to rest with theta_e = C^T phi.
-    """
-    y = loop.zero_state()
-    split = loop.sl_d.start
-    halves = (
-        (scenario.init_plant, y[:split], "theta_e | omega_g"),
-        (scenario.init_controller, y[split:], "d | mu | phi | varphi+ | varphi-"),
-    )
-    for path, block, layout in halves:
-        if path is None:
-            continue
-        try:
-            vec = np.loadtxt(path, dtype=float).reshape(-1)
-        except OSError as exc:
-            raise ValidationError(f"cannot read warm-start file {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"warm-start file {path} is not a flat numeric vector: {exc}") from exc
-        if vec.size != block.size:
-            raise ValidationError(f"warm-start file {path} must hold {block.size} numbers ({layout}), got {vec.size}")
-        if not np.all(np.isfinite(vec)):
-            raise ValidationError(f"warm-start file {path} must hold finite numbers")
-        block[...] = vec
-    if scenario.init_plant is not None:
-        theta = y[loop.sl_theta]
-        angles = np.linalg.lstsq(loop.C.T, theta, rcond=None)[0]
-        loop_part = float(np.max(np.abs(theta - loop.C.T @ angles), initial=0.0))
-        if loop_part > _LOOP_TOL * max(1.0, float(np.max(np.abs(theta), initial=0.0))):
-            raise ValidationError(
-                f"warm-start file {scenario.init_plant}: theta_e has a loop component of {loop_part:.3e} "
-                f"(it must be C^T of bus angles, to within {_LOOP_TOL:g} relative)"
-            )
-    return y
-
-
 def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     """Integrate a scenario from t=0 to t_end, logging at the configured decimation."""
     if model is None:
         model = scenario.load_model()
-    scenario.check_buses(model)
+    y = scenario.start_state(model)
     loop = ClosedLoop(model, scenario.config)
-    y = _initial_states(scenario, loop)
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
 

@@ -41,7 +41,7 @@ def pipeline():
             cfg = dataclasses.replace(scenario.config, selection=selection, mismatch=mismatch)
             scenario = dataclasses.replace(scenario, config=cfg)
             t0 = time.perf_counter()
-            res = check_scenario(scenario, name, tol=1e-4, t_max=600.0)
+            res = check_scenario(scenario, scenario.load_model(), name, tol=1e-4, t_max=600.0)
             cache[key] = Pipeline(**vars(res), name=name, wall_seconds=time.perf_counter() - t0)
         return cache[key]
 

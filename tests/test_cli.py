@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from olfc.cli import main
+from olfc.network import load_network
 
 from conftest import network_path, scenario_path
 
@@ -46,6 +47,14 @@ def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/net.json"]) == 1
     _, errs = read_stderr_json(capsys)
     assert errs and errs[0]["error"] == "validation"
+
+
+def test_validate_rejects_a_file_that_is_not_text(tmp_path, capsys):
+    p = tmp_path / "binary.json"
+    p.write_bytes(b"\xff\xfe\x00")
+    assert main(["validate", str(p)]) == 1
+    _, errs = read_stderr_json(capsys)
+    assert errs[-1]["error"] == "validation" and f"cannot read network file {p}" in errs[-1]["message"]
 
 
 def test_validate_broken_json(tmp_path, capsys):
@@ -104,7 +113,7 @@ def test_validate_rejects_non_finite_network_field(tmp_path, capsys, section, fi
         ({"dt": INF}, [], "dt"),
         ({"events": [{"time": 0.0, "bus": 0, "delta_p_m": NAN}]}, [], "delta_p_m"),
         ({"events": [{"time": NAN, "bus": 0, "delta_p_m": 0.3}]}, [], "time"),
-        ({"events": [{"time": 0.0, "bus": NAN, "delta_p_m": 0.3}]}, [], "events[0].bus"),
+        ({"events": [{"time": 0.0, "bus": NAN, "delta_p_m": 0.3}]}, [], "events[0]: field 'bus'"),
         ({"controller": {"epsilon": INF}}, [], "epsilon"),
         ({"events": []}, ["--t-end", "nan"], "t_end"),
     ],
@@ -189,6 +198,61 @@ def test_jobs_pool_is_capped_at_the_scenario_count(tmp_scenario, tmp_path, monke
     assert _InlinePool.max_workers == [2]
 
 
+# -- wrong JSON types ---------------------------------------------------------
+
+# One value of each JSON type, and the JSON types each declared field type takes.
+JSON_SAMPLES = {"integer": 5, "number": 0.5, "string": "x", "boolean": True, "null": None, "array": [], "object": {}}
+TAKES = {
+    "number": {"integer", "number"},
+    "number or null": {"integer", "number", "null"},
+    "integer": {"integer"},
+    "string": {"string"},
+    "array": {"array"},
+    "object": {"object"},
+}
+
+# (document, keys to the object in it, the object's section in messages, {field: declared type})
+SECTIONS = [
+    ("network", (), "network", {"buses": "array", "lines": "array"}),
+    ("network", ("buses", 0), "buses[0]", {"id": "integer", "kind": "string", "M": "number", "D": "number",
+                                           "p_l_min": "number", "p_l_max": "number", "cost": "array"}),
+    ("network", ("lines", 0), "lines[0]", {"from": "integer", "to": "integer", "B": "number",
+                                           "theta_min": "number", "theta_max": "number"}),
+    ("network", ("buses", 0, "cost", 0), "buses[0].cost[0]", {"x_min": "number or null", "x_max": "number or null",
+                                                               "a": "number", "b": "number", "c": "number"}),
+    ("scenario", (), "scenario", {"network": "string", "t_end": "number", "dt": "number", "events": "array",
+                                  "controller": "object", "init": "object", "log_decimation": "integer"}),
+    ("scenario", ("events", 0), "events[0]", {"time": "number", "bus": "integer", "delta_p_m": "number"}),
+    ("scenario", ("controller",), "controller", {"selection": "string", "mismatch": "string", "epsilon": "number"}),
+    ("scenario", ("init",), "init", {"plant": "string", "controller": "string"}),
+]
+FIELDS = [(doc, keys, section, name, declared) for doc, keys, section, fields in SECTIONS for name, declared in fields.items()]
+
+
+@pytest.mark.parametrize("document, keys, section, name, declared", FIELDS, ids=[f"{f[2]}.{f[3]}" for f in FIELDS])
+def test_a_field_of_a_wrong_json_type_exits_1_naming_file_and_field(tmp_path, capsys, document, keys, section, name, declared):
+    """Each JSON type the field does not take fails at parse time with a validation error, never a traceback."""
+    for kind, value in JSON_SAMPLES.items():
+        if kind in TAKES[declared]:
+            continue
+        if document == "network":
+            doc = json.loads(network_path("three_bus").read_text())
+        else:
+            doc = {"network": str(network_path("three_bus")), "t_end": 0.05, "dt": 0.001,
+                   "events": [{"time": 0.0, "bus": 0, "delta_p_m": 0.3}], "controller": {}, "init": {}}
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[name] = value
+        path = tmp_path / f"{document}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate" if document == "network" else "check", str(path)]) == 1, kind
+        captured, errs = read_stderr_json(capsys)
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert errs[-1]["error"] == "validation"
+        assert errs[-1]["message"].startswith(f"{path}: {section}") and f"field {name!r}" in errs[-1]["message"], kind
+
+
 # -- run ----------------------------------------------------------------------
 
 
@@ -271,12 +335,15 @@ def test_run_rejects_an_existing_file_as_the_directory_of_several(tmp_scenario, 
         ({"dt": -1.0}, "dt must be positive"),
         # An event bus outside the network is found at load time too, naming the file.
         ({"events": [{"time": 0.0, "bus": 7, "delta_p_m": 0.1}]}, "bad.json: events[0] references unknown bus 7"),
+        # So is a warm-start file that is too short (short.txt, next to the scenario files).
+        ({"init": {"controller": "short.txt"}}, "bad.json: warm-start file"),
     ],
-    ids=["bad_dt", "unknown_bus"],
+    ids=["bad_dt", "unknown_bus", "short_warm_start"],
 )
 def test_an_invalid_scenario_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command, over, message):
     """The valid first scenario is never run: every scenario is loaded, overridden and checked first."""
     monkeypatch.setattr("olfc.cli.run", lambda *args: pytest.fail("a scenario was integrated"))
+    np.savetxt(tmp_path / "short.txt", np.zeros(14))
     good = tmp_scenario("good.json", t_end=0.05)
     bad = tmp_scenario("bad.json", t_end=0.05, **over)
     out = tmp_path / "out"
@@ -287,11 +354,12 @@ def test_an_invalid_scenario_exits_1_before_anything_is_integrated(tmp_scenario,
     assert not out.exists()
 
 
-def test_run_overrides_change_output(tmp_scenario, tmp_path):
+@pytest.mark.parametrize("selection", ["mid", "midpoint"])
+def test_run_overrides_change_output(tmp_scenario, tmp_path, selection):
     out = tmp_path / "o.csv"
     assert main([
         "run", tmp_scenario(), "--out", str(out),
-        "--t-end", "0.02", "--dt", "0.01", "--selection", "mid",
+        "--t-end", "0.02", "--dt", "0.01", "--selection", selection,
         "--mismatch", "estimate", "--epsilon", "2.0", "--log-decimation", "1",
     ]) == 0
     rows = out.read_text().splitlines()
@@ -397,6 +465,23 @@ def test_check_reports_the_scenarios_that_settle(tmp_path, capsys, jobs):
     assert [(e["error"], e["scenario"]) for e in errs] == [("numerical", paths[1])]
     assert paths[1] in errs[0]["message"]
     assert [doc["scenario"] for doc in json.loads(report.read_text())] == [paths[0]]
+
+
+def test_check_loads_each_network_once(tmp_scenario, monkeypatch, capsys):
+    """The network a scenario is checked against at load time is the one it runs on."""
+    calls = []
+    monkeypatch.setattr("olfc.simulator.load_network", lambda path, load=load_network: calls.append(path) or load(path))
+    paths = [tmp_scenario("a.json", t_end=0.05), tmp_scenario("b.json", t_end=0.05)]
+    assert main(["check", *paths, "--t-max", "0.01", "--jobs", "1"]) == 2
+    assert len(calls) == 2
+
+
+def test_solve_names_the_injection_file_when_its_length_is_wrong(tmp_path, capsys):
+    pm = tmp_path / "pm.txt"
+    np.savetxt(pm, np.array([0.3, 0.0]))
+    assert main(["solve", str(network_path("three_bus")), "--pm", str(pm)]) == 1
+    _, errs = read_stderr_json(capsys)
+    assert errs[-1]["error"] == "validation" and errs[-1]["message"].startswith(f"{pm}: p_m must have length 3")
 
 
 def test_packaged_networks_validate(capsys):

@@ -114,7 +114,7 @@ def test_from_pieces_rejects_bad_data():
         ])
     with pytest.raises(ValidationError):
         PiecewiseCost.from_pieces([{"x_min": None, "x_max": None, "a": 1.0, "b": 0.0}])
-    with pytest.raises(ValidationError, match="field 'x_max' must be a number"):
+    with pytest.raises(ValidationError, match=r"cost\[0\]: field 'x_max' must be a number or null"):
         PiecewiseCost.from_pieces([{"x_min": None, "x_max": "abc", "a": 1.0, "b": 0.0, "c": 0.0}])
     with pytest.raises(ValidationError, match="x_min must be finite, or null"):
         # unbounded is spelled null, not -inf

@@ -97,8 +97,12 @@ def test_rejects_unknown_fields():
     with pytest.raises(ValidationError, match="unknown fields"):
         parse_network(doc)
     doc = two_bus_doc()
+    doc["buses"][1]["cost"][0]["d"] = 0.0
+    with pytest.raises(ValidationError, match=r"buses\[1\]\.cost\[0\]: unknown fields \['d'\]"):
+        parse_network(doc)
+    doc = two_bus_doc()
     doc["buses"][0]["D"] = "1.0"
-    with pytest.raises(ValidationError, match="field 'D' has the wrong type"):
+    with pytest.raises(ValidationError, match=r"buses\[0\]: field 'D' must be a number"):
         parse_network(doc)
 
 

@@ -74,25 +74,28 @@ def test_load_scenario_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "mutate, phrase",
     [
-        (lambda d: d.pop("t_end"), "needs field 't_end'"),
-        (lambda d: d.update(horizon=3), "unknown scenario fields"),
+        (lambda d: d.pop("t_end"), "scenario: missing fields ['t_end']"),
+        (lambda d: d.update(horizon=3), "scenario: unknown fields ['horizon']"),
         (lambda d: d.update(dt=-0.1), "dt must be positive"),
         (lambda d: d.update(log_decimation=0), "log_decimation"),
         (lambda d: d["events"].__setitem__(0, {"time": 0.5, "bus": 0}), "events[0]"),
         (lambda d: d["events"][0].update(time=99.0), "outside"),
-        (lambda d: d["controller"].update(gain=2.0), "unknown controller fields"),
+        (lambda d: d["controller"].update(gain=2.0), "controller: unknown fields ['gain']"),
         (lambda d: d["controller"].update(selection="fastest"), "selection rule"),
         (lambda d: d["controller"].update(mismatch="psychic"), "mismatch source"),
         (lambda d: d["controller"].update(epsilon=0.0), "epsilon"),
-        (lambda d: d.update(init={"warm": "x.txt"}), "init section"),
+        (lambda d: d.update(init={"warm": "x.txt"}), "init: unknown fields ['warm']"),
     ],
 )
 def test_load_scenario_rejects(tmp_path, mutate, phrase):
+    """Every error names the file first, then the section and the field."""
     doc = json.loads(json.dumps(GOOD_DOC))
     mutate(doc)
+    path = write_scenario(tmp_path, doc)
     with pytest.raises(ValidationError, match=None) as err:
-        load_scenario(write_scenario(tmp_path, doc))
-    assert phrase in str(err.value).replace("'", "'")
+        load_scenario(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert phrase in str(err.value)
 
 
 def test_load_scenario_bad_json_reports_location(tmp_path):
