@@ -172,7 +172,8 @@ def _out_paths(out: str, paths: list[str]) -> list[Path]:
 
 def _run_job(args: tuple) -> dict:
     path, scenario, csv_path = args
-    log = run(scenario)
+    with naming(path):
+        log = run(scenario)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     log.to_csv(csv_path)
     return {
@@ -234,7 +235,8 @@ def _check_job(args: tuple) -> dict:
     """One scenario's report, or its numerical failure as {"scenario", "error"}."""
     path, scenario, model, tol, t_max = args
     try:
-        res = check_scenario(scenario, model, path, tol=tol, t_max=t_max)
+        with naming(path):
+            res = check_scenario(scenario, model, path, tol=tol, t_max=t_max)
     except NumericalError as exc:
         return {"scenario": path, "error": str(exc)}
     sr = res.settled
@@ -294,7 +296,9 @@ def _cmd_run(ns) -> int:
 
 
 def _cmd_settle(ns) -> int:
-    res = settle_scenario(*_load(ns.scenario, ns), tol=ns.tol, t_max=ns.t_max)
+    scenario, model = _load(ns.scenario, ns)
+    with naming(ns.scenario):
+        res = settle_scenario(scenario, model, tol=ns.tol, t_max=ns.t_max)
     sr = res.settled
     p_l = project_box(sr.ctrl.d, res.model.load_box)
     omega = assemble_frequencies(res.model, sr.plant, Injection(p_m=res.p_m, p_l=p_l))

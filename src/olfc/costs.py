@@ -185,6 +185,15 @@ class CostBatch:
     the buses whose lower breakpoint equals x. The results equal the scalar
     PiecewiseCost methods (and `select_subgradient`) bit for bit, which the
     tests check.
+
+    `select_piece` also returns the piece each bus was looked up on: its
+    column of a (4, n*K) table whose rows are the open bracket (lower,
+    upper) between the breakpoints around the piece (-inf and +inf at the
+    ends, NaN for padded pieces), 2a and b. Strictly inside its bracket a
+    bus is on no kink, and every rule reads that same piece there, so a
+    caller that keeps the columns can evaluate the selection from them
+    until x leaves the bracket (see `ClosedLoop`). A bus exactly on a kink
+    is an end of the bracket it gets, so it never passes that check.
     """
 
     def __init__(self, costs: list[PiecewiseCost]):
@@ -195,6 +204,8 @@ class CostBatch:
         c = np.empty((n, K))
         bp = np.full((n, K - 1), np.inf)
         left_bp = np.full((n, K), np.nan)
+        lower = np.full((n, K), np.nan)
+        upper = np.full((n, K), np.nan)
         for j, cost in enumerate(costs):
             k = cost.a.size
             a[j, :k] = cost.a
@@ -205,9 +216,13 @@ class CostBatch:
             c[j, k:] = cost.c[-1]
             bp[j, : k - 1] = cost.breakpoints
             left_bp[j, 1:k] = cost.breakpoints
+            lower[j, :k] = np.concatenate([[-np.inf], cost.breakpoints])
+            upper[j, :k] = np.concatenate([cost.breakpoints, [np.inf]])
+        # Rows lower, upper, slope 2a and b; one column per flat piece.
+        self._table = np.stack([lower.ravel(), upper.ravel(), (2.0 * a).ravel(), b.ravel()])
         self._a = a.ravel()
-        self._slope = (2.0 * a).ravel()
-        self._b = b.ravel()
+        self._slope = self._table[2]
+        self._b = self._table[3]
         self._c = c.ravel()
         self._base = np.arange(n) * K
         self._breakpoints = tuple(np.ascontiguousarray(col) for col in bp.T)
@@ -237,23 +252,33 @@ class CostBatch:
 
     def select(self, x: np.ndarray, rule: str = "minnorm") -> np.ndarray:
         """Vectorized select_subgradient over the per-bus Clarke intervals."""
+        return self._select(x, rule)[0]
+
+    def select_piece(self, x: np.ndarray, rule: str = "minnorm") -> tuple[np.ndarray, np.ndarray]:
+        """`select(x, rule)` and the piece it looked up per bus: a (4, n) array of rows lower, upper, 2a, b."""
+        g, idx = self._select(x, rule)
+        return g, self._table.take(idx, axis=1)
+
+    def _select(self, x: np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
+        """The selection and the flat index of the piece looked up: the left-sided one for `left`, else the right-sided one."""
         if rule == "left":
-            return self._derivative(x, np.less)
-        if rule == "right":
-            return self._derivative(x, np.less_equal)
-        if rule not in ("minnorm", "midpoint"):
-            raise ValidationError(f"unknown selection rule {rule!r}, expected one of {SELECTION_RULES}")
+            idx = self._pieces(x, np.less)
+            return self._slope_at(x, idx), idx
         hi = self._pieces(x, np.less_equal)
         g_hi = self._slope_at(x, hi)
+        if rule == "right":
+            return g_hi, hi
+        if rule not in ("minnorm", "midpoint"):
+            raise ValidationError(f"unknown selection rule {rule!r}, expected one of {SELECTION_RULES}")
         kink = self._left_bp.take(hi) == x
         if not kink.any():
             # Off every kink the interval is the point g_hi. `+ 0.0` maps
             # -0.0 to +0.0, as the minnorm `where` chain below does.
-            return g_hi + 0.0 if rule == "minnorm" else 0.5 * (g_hi + g_hi)
+            return (g_hi + 0.0 if rule == "minnorm" else 0.5 * (g_hi + g_hi)), hi
         g_lo = self._slope_at(x, hi - kink)
         if rule == "minnorm":
-            return np.where(g_lo > 0.0, g_lo, np.where(g_hi < 0.0, g_hi, 0.0))
-        return 0.5 * (g_lo + g_hi)
+            return np.where(g_lo > 0.0, g_lo, np.where(g_hi < 0.0, g_hi, 0.0)), hi
+        return 0.5 * (g_lo + g_hi), hi
 
 
 def normalize_selection_rule(rule: str) -> str:

@@ -30,12 +30,23 @@ and the products are written the same way for both.
 The operand stack (y, p_l, eta+, eta-, g) lives in one buffer that every
 right-hand-side evaluation overwrites in place: the projections are written
 straight into their blocks with `out=` ufuncs, read from views of its y
-block made once. `rhs` copies y into that block; `rk4` writes each
+block made once (eta+ | eta- is one block, projected from varphi+ | varphi-
+in one call). `rhs` copies y into that block; `rk4` writes each
 stage state there directly and sums the stages in a preallocated
 accumulator, with the operations of the textbook formula in their order, so
 a step is bit-identical to RK4 built from four `rhs` calls (a test checks
 this). `rhs` and `rk4` return new arrays on every call, so no caller ever
 holds a view of the buffer.
+
+A stage computes, in order: p_l = clip(d, box), eta = max(varphi, 0), the
+subgradient g, and dy = K @ u, to which aff is added in place. For g each
+bus's cost piece is kept across stages and steps, with the open bracket
+between the breakpoints around it: while every p_l is strictly inside its
+bracket, g is evaluated from the kept coefficients; otherwise the stage
+takes the exact lookup, `CostBatch.select_piece`, and keeps the pieces it
+returns. Either way g is `CostBatch.select` bit for bit (the argument is in
+`ClosedLoop._derivative`; `tests/test_piece_cache.py` checks it), so the
+result does not depend on which states a loop saw before.
 
 `run` records only the packed state (and the time) of each logged step, then
 observes the whole record once after integration: `observe` takes one state
@@ -49,6 +60,7 @@ A plant warm start must be physical: its theta_e must be C^T of bus angles
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -124,8 +136,15 @@ class Scenario:
     def load_model(self) -> NetworkModel:
         return load_network(self.network_path)
 
+    def step_count(self) -> int:
+        """Steps of dt to t_end, rounded to the nearest; a ValidationError naming both when t_end / dt overflows."""
+        steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise ValidationError(f"scenario t_end / dt = {self.t_end:g} / {self.dt:g} is not a finite step count")
+        return int(round(steps))
+
     def start_state(self, model: NetworkModel) -> np.ndarray:
-        """The packed start state on `model`, once every event bus and warm-start file is checked against it.
+        """The packed start state on `model`, once the step count, every event bus and warm-start file are checked.
 
         The state is zero, or read from flat vector files: a plant file holds
         theta_e | omega_g and a controller file d | mu | phi | varphi+ | varphi-.
@@ -133,6 +152,7 @@ class Scenario:
         (theta_e' = C^T omega) conserve any loop component, so the loop could
         never come to rest with theta_e = C^T phi.
         """
+        self.step_count()
         for i, ev in enumerate(self.events):
             if not 0 <= ev.bus < model.n:
                 raise ValidationError(f"events[{i}] references unknown bus {ev.bus} (the network has {model.n} buses)")
@@ -407,12 +427,17 @@ class ClosedLoop:
         # memory and time.
         self._obs_Wp = csr_matrix(Wp)
         # Operand buffer of K; its blocks are written in place on every call.
+        # varphi+ | varphi- ends y and eta+ | eta- follows p_l, so each pair
+        # is one contiguous block.
         self._u = np.empty(U)
         self._u_y = self._u[:S]
         self._y_d = self._u_y[self.sl_d]
-        self._y_vp = self._u_y[self.sl_vp]
-        self._y_vm = self._u_y[self.sl_vm]
-        self._u_pl, self._u_ep, self._u_em, self._u_g = self._u[pl0:ep0], self._u[ep0:em0], self._u[em0:g0], self._u[g0:]
+        self._y_varphi = self._u_y[vp0:]
+        self._u_pl, self._u_eta, self._u_g = self._u[pl0:ep0], self._u[ep0:g0], self._u[g0:]
+        # The cost piece of each bus as (lower, upper, 2a, b) rows, kept
+        # across stages and steps; NaN brackets send the first stage to the
+        # exact lookup.
+        self._piece = tuple(np.full((4, n), np.nan))
         # Accumulator of the final RK4 combination.
         self._acc = np.empty(S)
 
@@ -438,14 +463,42 @@ class ClosedLoop:
 
         Only the projections and the subgradient selection are written into
         the operand buffer; everything linear, z included, is in K and aff.
+
+        The selection keeps each bus's cost piece from the stage before.
+        While every p_l lies strictly inside its piece's bracket (lower,
+        upper), g = 2a * p_l + b is written straight into the buffer, then
+        `+ 0.0` for `minnorm` and 0.5 * (g + g) for `midpoint`. That is
+        `CostBatch.select` bit for bit: strictly inside a bracket no bus is on
+        a kink, so `select` takes its off-kink branch, which does these
+        operations on the same coefficients. `left` finds the piece by the
+        breakpoints below p_l and the other rules by those at or below it;
+        inside a bracket these are the same breakpoints, so every rule reads
+        the kept piece. `midpoint`'s 0.5 * (g + g) equals g unless g + g
+        overflows, so it is computed, not skipped. Otherwise the stage takes
+        the exact lookup, `CostBatch.select_piece`, and keeps the pieces it
+        returns. A bus exactly on a kink is an end of the bracket it gets, so
+        it takes the exact lookup, where the rules differ, while it stays
+        there.
         """
         p_l = self._u_pl
         # minimum(maximum(.)) is np.clip bit for bit, without clip's wrapper cost.
         np.minimum(np.maximum(self._y_d, self.box_lower, out=p_l), self.box_upper, out=p_l)
-        np.maximum(self._y_vp, 0.0, out=self._u_ep)
-        np.maximum(self._y_vm, 0.0, out=self._u_em)
-        self._u_g[...] = self.batch.select(p_l, self.config.selection)
-        return self.K @ self._u + aff
+        np.maximum(self._y_varphi, 0.0, out=self._u_eta)
+        lower, upper, slope, b = self._piece
+        rule = self.config.selection
+        # count_nonzero is a plain C call, unlike ndarray.all's Python wrapper.
+        if np.count_nonzero((lower < p_l) & (p_l < upper)) == self.n:
+            g = np.add(np.multiply(slope, p_l, out=self._u_g), b, out=self._u_g)
+            if rule == "minnorm":
+                np.add(g, 0.0, out=g)
+            elif rule == "midpoint":
+                np.multiply(0.5, np.add(g, g, out=g), out=g)
+        else:
+            self._u_g[...], piece = self.batch.select_piece(p_l, rule)
+            self._piece = tuple(piece)
+        dy = self.K @ self._u
+        dy += aff
+        return dy
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
         """Packed derivative dy/dt."""
@@ -586,7 +639,7 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     y = scenario.start_state(model)
     loop = ClosedLoop(model, scenario.config)
     dt = scenario.dt
-    n_steps = int(round(scenario.t_end / dt))
+    n_steps = scenario.step_count()
 
     events_at: dict[int, list[Event]] = {}
     for ev in scenario.events:
@@ -595,10 +648,16 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
 
     dec = scenario.log_decimation
     n_rec = n_steps // dec + 1 + (n_steps % dec != 0)
-    times = np.empty(n_rec)
-    # Fortran order: the transposed record is C-contiguous, which the sparse
-    # frequency map in `observe` reads without a copy.
-    states = np.empty((n_rec, loop.dim), order="F")
+    try:
+        times = np.empty(n_rec)
+        # Fortran order: the transposed record is C-contiguous, which the
+        # sparse frequency map in `observe` reads without a copy.
+        states = np.empty((n_rec, loop.dim), order="F")
+    except (MemoryError, ValueError) as exc:  # numpy raises ValueError for a size past its index range
+        raise ValidationError(
+            f"scenario t_end / dt = {scenario.t_end:g} / {dt:g} at log_decimation {dec} needs {n_rec:.4g} records "
+            f"of {loop.dim} numbers, which cannot be allocated: {exc}"
+        ) from exc
 
     # p_m per event segment: segment i applies from record starts[i] on.
     p_m = np.zeros(model.n)
@@ -656,6 +715,10 @@ def settle(
         raise ValidationError("settle tolerance must be positive")
     if t_max < 0:
         raise ValidationError("settle time budget t_max must be nonnegative")
+    if not dt > 0:
+        raise ValidationError("settle step dt must be positive")
+    if not math.isfinite(t_max / dt):
+        raise ValidationError(f"settle t_max / dt = {t_max:g} / {dt:g} is not a finite step count")
     loop = ClosedLoop(model, config)
     plant = plant or PlantState.zero(model)
     ctrl = ctrl or init_controller(model)

@@ -337,21 +337,44 @@ def test_run_rejects_an_existing_file_as_the_directory_of_several(tmp_scenario, 
         ({"events": [{"time": 0.0, "bus": 7, "delta_p_m": 0.1}]}, "bad.json: events[0] references unknown bus 7"),
         # So is a warm-start file that is too short (short.txt, next to the scenario files).
         ({"init": {"controller": "short.txt"}}, "bad.json: warm-start file"),
+        # And a horizon whose step count overflows, at either end of t_end / dt.
+        ({"t_end": 1e308}, "bad.json: scenario t_end / dt = 1e+308 / 0.001 is not a finite step count"),
+        ({"dt": 1e-320}, "bad.json: scenario t_end / dt = 0.05 / 9.99989e-321 is not a finite step count"),
     ],
-    ids=["bad_dt", "unknown_bus", "short_warm_start"],
+    ids=["bad_dt", "unknown_bus", "short_warm_start", "huge_t_end", "tiny_dt"],
 )
 def test_an_invalid_scenario_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command, over, message):
     """The valid first scenario is never run: every scenario is loaded, overridden and checked first."""
     monkeypatch.setattr("olfc.cli.run", lambda *args: pytest.fail("a scenario was integrated"))
     np.savetxt(tmp_path / "short.txt", np.zeros(14))
     good = tmp_scenario("good.json", t_end=0.05)
-    bad = tmp_scenario("bad.json", t_end=0.05, **over)
+    bad = tmp_scenario("bad.json", **{"t_end": 0.05, **over})
     out = tmp_path / "out"
     assert main([command, good, bad, "--out", str(out)]) == 1
     captured, errs = read_stderr_json(capsys)
     assert captured.out == ""
     assert errs[-1]["error"] == "validation" and message in errs[-1]["message"]
     assert not out.exists()
+
+
+def test_run_reports_a_record_that_cannot_be_allocated(tmp_scenario, tmp_path, capsys, monkeypatch):
+    """No traceback: a MemoryError from the record array (the one allocated in Fortran order) is a validation error."""
+    empty = np.empty
+
+    def no_memory(shape, *args, **kwargs):
+        if kwargs.get("order") == "F":
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", no_memory)
+    scn = tmp_scenario(t_end=0.05)
+    out = tmp_path / "x.csv"
+    assert main(["run", scn, "--out", str(out)]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert captured.out == "" and not out.exists()
+    message = errs[-1]["message"]
+    assert errs[-1]["error"] == "validation" and message.startswith(f"{scn}: scenario t_end / dt = 0.05 / 0.001")
+    assert "51 records of 20 numbers, which cannot be allocated: Unable to allocate 7.28 TiB" in message
 
 
 @pytest.mark.parametrize("selection", ["mid", "midpoint"])
@@ -389,6 +412,23 @@ def test_settle_timeout_exits_2(tmp_scenario, capsys):
     assert errs[-1]["error"] == "numerical"
     payload = json.loads(captured.out)
     assert payload["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dt", "1e-320"], "scenario t_end / dt = 1 / 9.99989e-321 is not a finite step count"),
+        # A zero horizon runs no step; the settle budget then overflows.
+        (["--dt", "1e-320", "--t-end", "0"], "settle t_max / dt = 600 / 9.99989e-321 is not a finite step count"),
+    ],
+    ids=["run_steps", "settle_steps"],
+)
+def test_settle_rejects_a_step_count_that_overflows(tmp_scenario, capsys, flags, message):
+    scn = tmp_scenario()
+    assert main(["settle", scn, *flags]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert captured.out == ""
+    assert errs[-1] == {"error": "validation", "message": f"{scn}: {message}"}
 
 
 # -- solve --------------------------------------------------------------------

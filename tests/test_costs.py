@@ -241,3 +241,28 @@ def test_minnorm_maps_negative_zero_to_positive_zero():
     x = np.array([-0.0])
     assert all(np.signbit(g[0]) for g in batch.bounds(x))
     assert same_bits(batch.select(x, "minnorm"), [0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_points())
+def test_select_piece_returns_the_piece_it_selected_on(case):
+    """`select_piece` gives `select`'s bits and, per bus, the bracket and coefficients of a piece at x.
+
+    The bracket runs between consecutive breakpoints (or to ±inf) and holds
+    x strictly inside, unless x is a breakpoint, which is then an end of it.
+    Strictly inside, 2a * x + b of the piece is the derivative at x.
+    """
+    costs, x = case
+    batch = CostBatch(costs)
+    for rule in SELECTION_RULES:
+        g, (lower, upper, slope, b) = batch.select_piece(x, rule)
+        assert same_bits(g, batch.select(x, rule).tolist()), rule
+        for j, cost in enumerate(costs):
+            ends = [-np.inf, *cost.breakpoints, np.inf]
+            k = ends.index(lower[j])
+            assert upper[j] == ends[k + 1], (rule, j)
+            assert lower[j] <= x[j] <= upper[j], (rule, j)
+            on_kink = x[j] in cost.breakpoints
+            assert (lower[j] < x[j] < upper[j]) == (not on_kink), (rule, j)
+            if not on_kink:
+                assert same_bits(np.array([slope[j] * x[j] + b[j]]), [cost.clarke(float(x[j])).lo]), (rule, j)

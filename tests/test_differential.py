@@ -28,22 +28,16 @@ from olfc.controller import (
 )
 from olfc.costs import SELECTION_RULES, project_box
 from olfc.dynamics import Injection, PlantState, plant_rhs
-from olfc.network import load_network
 from olfc.simulator import ClosedLoop, ControllerConfig
 
-from conftest import network_path
+from conftest import NETWORKS, bundled_network
 
-NETWORKS = ("two_bus", "three_bus", "three_bus_congested", "nine_bus", "sixty_eight_bus")
 RTOL = 1e-12
-
-@functools.cache
-def _model(name: str):
-    return load_network(network_path(name))
 
 
 @functools.cache
 def _loop(name: str, config: ControllerConfig) -> ClosedLoop:
-    return ClosedLoop(_model(name), config)
+    return ClosedLoop(bundled_network(name), config)
 
 
 def reference_rhs(model, plant: PlantState, ctrl: ControllerState, p_m, config: ControllerConfig) -> np.ndarray:
