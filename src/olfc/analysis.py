@@ -244,22 +244,17 @@ class Theorem1Report:
 
 
 def check_theorem1(
-    model: NetworkModel,
-    settled: FullState,
-    oracle: OptimalSolution,
-    tol: float = 1e-4,
-    p_m: np.ndarray | None = None,
+    model: NetworkModel, settled: FullState, oracle: OptimalSolution, p_m: np.ndarray, tol: float = 1e-4
 ) -> Theorem1Report:
-    """Check the four closed-loop optimality claims on a settled state.
+    """Check the four closed-loop optimality claims on a settled state under the injection p_m.
 
     (1) all bus frequencies vanish; (2) the settled state satisfies the
     optimality system; (3) the physical angle differences match the
     controller's virtual ones and respect the line limits; (4) the settled
-    load vector equals the oracle optimum. If p_m is not given it is
-    reconstructed from the oracle solution through the balance equation.
+    load vector equals the oracle optimum. p_m is the injection the loop
+    settled under, never one rebuilt from the oracle's own optimum: the
+    balance residual would then miss a wrong injection.
     """
-    if p_m is None:
-        p_m = oracle.p_l_star + model.laplacian @ oracle.phi_star
     p_m = np.asarray(p_m, dtype=float)
     plant, ctrl = settled.plant, settled.ctrl
     p_l = project_box(ctrl.d, model.load_box)

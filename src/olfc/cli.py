@@ -14,7 +14,12 @@ Errors are emitted as one JSON object per line on standard error.
 
 Every scenario file, with the overrides applied, is validated before any
 scenario is integrated, its event buses and warm-start files against its
-network too; `settle` and `check` pass that network on to the job. `check`
+network too; `settle` and `check` pass that network on to the job. So is
+every file `--out` names: one that is a directory or lies under a file
+exits 1 before any work, as does a write that fails later.
+`run` and `check` take several scenarios in min(scenarios, usable CPUs)
+worker processes (`taskset` caps the usable CPUs); the outputs do not
+depend on that count. `check`
 with several scenarios reports every scenario that finishes: a numerical
 failure in one of them prints one error line naming it (with a "scenario"
 field), and the tables and the `--out` file still hold the others. Its
@@ -29,8 +34,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -62,24 +69,17 @@ def _emit_error(kind: str, message: str, **extra) -> None:
     print(json.dumps({"error": kind, "message": message, **extra}), file=sys.stderr)
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+def _dumps(obj, **kwargs) -> str:
+    """JSON text of obj: numpy floats are floats already, and arrays and other numpy scalars go through `tolist`."""
+    return json.dumps(obj, default=lambda x: x.tolist(), **kwargs)
 
 
-def _positive(convert, name: str):
-    """An argparse type: the text as a finite number above zero, else a parse error naming `name`."""
+def _positive(name: str):
+    """An argparse type: the text as a finite float above zero, else a parse error naming `name`."""
 
-    def parse(text: str):
+    def parse(text: str) -> float:
         try:
-            value = convert(text)
+            value = float(text)
         except ValueError:
             value = math.nan
         if not 0 < value < math.inf:
@@ -110,25 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate scenarios and write trajectory CSVs")
     p_run.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
     p_run.add_argument("--out", required=True, help="output CSV path (directory when several scenarios)")
-    p_run.add_argument("--jobs", type=_positive(int, "jobs"), default=1, help="scenarios to run concurrently")
     _add_sim_flags(p_run)
 
     p_settle = sub.add_parser("settle", help="integrate a scenario to equilibrium")
     p_settle.add_argument("scenario", help="scenario JSON file")
-    p_settle.add_argument("--tol", type=_positive(float, "tol"), default=1e-8, help="settle tolerance on the state derivative")
-    p_settle.add_argument("--t-max", type=_positive(float, "t_max"), default=600.0, help="settle time budget [s of model time]")
+    p_settle.add_argument("--tol", type=_positive("tol"), default=1e-8, help="settle tolerance on the state derivative")
+    p_settle.add_argument("--t-max", type=_positive("t_max"), default=600.0, help="settle time budget [s of model time]")
     _add_sim_flags(p_settle)
 
     p_solve = sub.add_parser("solve", help="solve the allocation problem with the oracle")
     p_solve.add_argument("network", help="network JSON file")
     p_solve.add_argument("--pm", required=True, help="text file with the injection vector p_m")
-    p_solve.add_argument("--tol", type=_positive(float, "tol"), default=1e-6, help="oracle objective tolerance")
+    p_solve.add_argument("--tol", type=_positive("tol"), default=1e-6, help="oracle objective tolerance")
 
     p_check = sub.add_parser("check", help="run, settle, solve and verify the optimality claims")
     p_check.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
-    p_check.add_argument("--tol", type=_positive(float, "tol"), default=1e-4, help="acceptance tolerance")
-    p_check.add_argument("--t-max", type=_positive(float, "t_max"), default=600.0, help="settle time budget [s of model time]")
-    p_check.add_argument("--jobs", type=_positive(int, "jobs"), default=1, help="scenarios to check concurrently")
+    p_check.add_argument("--tol", type=_positive("tol"), default=1e-4, help="acceptance tolerance")
+    p_check.add_argument("--t-max", type=_positive("t_max"), default=600.0, help="settle time budget [s of model time]")
     p_check.add_argument("--out", default=None, help="write the machine-readable reports to this JSON file")
     _add_sim_flags(p_check)
 
@@ -150,20 +148,38 @@ def _load(path: str, ns: argparse.Namespace) -> tuple[Scenario, NetworkModel]:
     return scenario, model
 
 
+def _file_target(path: Path) -> Path:
+    """`path`, once it is no directory and its nearest existing ancestor is one."""
+    parent = next(p for p in path.absolute().parents if p.exists())
+    if path.is_dir() or not parent.is_dir():
+        why = "is a directory" if path.is_dir() else f"lies under {parent}, which is not a directory"
+        raise ValidationError(f"--out {path} {why}, but a file is to be written there")
+    return path
+
+
+def _write(path: Path, write) -> None:
+    """Create the directory of `path` and call write(path); an OSError becomes a validation error naming --out."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise ValidationError(f"--out {path} cannot be written: {exc}") from exc
+
+
 def _out_paths(out: str, paths: list[str]) -> list[Path]:
     """The CSV of each scenario: `out` itself, or <out>/<stem>.csv for several scenarios or a directory.
 
-    An `out` that is a file while it must be a directory, and two scenarios
-    that would write the same CSV, are rejected.
+    An `out` that is a file while it must be a directory, a CSV that cannot
+    be a file, and two scenarios that would write the same CSV, are rejected.
     """
     out_p = Path(out)
     if len(paths) == 1 and not (out_p.is_dir() or out.endswith("/")):
-        return [out_p]
+        return [_file_target(out_p)]
     if out_p.exists() and not out_p.is_dir():
         raise ValidationError(f"--out {out} is a file, but several scenarios need a directory")
     owners: dict[Path, str] = {}
     for path in paths:
-        csv_path = out_p / (Path(path).stem + ".csv")
+        csv_path = _file_target(out_p / (Path(path).stem + ".csv"))
         if csv_path in owners:
             raise ValidationError(f"scenarios {owners[csv_path]} and {path} would both write {csv_path}")
         owners[csv_path] = path
@@ -174,8 +190,7 @@ def _run_job(args: tuple) -> dict:
     path, scenario, csv_path = args
     with naming(path):
         log = run(scenario)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    log.to_csv(csv_path)
+    _write(csv_path, log.to_csv)
     return {
         "scenario": path,
         "out": str(csv_path),
@@ -227,7 +242,7 @@ def check_scenario(scenario: Scenario, model: NetworkModel, label: str, tol: flo
     if not sr.converged:
         raise NumericalError(f"{label}: closed loop did not settle within {t_max:g} s (residual {sr.residual:.3e})")
     res.oracle = solve_olc(res.model, res.p_m, tol=1e-6)
-    res.report = check_theorem1(res.model, FullState(sr.plant, sr.ctrl), res.oracle, tol=tol, p_m=res.p_m)
+    res.report = check_theorem1(res.model, FullState(sr.plant, sr.ctrl), res.oracle, res.p_m, tol=tol)
     return res
 
 
@@ -269,12 +284,14 @@ def _print_check_table(result: dict) -> None:
     print(f"  {'overall':<22} {'PASS' if rep['passed'] else 'FAIL'}")
 
 
-def _map_jobs(fn, job_args: list[tuple], jobs: int) -> list:
-    """fn over job_args, in at most `jobs` worker processes and never more than there are jobs."""
-    workers = min(jobs, len(job_args))
+def _map_jobs(fn, job_args: list[tuple]) -> list:
+    """fn over job_args, in order, in min(jobs, CPUs this process may run on) worker processes, or in-process for 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(len(job_args), cpus)
     if workers <= 1:
         return [fn(a) for a in job_args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Spawned, not forked: a fork copies a process whose BLAS threads may hold locks.
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         return list(pool.map(fn, job_args))
 
 
@@ -290,7 +307,7 @@ def _cmd_run(ns) -> int:
     # end of a benchmark run, which raised trajectory_export's peak RSS by
     # 6 % (90.8 -> 96.5 MiB median on a 2-vCPU Xeon guest).
     job_args = [(p, _load(p, ns)[0], csv) for p, csv in zip(ns.scenario, _out_paths(ns.out, ns.scenario))]
-    for res in _map_jobs(_run_job, job_args, ns.jobs):
+    for res in _map_jobs(_run_job, job_args):
         print(f"wrote {res['out']} ({res['records']} records, t_end = {res['t_end']:g} s)")
     return EXIT_OK
 
@@ -302,7 +319,7 @@ def _cmd_settle(ns) -> int:
     sr = res.settled
     p_l = project_box(sr.ctrl.d, res.model.load_box)
     omega = assemble_frequencies(res.model, sr.plant, Injection(p_m=res.p_m, p_l=p_l))
-    print(json.dumps(_jsonify({
+    print(_dumps({
         "converged": sr.converged,
         "t": sr.t,
         "residual": sr.residual,
@@ -310,7 +327,7 @@ def _cmd_settle(ns) -> int:
         "p_l": p_l,
         "mu": sr.ctrl.mu,
         "mu_spread": float(np.max(sr.ctrl.mu) - np.min(sr.ctrl.mu)),
-    })))
+    }))
     if not sr.converged:
         _emit_error("numerical", f"did not settle within {ns.t_max:g} s (residual {sr.residual:.3e})")
         return EXIT_NUMERICAL
@@ -325,7 +342,7 @@ def _cmd_solve(ns) -> int:
         raise ValidationError(f"cannot read injection vector from {ns.pm}: {exc}") from exc
     with naming(ns.pm):
         sol = solve_olc(model, p_m, tol=ns.tol)
-    print(json.dumps(_jsonify({
+    print(_dumps({
         "objective": sol.objective,
         "dual_objective": sol.dual_objective,
         "p_l_star": sol.p_l_star,
@@ -335,24 +352,24 @@ def _cmd_solve(ns) -> int:
         "eta_minus_star": sol.eta_minus_star,
         "iterations": sol.iterations,
         "balance_residual": sol.balance_residual,
-    })))
+    }))
     return EXIT_OK
 
 
 def _cmd_check(ns) -> int:
+    out = ns.out and _file_target(Path(ns.out))
     job_args = [(p, *_load(p, ns), ns.tol, ns.t_max) for p in ns.scenario]
     results = []
     failed = False
-    for res in _map_jobs(_check_job, job_args, ns.jobs):
+    for res in _map_jobs(_check_job, job_args):
         if "error" in res:
             _emit_error("numerical", res["error"], scenario=res["scenario"])
             failed = True
         else:
             _print_check_table(res)
             results.append(res)
-    if ns.out and results:
-        Path(ns.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(ns.out).write_text(json.dumps(_jsonify(results), indent=2) + "\n")
+    if out and results:
+        _write(out, lambda path: path.write_text(_dumps(results, indent=2) + "\n"))
     if failed:
         return EXIT_NUMERICAL
     return EXIT_OK if all(res["report"]["passed"] for res in results) else EXIT_CHECK_FAILED

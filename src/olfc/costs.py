@@ -180,20 +180,21 @@ class CostBatch:
     row base plus one comparison per column, and coefficients are fetched
     with `ndarray.take`. A further flat table holds the breakpoint just below
     each piece (NaN for piece 0 and for padded pieces, so it never compares
-    equal). `minnorm` and `midpoint` need the interval only at a kink: they
-    look up the right-sided piece once and fetch the left-sided one only for
-    the buses whose lower breakpoint equals x. The results equal the scalar
+    equal). The Clarke interval is looked up once (`_interval`): the
+    right-sided piece, and the left-sided one only for the buses whose lower
+    breakpoint equals x. Off every kink it is the point f'(x), whose element
+    under each rule is `select_point`. The results equal the scalar
     PiecewiseCost methods (and `select_subgradient`) bit for bit, which the
     tests check.
 
-    `select_piece` also returns the piece each bus was looked up on: its
-    column of a (4, n*K) table whose rows are the open bracket (lower,
-    upper) between the breakpoints around the piece (-inf and +inf at the
-    ends, NaN for padded pieces), 2a and b. Strictly inside its bracket a
-    bus is on no kink, and every rule reads that same piece there, so a
-    caller that keeps the columns can evaluate the selection from them
-    until x leaves the bracket (see `ClosedLoop`). A bus exactly on a kink
-    is an end of the bracket it gets, so it never passes that check.
+    `select_piece` also returns the right-sided piece of each bus, under
+    every rule: its column of a (4, n*K) table whose rows are the open
+    bracket (lower, upper) between the breakpoints around the piece (-inf
+    and +inf at the ends, NaN for padded pieces), 2a and b. Strictly inside
+    its bracket a bus is on no kink, so a caller that keeps the columns can
+    evaluate the selection from them until x leaves the bracket (see
+    `ClosedLoop`). A bus exactly on a kink is an end of either bracket, so
+    it never passes that check.
     """
 
     def __init__(self, costs: list[PiecewiseCost]):
@@ -228,57 +229,68 @@ class CostBatch:
         self._breakpoints = tuple(np.ascontiguousarray(col) for col in bp.T)
         self._left_bp = left_bp.ravel()
 
-    def _pieces(self, x: np.ndarray, below) -> np.ndarray:
-        """Flat index of the piece per bus: row base plus the breakpoints `below` x."""
+    def _pieces(self, x: np.ndarray) -> np.ndarray:
+        """Flat index of the right-sided piece per bus: row base plus the breakpoints at or below x."""
         idx = self._base
         for col in self._breakpoints:
-            idx = idx + below(col, x)
+            idx = idx + np.less_equal(col, x)
         return idx
 
     def _slope_at(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self._slope.take(idx) * x + self._b.take(idx)
 
-    def _derivative(self, x: np.ndarray, below) -> np.ndarray:
-        return self._slope_at(x, self._pieces(x, below))
+    def _interval(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """f'-(x), f'+(x) (the same array off every kink), the flat index of the right-sided piece, and whether any bus is on a kink."""
+        hi = self._pieces(x)
+        g_hi = self._slope_at(x, hi)
+        kink = self._left_bp.take(hi) == x
+        if not kink.any():
+            return g_hi, g_hi, hi, False
+        return self._slope_at(x, hi - kink), g_hi, hi, True
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """Per-bus cost values f_j(x_j)."""
-        idx = self._pieces(x, np.less_equal)
+        idx = self._pieces(x)
         return self._a.take(idx) * x * x + self._b.take(idx) * x + self._c.take(idx)
 
     def bounds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One-sided derivatives (f'-(x_j), f'+(x_j)) per bus."""
-        return self._derivative(x, np.less), self._derivative(x, np.less_equal)
+        return self._interval(x)[:2]
 
     def select(self, x: np.ndarray, rule: str = "minnorm") -> np.ndarray:
         """Vectorized select_subgradient over the per-bus Clarke intervals."""
         return self._select(x, rule)[0]
 
     def select_piece(self, x: np.ndarray, rule: str = "minnorm") -> tuple[np.ndarray, np.ndarray]:
-        """`select(x, rule)` and the piece it looked up per bus: a (4, n) array of rows lower, upper, 2a, b."""
+        """`select(x, rule)` and the right-sided piece per bus: a (4, n) array of rows lower, upper, 2a, b."""
         g, idx = self._select(x, rule)
         return g, self._table.take(idx, axis=1)
 
     def _select(self, x: np.ndarray, rule: str) -> tuple[np.ndarray, np.ndarray]:
-        """The selection and the flat index of the piece looked up: the left-sided one for `left`, else the right-sided one."""
-        if rule == "left":
-            idx = self._pieces(x, np.less)
-            return self._slope_at(x, idx), idx
-        hi = self._pieces(x, np.less_equal)
-        g_hi = self._slope_at(x, hi)
-        if rule == "right":
-            return g_hi, hi
-        if rule not in ("minnorm", "midpoint"):
+        """The selection and the flat index of the right-sided piece per bus."""
+        if rule not in SELECTION_RULES:
             raise ValidationError(f"unknown selection rule {rule!r}, expected one of {SELECTION_RULES}")
-        kink = self._left_bp.take(hi) == x
-        if not kink.any():
-            # Off every kink the interval is the point g_hi. `+ 0.0` maps
-            # -0.0 to +0.0, as the minnorm `where` chain below does.
-            return (g_hi + 0.0 if rule == "minnorm" else 0.5 * (g_hi + g_hi)), hi
-        g_lo = self._slope_at(x, hi - kink)
+        g_lo, g_hi, idx, kink = self._interval(x)
+        if not kink:
+            return select_point(g_hi, rule), idx
         if rule == "minnorm":
-            return np.where(g_lo > 0.0, g_lo, np.where(g_hi < 0.0, g_hi, 0.0)), hi
-        return 0.5 * (g_lo + g_hi), hi
+            return np.where(g_lo > 0.0, g_lo, np.where(g_hi < 0.0, g_hi, 0.0)), idx
+        if rule == "midpoint":
+            return 0.5 * (g_lo + g_hi), idx
+        return (g_lo if rule == "left" else g_hi), idx
+
+
+def select_point(g: np.ndarray, rule: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The rule's element of each one-point interval {g_j}, bit for bit as `select_subgradient` gives it; `out` is None or g.
+
+    `+ 0.0` maps -0.0 to +0.0, as minnorm's comparisons with 0 do; 0.5 * (g + g)
+    equals g unless g + g overflows, so it is computed, not skipped.
+    """
+    if rule == "minnorm":
+        return np.add(g, 0.0, out=out)
+    if rule == "midpoint":
+        return np.multiply(0.5, np.add(g, g, out=out), out=out)
+    return g
 
 
 def normalize_selection_rule(rule: str) -> str:

@@ -76,6 +76,13 @@ class Line:
             raise ValidationError(f"line {self.index} angle bounds must satisfy lower <= upper")
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """`values` as a read-only array: a cached view that no caller can change under the others."""
+    v = np.asarray(values, dtype=dtype)
+    v.setflags(write=False)
+    return v
+
+
 class NetworkModel:
     """Validated network: ordered buses and lines plus cached matrix views."""
 
@@ -139,64 +146,44 @@ class NetworkModel:
         for e, line in enumerate(self.lines):
             C[line.from_bus, e] = 1.0
             C[line.to_bus, e] = -1.0
-        C.setflags(write=False)
-        return C
+        return _frozen(C)
 
     @cached_property
     def susceptances(self) -> np.ndarray:
-        B = np.array([line.susceptance for line in self.lines], dtype=float)
-        B.setflags(write=False)
-        return B
+        return _frozen([line.susceptance for line in self.lines])
 
     @cached_property
     def laplacian(self) -> np.ndarray:
         C = self.incidence
-        L = (C * self.susceptances) @ C.T
-        L.setflags(write=False)
-        return L
+        return _frozen((C * self.susceptances) @ C.T)
 
     @cached_property
     def generator_index(self) -> np.ndarray:
-        idx = np.array([b.id for b in self.buses if b.kind is BusKind.GENERATOR], dtype=int)
-        idx.setflags(write=False)
-        return idx
+        return _frozen([b.id for b in self.buses if b.kind is BusKind.GENERATOR], int)
 
     @cached_property
     def load_index(self) -> np.ndarray:
-        idx = np.array([b.id for b in self.buses if b.kind is BusKind.LOAD], dtype=int)
-        idx.setflags(write=False)
-        return idx
+        return _frozen([b.id for b in self.buses if b.kind is BusKind.LOAD], int)
 
     @cached_property
     def damping(self) -> np.ndarray:
-        D = np.array([b.damping for b in self.buses], dtype=float)
-        D.setflags(write=False)
-        return D
+        return _frozen([b.damping for b in self.buses])
 
     @cached_property
     def inertia_generators(self) -> np.ndarray:
-        M = np.array([b.inertia for b in self.buses if b.kind is BusKind.GENERATOR], dtype=float)
-        M.setflags(write=False)
-        return M
+        return _frozen([b.inertia for b in self.buses if b.kind is BusKind.GENERATOR])
 
     @cached_property
     def load_box(self) -> Box:
-        return Box(
-            lower=np.array([b.load_lower for b in self.buses]),
-            upper=np.array([b.load_upper for b in self.buses]),
-        )
+        return Box(lower=[b.load_lower for b in self.buses], upper=[b.load_upper for b in self.buses])
 
     @cached_property
     def angle_lower(self) -> np.ndarray:
-        v = np.array([ln.angle_lower for ln in self.lines], dtype=float)
-        v.setflags(write=False)
-        return v
+        return _frozen([ln.angle_lower for ln in self.lines])
 
     @cached_property
     def angle_upper(self) -> np.ndarray:
-        v = np.array([ln.angle_upper for ln in self.lines], dtype=float)
-        v.setflags(write=False)
-        return v
+        return _frozen([ln.angle_upper for ln in self.lines])
 
     @property
     def costs(self) -> list[PiecewiseCost]:

@@ -54,17 +54,16 @@ class _PiecewiseBatch:
         self.b = np.zeros((n, K))
         self.c = np.zeros((n, K))
         self.edges = np.full((n, K + 1), np.inf)
-        self.bp = np.full((n, max(K - 1, 1)), np.inf)
         for j, cost in enumerate(costs):
             k = cost.a.size
             self.a[j, :k] = cost.a
             self.b[j, :k] = cost.b
             self.c[j, :k] = cost.c
             self.edges[j, 0] = -np.inf
-            self.edges[j, 1:k] = cost.breakpoints
-            self.edges[j, k] = np.inf
             # padded pieces keep [inf, inf] intervals: never selected
-            self.bp[j, : k - 1] = cost.breakpoints
+            self.edges[j, 1:k] = cost.breakpoints
+        # Interior breakpoints, padded with +inf.
+        self.bp = self.edges[:, 1:K]
         self.a_pad = np.where(self.a > 0, self.a, 1.0)
         self.lower = model.load_box.lower
         self.upper = model.load_box.upper
@@ -123,39 +122,23 @@ def check_feasibility(model: NetworkModel, p_m: np.ndarray) -> np.ndarray:
     Returns a feasible phi (gauge phi_0 = 0) or raises InfeasibleProblemError.
     """
     p_m = np.asarray(p_m, dtype=float)
-    n, m = model.n, model.m
+    n = model.n
     box = model.load_box
     total = float(p_m.sum())
     if total < box.lower.sum() - 1e-12 or total > box.upper.sum() + 1e-12:
         raise InfeasibleProblemError(
             f"total injection {total:g} outside aggregate load range [{box.lower.sum():g}, {box.upper.sum():g}]"
         )
+    # p = p_m - L phi within the box, and theta_min <= C^T phi <= theta_max.
+    # Validation makes every bound finite, so every row is kept.
     L = model.laplacian
     Ct = model.incidence.T
-    rows = []
-    rhs = []
-    # p = p_m - L phi within box
-    for sign in (1.0, -1.0):
-        A = sign * -L
-        b = (box.upper - p_m) if sign > 0 else (p_m - box.lower)
-        for i in range(n):
-            if np.isfinite(b[i]):
-                rows.append(A[i])
-                rhs.append(b[i])
-    # theta_min <= C^T phi <= theta_max
-    for e in range(m):
-        if np.isfinite(model.angle_upper[e]):
-            rows.append(Ct[e])
-            rhs.append(model.angle_upper[e])
-        if np.isfinite(model.angle_lower[e]):
-            rows.append(-Ct[e])
-            rhs.append(-model.angle_lower[e])
     A_eq = np.zeros((1, n))
     A_eq[0, 0] = 1.0
     res = linprog(
         c=np.zeros(n),
-        A_ub=np.array(rows) if rows else None,
-        b_ub=np.array(rhs) if rhs else None,
+        A_ub=np.vstack([-L, L, Ct, -Ct]),
+        b_ub=np.concatenate([box.upper - p_m, p_m - box.lower, model.angle_upper, -model.angle_lower]),
         A_eq=A_eq,
         b_eq=np.zeros(1),
         bounds=[(None, None)] * n,
@@ -224,7 +207,6 @@ def _admm_solve(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, tol: 
     lam = rho * v
     eta_plus = np.maximum(lam, 0.0)
     eta_minus = np.maximum(-lam, 0.0)
-    P = p_m - L @ phi
     r_balance = float(np.max(np.abs(Q - p_m + L @ phi)))
     return {
         "p": Q,
@@ -234,7 +216,6 @@ def _admm_solve(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, tol: 
         "eta_minus": eta_minus,
         "iterations": it,
         "balance_residual": r_balance,
-        "edge_residual": float(np.max(np.abs(Ct @ phi - psi))) if m else 0.0,
     }
 
 

@@ -68,7 +68,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, issparse
 
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
-from .costs import CostBatch, normalize_selection_rule
+from .costs import CostBatch, normalize_selection_rule, select_point
 from .dynamics import PlantState
 from .errors import NumericalError, ValidationError, naming, read_json, require_fields, require_finite
 from .network import NetworkModel, load_network
@@ -297,7 +297,7 @@ class ClosedLoop:
         gidx = model.generator_index
         lidx = model.load_index
         g = gidx.size
-        self.n, self.m, self.g = n, m, g
+        self.n = n
 
         self._layout = layout = _packed_layout(n, g, m)
         self.sl_theta = layout["theta_e"]
@@ -315,7 +315,7 @@ class ClosedLoop:
         D = model.damping
         M = model.inertia_generators
         Cw = C * B
-        self.C, self.B = C, B
+        self.B = B
         self.box_lower = model.load_box.lower
         self.box_upper = model.load_box.upper
         self.batch = CostBatch(model.costs)
@@ -466,35 +466,26 @@ class ClosedLoop:
 
         The selection keeps each bus's cost piece from the stage before.
         While every p_l lies strictly inside its piece's bracket (lower,
-        upper), g = 2a * p_l + b is written straight into the buffer, then
-        `+ 0.0` for `minnorm` and 0.5 * (g + g) for `midpoint`. That is
+        upper), g = 2a * p_l + b is written straight into the buffer and the
+        rule's element of {g} taken there by `costs.select_point`. That is
         `CostBatch.select` bit for bit: strictly inside a bracket no bus is on
-        a kink, so `select` takes its off-kink branch, which does these
-        operations on the same coefficients. `left` finds the piece by the
-        breakpoints below p_l and the other rules by those at or below it;
-        inside a bracket these are the same breakpoints, so every rule reads
-        the kept piece. `midpoint`'s 0.5 * (g + g) equals g unless g + g
-        overflows, so it is computed, not skipped. Otherwise the stage takes
-        the exact lookup, `CostBatch.select_piece`, and keeps the pieces it
-        returns. A bus exactly on a kink is an end of the bracket it gets, so
-        it takes the exact lookup, where the rules differ, while it stays
-        there.
+        a kink, so `select` takes `select_point` of 2a * x + b on the same
+        piece. Otherwise the stage takes the exact lookup,
+        `CostBatch.select_piece`, and keeps the pieces it returns. A bus
+        exactly on a kink is an end of the bracket it gets, so it takes the
+        exact lookup, where the rules differ, while it stays there.
         """
         p_l = self._u_pl
         # minimum(maximum(.)) is np.clip bit for bit, without clip's wrapper cost.
         np.minimum(np.maximum(self._y_d, self.box_lower, out=p_l), self.box_upper, out=p_l)
         np.maximum(self._y_varphi, 0.0, out=self._u_eta)
         lower, upper, slope, b = self._piece
-        rule = self.config.selection
         # count_nonzero is a plain C call, unlike ndarray.all's Python wrapper.
         if np.count_nonzero((lower < p_l) & (p_l < upper)) == self.n:
             g = np.add(np.multiply(slope, p_l, out=self._u_g), b, out=self._u_g)
-            if rule == "minnorm":
-                np.add(g, 0.0, out=g)
-            elif rule == "midpoint":
-                np.multiply(0.5, np.add(g, g, out=g), out=g)
+            select_point(g, self.config.selection, out=g)
         else:
-            self._u_g[...], piece = self.batch.select_piece(p_l, rule)
+            self._u_g[...], piece = self.batch.select_piece(p_l, self.config.selection)
             self._piece = tuple(piece)
         dy = self.K @ self._u
         dy += aff

@@ -208,9 +208,14 @@ def test_check_theorem1_full_report(model, settled, smooth_solution):
     assert json.dumps(rep.to_dict())
 
 
-def test_check_theorem1_reconstructs_p_m(model, settled, smooth_solution):
-    rep = check_theorem1(model, FullState(settled.plant, settled.ctrl), smooth_solution)
-    assert rep.passed
+def test_check_theorem1_sees_a_wrong_injection(model, settled, smooth_solution):
+    """p_m is the caller's, so the balance residual measures the settled loads against the injection they met."""
+    state = FullState(settled.plant, settled.ctrl)
+    with pytest.raises(TypeError):
+        check_theorem1(model, state, smooth_solution)
+    rep = check_theorem1(model, state, smooth_solution, np.array([0.35, 0.0, 0.0]))
+    assert rep.kkt.balance == pytest.approx(0.05, abs=1e-6)
+    assert not rep.checks["kkt"] and not rep.passed
 
 
 def test_check_theorem1_fails_on_unsettled(model, smooth_solution):

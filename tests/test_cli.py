@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, outputs."""
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
+from olfc import cli
 from olfc.cli import main
 from olfc.network import load_network
 
@@ -26,6 +29,14 @@ def tmp_scenario(tmp_path):
         return str(p)
 
     return make
+
+
+def pin_cpus(monkeypatch, cpus: int) -> None:
+    """Let this process run on `cpus` CPUs, as a `taskset` mask would, so `run` and `check` start at most that many workers.
+
+    At 1 every scenario runs in this process, where a test can count the calls it makes.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def read_stderr_json(capsys):
@@ -163,11 +174,13 @@ def test_tolerance_must_be_finite_and_positive(tmp_scenario, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
-@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
-def test_jobs_must_be_a_positive_integer(tmp_scenario, tmp_path, capsys, command, value):
-    assert main([command, tmp_scenario(), "--out", str(tmp_path / "x"), "--jobs", value]) == 1
+def test_jobs_is_no_option(tmp_scenario, tmp_path, capsys, command):
+    """The worker count is worked out, so `--jobs` is neither listed nor taken."""
+    assert main([command, "--help"]) == 0
+    assert "--jobs" not in capsys.readouterr().out
+    assert main([command, tmp_scenario(), "--out", str(tmp_path / "x"), "--jobs", "2"]) == 1
     _, errs = read_stderr_json(capsys)
-    assert "--jobs" in errs[-1]["message"]
+    assert errs[-1]["error"] == "validation" and "--jobs" in errs[-1]["message"]
     assert not (tmp_path / "x").exists()
 
 
@@ -176,7 +189,7 @@ class _InlinePool:
 
     max_workers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.max_workers.append(max_workers)
 
     def __enter__(self):
@@ -190,12 +203,31 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
-def test_jobs_pool_is_capped_at_the_scenario_count(tmp_scenario, tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize("cpus, scenarios, pools", [(64, 2, [2]), (1, 2, []), (64, 1, [])])
+def test_workers_are_the_scenarios_capped_at_the_usable_cpus(tmp_scenario, tmp_path, monkeypatch, capsys, command, cpus, scenarios, pools):
+    """min(scenarios, usable CPUs) workers; at 1 no pool is built. The fake pool maps in this process.
+
+    `check` gets no time to settle, so each scenario fails fast (exit 2).
+    """
     monkeypatch.setattr("olfc.cli.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "max_workers", [])
-    paths = [tmp_scenario("a.json", t_end=0.05), tmp_scenario("b.json", t_end=0.05)]
-    assert main([command, *paths, "--out", str(tmp_path / "out"), "--jobs", "64"]) == 0
-    assert _InlinePool.max_workers == [2]
+    pin_cpus(monkeypatch, cpus)
+    paths = [tmp_scenario(f"{k}.json", t_end=0.05) for k in range(scenarios)]
+    budget = ["--t-max", "0.01"] if command == "check" else []
+    assert main([command, *paths, "--out", str(tmp_path / "out"), *budget]) == (0 if command == "run" else 2)
+    assert _InlinePool.max_workers == pools
+
+
+@pytest.mark.parametrize("cpu_count, pools", [(64, [2]), (None, [])])
+def test_workers_fall_back_to_the_cpu_count(tmp_scenario, tmp_path, monkeypatch, capsys, cpu_count, pools):
+    """Where the platform cannot tell the usable CPUs, all CPUs count, and an unknown count as one."""
+    monkeypatch.setattr("olfc.cli.ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    paths = [tmp_scenario(f"{k}.json", t_end=0.05) for k in range(2)]
+    assert main(["run", *paths, "--out", str(tmp_path / "out")]) == 0
+    assert _InlinePool.max_workers == pools
 
 
 # -- wrong JSON types ---------------------------------------------------------
@@ -293,20 +325,19 @@ def test_run_multiple_scenarios_to_directory(tmp_scenario, tmp_path, capsys):
     a = tmp_scenario("a.json", t_end=0.05)
     b = tmp_scenario("b.json", t_end=0.05)
     outdir = tmp_path / "out"
-    assert main(["run", a, b, "--out", str(outdir), "--jobs", "2"]) == 0
+    assert main(["run", a, b, "--out", str(outdir)]) == 0
     assert (outdir / "a.csv").exists()
     assert (outdir / "b.csv").exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_run_rejects_scenarios_that_share_a_csv(tmp_scenario, tmp_path, capsys, jobs):
+def test_run_rejects_scenarios_that_share_a_csv(tmp_scenario, tmp_path, capsys):
     """Two scenario files with one stem would write one CSV: exit 1 before anything runs."""
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     a = tmp_scenario("a/x.json", t_end=0.05)
     b = tmp_scenario("b/x.json", t_end=0.05)
     outdir = tmp_path / "out"
-    assert main(["run", a, b, "--out", str(outdir), "--jobs", jobs]) == 1
+    assert main(["run", a, b, "--out", str(outdir)]) == 1
     captured, errs = read_stderr_json(capsys)
     assert "wrote" not in captured.out
     assert errs[-1]["error"] == "validation"
@@ -315,13 +346,12 @@ def test_run_rejects_scenarios_that_share_a_csv(tmp_scenario, tmp_path, capsys, 
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_run_rejects_an_existing_file_as_the_directory_of_several(tmp_scenario, tmp_path, capsys, jobs):
+def test_run_rejects_an_existing_file_as_the_directory_of_several(tmp_scenario, tmp_path, capsys):
     a = tmp_scenario("a.json", t_end=0.05)
     b = tmp_scenario("b.json", t_end=0.05)
     out = tmp_path / "existing.csv"
     out.write_text("keep me\n")
-    assert main(["run", a, b, "--out", str(out), "--jobs", jobs]) == 1
+    assert main(["run", a, b, "--out", str(out)]) == 1
     captured, errs = read_stderr_json(capsys)
     assert "wrote" not in captured.out
     assert errs[-1]["error"] == "validation" and str(out) in errs[-1]["message"]
@@ -345,6 +375,7 @@ def test_run_rejects_an_existing_file_as_the_directory_of_several(tmp_scenario, 
 )
 def test_an_invalid_scenario_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command, over, message):
     """The valid first scenario is never run: every scenario is loaded, overridden and checked first."""
+    pin_cpus(monkeypatch, 1)
     monkeypatch.setattr("olfc.cli.run", lambda *args: pytest.fail("a scenario was integrated"))
     np.savetxt(tmp_path / "short.txt", np.zeros(14))
     good = tmp_scenario("good.json", t_end=0.05)
@@ -494,12 +525,13 @@ def test_check_settle_budget_exhausted_exits_2(tmp_scenario, capsys):
     assert errs[-1]["error"] == "numerical"
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_check_reports_the_scenarios_that_settle(tmp_path, capsys, jobs):
-    """One timeout among several scenarios: the others are still printed and written, exit 2."""
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_check_reports_the_scenarios_that_settle(tmp_path, capsys, monkeypatch, cpus):
+    """One timeout among several scenarios: the others are still printed and written, exit 2, in this process or in two workers."""
+    pin_cpus(monkeypatch, cpus)
     paths = [str(scenario_path("three_bus_smooth")), str(scenario_path("two_bus_box"))]
     report = tmp_path / "report.json"
-    assert main(["check", *paths, "--t-max", "5", "--jobs", jobs, "--out", str(report)]) == 2
+    assert main(["check", *paths, "--t-max", "5", "--out", str(report)]) == 2
     captured, errs = read_stderr_json(capsys)
     assert f"scenario: {paths[0]}" in captured.out and f"scenario: {paths[1]}" not in captured.out
     assert [(e["error"], e["scenario"]) for e in errs] == [("numerical", paths[1])]
@@ -509,11 +541,62 @@ def test_check_reports_the_scenarios_that_settle(tmp_path, capsys, jobs):
 
 def test_check_loads_each_network_once(tmp_scenario, monkeypatch, capsys):
     """The network a scenario is checked against at load time is the one it runs on."""
+    pin_cpus(monkeypatch, 1)
     calls = []
     monkeypatch.setattr("olfc.simulator.load_network", lambda path, load=load_network: calls.append(path) or load(path))
     paths = [tmp_scenario("a.json", t_end=0.05), tmp_scenario("b.json", t_end=0.05)]
-    assert main(["check", *paths, "--t-max", "0.01", "--jobs", "1"]) == 2
+    assert main(["check", *paths, "--t-max", "0.01"]) == 2
     assert len(calls) == 2
+
+
+# -- unwritable --out -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, scenarios, target, message",
+    [
+        ("check", 1, "afile/report.json", "lies under"),
+        ("check", 1, "adir", "is a directory"),
+        ("run", 1, "afile/x.csv", "lies under"),
+        ("run", 2, "afile/sub/", "lies under"),
+    ],
+    ids=["check_under_a_file", "check_a_directory", "run_under_a_file", "run_several_under_a_file"],
+)
+def test_an_unwritable_out_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command, scenarios, target, message):
+    pin_cpus(monkeypatch, 1)
+    monkeypatch.setattr("olfc.cli.run", lambda *args: pytest.fail("a scenario was integrated"))
+    (tmp_path / "afile").write_text("keep me\n")
+    (tmp_path / "adir").mkdir()
+    paths = [tmp_scenario(f"{k}.json", t_end=0.05) for k in range(scenarios)]
+    assert main([command, *paths, "--out", str(tmp_path / target)]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert len(errs) == 1 and errs[0]["error"] == "validation"
+    assert errs[0]["message"].startswith("--out ") and message in errs[0]["message"]
+    assert (tmp_path / "afile").read_text() == "keep me\n" and not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_failed_write_of_out_is_a_validation_error(tmp_scenario, tmp_path, capsys, monkeypatch, command):
+    """--out's directory becomes a file while the scenario runs: the write fails, exit 1 with one line naming --out."""
+    pin_cpus(monkeypatch, 1)
+    outdir = tmp_path / "d"
+    outdir.mkdir()
+    integrate = cli.run
+
+    def run_then_block(*args):
+        log = integrate(*args)
+        shutil.rmtree(outdir)
+        outdir.write_text("in the way\n")
+        return log
+
+    monkeypatch.setattr(cli, "run", run_then_block)
+    target = outdir / ("x.csv" if command == "run" else "report.json")
+    assert main([command, tmp_scenario(t_end=0.05), "--out", str(target)]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert "Traceback" not in captured.err and "wrote" not in captured.out
+    assert errs[-1]["error"] == "validation" and errs[-1]["message"].startswith(f"--out {target} cannot be written")
+    assert outdir.read_text() == "in the way\n"
 
 
 def test_solve_names_the_injection_file_when_its_length_is_wrong(tmp_path, capsys):
