@@ -37,6 +37,9 @@ from scipy.optimize import linprog
 from .errors import InfeasibleProblemError, NumericalError, ValidationError
 from .network import NetworkModel
 
+_MAX_ITER = 400_000  # iteration cap of each route (ADMM, dual ascent) of `solve_olc`
+_LATTICE_GRID = 1e-4  # final lattice spacing of `lattice_search`
+
 
 class _PiecewiseBatch:
     """Oracle-private piecewise quadratic toolkit (vectorized over buses).
@@ -167,7 +170,7 @@ class OptimalSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _admm_solve(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, tol: float, max_iter: int):
+def _admm_solve(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, tol: float):
     """Primal route: consensus splitting with the balance equality kept hard."""
     n, m = model.n, model.m
     L = model.laplacian
@@ -185,7 +188,7 @@ def _admm_solve(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, tol: 
     eps_env = max(1.0, float(np.max(np.abs(p_m))))
     stop = max(1e-12, min(tol * 1e-3, 1e-9)) * eps_env
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         rhs = L @ (p_m - Q + u) + C @ (psi - v)
         phi = Gpinv @ rhs
         P = p_m - L @ phi
@@ -198,7 +201,7 @@ def _admm_solve(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, tol: 
         psi = np.clip(edge_rel + v, model.angle_lower, model.angle_upper)
         u = u + P_rel - Q
         v = v + edge_rel - psi
-        if it % 25 == 0 or it == max_iter:
+        if it % 25 == 0 or it == _MAX_ITER:
             r_primal = max(float(np.max(np.abs(P - Q))), float(np.max(np.abs(edge - psi))) if m else 0.0)
             r_dual = rho * max(float(np.max(np.abs(Q - Q_old))), float(np.max(np.abs(psi - psi_old))) if m else 0.0)
             if max(r_primal, r_dual) < stop:
@@ -219,7 +222,7 @@ def _admm_solve(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, tol: 
     }
 
 
-def _dual_lower_bound(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, upper: float, tol: float, max_iter: int):
+def _dual_lower_bound(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray, upper: float, tol: float):
     """Dual route: accelerated projected ascent over prices (certified lower bounds).
 
     Balance prices are parameterized as mu = -pinv(L) C (eta+ - eta-) + c 1,
@@ -259,7 +262,7 @@ def _dual_lower_bound(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray,
     t_acc = 1.0
     best = -np.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         _, grad = dual_value_grad(y)
         w_next = project(y + step * grad)
         val_next, _ = dual_value_grad(w_next)
@@ -274,7 +277,7 @@ def _dual_lower_bound(model: NetworkModel, pw: _PiecewiseBatch, p_m: np.ndarray,
     return best, it
 
 
-def solve_olc(model: NetworkModel, p_m: np.ndarray, tol: float = 1e-6, max_iter: int = 400_000) -> OptimalSolution:
+def solve_olc(model: NetworkModel, p_m: np.ndarray, tol: float = 1e-6) -> OptimalSolution:
     """Solve the allocation problem; primal and dual routes must agree within 2 tol.
 
     The certificate and invariant checks are written so that NaN fails them.
@@ -289,9 +292,9 @@ def solve_olc(model: NetworkModel, p_m: np.ndarray, tol: float = 1e-6, max_iter:
     pw = _PiecewiseBatch(model)
     check_feasibility(model, p_m)
 
-    primal = _admm_solve(model, pw, p_m, tol, max_iter)
+    primal = _admm_solve(model, pw, p_m, tol)
     objective = float(pw.total(primal["p"]))
-    lower, dual_iters = _dual_lower_bound(model, pw, p_m, objective, tol, max_iter)
+    lower, dual_iters = _dual_lower_bound(model, pw, p_m, objective, tol)
     if not objective - lower <= 2.0 * tol + 1e-12:
         raise NumericalError(
             f"oracle tolerance not reached within iteration cap: primal {objective:.9g} vs dual bound {lower:.9g}"
@@ -329,16 +332,16 @@ def _assert_solution_invariants(model: NetworkModel, sol: OptimalSolution, tol: 
         raise NumericalError(f"oracle balance residual too large: {sol.balance_residual:g}")
 
 
-def lattice_search(model: NetworkModel, p_m: np.ndarray, grid: float = 1e-4) -> tuple[np.ndarray, float]:
+def lattice_search(model: NetworkModel, p_m: np.ndarray) -> tuple[np.ndarray, float]:
     """Exhaustive lattice search for n <= 3 networks (brute-force ground truth).
 
     Load coordinates except the last live on a lattice over the box; the last
     is pinned by total balance; angles are eliminated through the Laplacian
     pseudoinverse and checked against the line limits. Refinement proceeds
-    stage by stage (factor-10 spacing) down to the requested grid; each stage
+    stage by stage (factor-10 spacing) down to `_LATTICE_GRID`; each stage
     scans exhaustively inside a window of +-3 previous spacings around the
     incumbent, which is sound for a convex objective over a convex feasible
-    set. The final stage spacing equals `grid` exactly.
+    set. The final stage spacing equals `_LATTICE_GRID` exactly.
     """
     p_m = np.asarray(p_m, dtype=float)
     pw = _PiecewiseBatch(model)
@@ -378,13 +381,13 @@ def lattice_search(model: NetworkModel, p_m: np.ndarray, grid: float = 1e-4) -> 
     lo = box.lower[:free].copy()
     hi = box.upper[:free].copy()
     spacings = []
-    s = grid
+    s = _LATTICE_GRID
     while s < np.max(hi - lo) / 40.0:
         s *= 10.0
-    while s > grid:
+    while s > _LATTICE_GRID:
         spacings.append(s)
         s /= 10.0
-    spacings.append(grid)
+    spacings.append(_LATTICE_GRID)
 
     window_lo, window_hi = lo, hi
     best_pt = None

@@ -20,12 +20,12 @@ per-module functions in `dynamics` and `controller` define the semantics;
 `tests/test_differential.py` checks the packed right-hand side against them
 on every bundled network, selection rule and mismatch source.
 
-The fused operator is assembled sparse: the frequency and the imbalance are
-sparse maps, and the nonzero entries of the operator's blocks are collected
-in COO form. An operator with at least 2**15 entries is then stored as
-canonical `scipy.sparse` CSR, so it is never held dense; a smaller one is
-summed into a dense array. The choice follows from each operator's shape,
-and the products are written the same way for both.
+The operator is written as the seven derivative equations, each one
+expression over the named blocks of x = [y | p_l | eta+ | eta- | g | p_m]
+(`ClosedLoop.operand`) and the maps omega and z on x. From 2**15 entries on,
+the block selectors, the maps and the operator are canonical CSR, so a large
+operator is never held dense; below that they are dense arrays. Products with
+C, C^T and L take a CSR left operand, so their sums run in one order for both.
 
 The operand stack (y, p_l, eta+, eta-, g) lives in one buffer that every
 right-hand-side evaluation overwrites in place: the projections are written
@@ -65,7 +65,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, issparse
+from scipy.sparse import csr_matrix
+from scipy.sparse import vstack as sparse_vstack
 
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
 from .costs import CostBatch, normalize_selection_rule, select_point
@@ -232,53 +233,22 @@ def load_scenario(path: str | Path) -> Scenario:
 # entry; a CSR matvec costs ~5-7 us at the sparsity of these operators (well
 # under 1 % nonzero on large networks). Measured on a 2-vCPU Xeon guest with
 # numpy 2.4 and scipy 1.17, the two meet near 2**15 entries (68-bus frequency
-# map, 68 x 478: 8.2 us dense vs 7.8 us CSR). Every operator is collected
-# sparse; the rule only decides how the collected entries are stored.
+# map, 68 x 478: 8.2 us dense vs 7.8 us CSR).
 _CSR_MIN_ENTRIES = 2**15
 
-Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-
-def _entries(block: np.ndarray | csr_matrix) -> Entries:
-    """Rows, columns and values of the entries of a block: the nonzero ones if dense, the stored ones if sparse."""
-    if issparse(block):
-        block = block.tocoo()
-        return block.row, block.col, block.data
-    i, j = np.nonzero(block)
-    return i, j, block[i, j]
-
-
-def _hot_operator(shape: tuple[int, int], blocks: list[tuple[int, int, Entries]]) -> np.ndarray | csr_matrix:
-    """A sum of sparse blocks placed at (row, column) offsets, stored for repeated products.
-
-    The blocks' entries are collected in COO form. Below 2**15 entries they
-    are summed into a dense array, in block order; from there on into
-    canonical CSR, so a large operator is never held dense. Where no entry
-    has more than two nonzero contributions, the CSR equals `csr_matrix` of
-    the dense sum: a sum of two does not depend on its order. In the closed
-    loop's operator each entry has one: the sums and products that fold the
-    imbalance z into it are formed on its maps before their entries are
-    collected.
-    """
-    rows = np.concatenate([r0 + i for r0, _, (i, _, _) in blocks])
-    cols = np.concatenate([c0 + j for _, c0, (_, j, _) in blocks])
-    vals = np.concatenate([v for _, _, (_, _, v) in blocks])
-    A = coo_matrix((vals, (rows, cols)), shape=shape)
-    if shape[0] * shape[1] < _CSR_MIN_ENTRIES:
-        return A.toarray()
-    A = A.tocsr()
-    A.eliminate_zeros()
-    return A
-
-
-def _packed_layout(n: int, g: int, m: int) -> dict[str, slice]:
-    """Slices of the packed state [theta_e | omega_g | d | mu | phi | varphi+ | varphi-]."""
-    widths = {"theta_e": m, "omega_g": g, "d": n, "mu": n, "phi": n, "varphi_plus": m, "varphi_minus": m}
-    layout, start = {}, 0
+def _slices(widths: dict[str, int], start: int = 0) -> dict[str, slice]:
+    """Consecutive named slices of the given widths, from `start` on."""
+    layout = {}
     for name, width in widths.items():
         layout[name] = slice(start, start + width)
         start += width
     return layout
+
+
+def _packed_layout(n: int, g: int, m: int) -> dict[str, slice]:
+    """Slices of the packed state [theta_e | omega_g | d | mu | phi | varphi+ | varphi-]."""
+    return _slices({"theta_e": m, "omega_g": g, "d": n, "mu": n, "phi": n, "varphi_plus": m, "varphi_minus": m})
 
 
 def _unpack(y: np.ndarray, layout: dict[str, slice]) -> tuple[PlantState, ControllerState]:
@@ -288,7 +258,13 @@ def _unpack(y: np.ndarray, layout: dict[str, slice]) -> tuple[PlantState, Contro
 
 
 class ClosedLoop:
-    """Precompiled closed-loop right-hand side over the packed state vector."""
+    """Precompiled closed-loop right-hand side over the packed state vector.
+
+    Outside the projections and the selection, the loop is the affine map
+    dy = K @ x[:p_m] + Kpm @ p_m + k0 of x = [y | p_l | eta+ | eta- | g | p_m].
+    `operand` names the slices of x, y's blocks included, so K's blocks are
+    read by name: K[loop.sl_phi, loop.operand["eta_plus"]].
+    """
 
     def __init__(self, model: NetworkModel, config: ControllerConfig | None = None):
         self.model = model
@@ -300,13 +276,7 @@ class ClosedLoop:
         self.n = n
 
         self._layout = layout = _packed_layout(n, g, m)
-        self.sl_theta = layout["theta_e"]
-        self.sl_og = layout["omega_g"]
-        self.sl_d = layout["d"]
-        self.sl_mu = layout["mu"]
-        self.sl_phi = layout["phi"]
-        self.sl_vp = layout["varphi_plus"]
-        self.sl_vm = layout["varphi_minus"]
+        self.sl_theta, self.sl_og, self.sl_d, self.sl_mu, self.sl_phi, self.sl_vp, self.sl_vm = layout.values()
         self.dim = self.sl_vm.stop
 
         C = model.incidence
@@ -323,13 +293,12 @@ class ClosedLoop:
         S = self.dim
         # Frequency on the plant part theta_e | omega_g of y:
         # omega = Wp @ y[:P] + wpl * p_l + wpm * p_m.
-        P = m + g
-        ag = np.arange(g)
+        P = self.sl_og.stop
         Wp = np.zeros((n, P))
-        Wp[gidx, m + ag] = 1.0
+        Wp[gidx, np.arange(P)[self.sl_og]] = 1.0
         wpl = np.zeros(n)
         wpm = np.zeros(n)
-        Wp[np.ix_(lidx, np.arange(m))] = -Cw[lidx] / D[lidx, None]
+        Wp[lidx, self.sl_theta] = -Cw[lidx] / D[lidx, None]
         wpl[lidx] = -1.0 / D[lidx]
         wpm[lidx] = 1.0 / D[lidx]
 
@@ -339,7 +308,7 @@ class ClosedLoop:
         # vanish at generator buses, so there (-D wpl - 1) / M = -1 / M and
         # (1 - D wpm) / M = 1 / M.
         Rp = -D[:, None] * Wp
-        Rp[:, :m] -= Cw
+        Rp[:, self.sl_theta] -= Cw
         Vp = Rp[gidx] / M[:, None]
         vpl, vpm = -1.0 / M, 1.0 / M
 
@@ -357,69 +326,66 @@ class ClosedLoop:
             zpl[gidx] -= M * vpl
             zpm[gidx] -= M * vpm
 
-        # Operand stack of K: [y | p_l | eta+ | eta- | g], with its blocks
-        # starting at pl0, ep0, em0 and g0. The operator is assembled on the
-        # stack extended by p_m, x = [y | p_l | ... | g | p_m], whose last n
-        # columns (from pm0) become Kpm.
-        pl0, ep0, em0, g0 = S, S + n, S + n + m, S + n + 2 * m
-        U = pm0 = g0 + n
-        X = U + n
-        d0, mu0, phi0 = self.sl_d.start, self.sl_mu.start, self.sl_phi.start
-        vp0, vm0 = self.sl_vp.start, self.sl_vm.start
-        an, am = np.arange(n), np.arange(m)
-        eye_n, neg_eye_n = (an, an, np.ones(n)), (an, an, np.full(n, -1.0))
-        eye_m, neg_eye_m = (am, am, np.ones(m)), (am, am, np.full(m, -1.0))
-        ci, cj, cv = _entries(C)
-        li, lj, lv = _entries(L)
+        self.operand = operand = {
+            "y": slice(0, S),
+            **layout,
+            **_slices({"p_l": n, "eta_plus": m, "eta_minus": m, "g": n, "p_m": n}, start=S),
+        }
+        X = operand["p_m"].stop
+        # Selectors, maps and the operator are dense arrays below the size rule
+        # and CSR from there on; the equations read the same either way. Every
+        # product takes a CSR left operand, so its sums run in scipy's order
+        # for both, not BLAS's.
+        dense = S * X < _CSR_MIN_ENTRIES
 
-        # omega and z as maps on x, stored by the operators' size rule.
-        W = _hot_operator((n, X), [(0, 0, _entries(Wp)), (0, pl0, (an, an, wpl)), (0, pm0, (an, an, wpm))])
-        Z = _hot_operator((n, X), [(0, 0, _entries(Zp)), (0, phi0, (li, lj, lv)), (0, pl0, (an, an, zpl)), (0, pm0, (an, an, zpm))])
-        p_l_minus_z = _hot_operator((n, X), [(0, pl0, eye_n)]) - Z
+        def entries(k: int, i, j, v):
+            """The map from x to k values with entries v at (i, j), in row-major order."""
+            if dense:
+                A = np.zeros((k, X))
+                A[i, j] = v
+                return A
+            return csr_matrix((np.full(i.shape, v), j, np.searchsorted(i, np.arange(k + 1))), shape=(k, X))
 
-        # The fused operator as (row, column, block entries) pieces; no two
-        # pieces share an entry.
-        blocks = [
-            # theta_e' = C^T omega
-            (0, 0, _entries(csr_matrix(C.T) @ W)),
-            # omega_g'
-            (m, 0, _entries(Vp)),
-            (m, pl0, (ag, gidx, vpl)),
-            (m, pm0, (ag, gidx, vpm)),
-            # d' = -d + p_l + omega - g - z - mu
-            (d0, 0, _entries(W + p_l_minus_z)),
-            (d0, d0, neg_eye_n),
-            (d0, mu0, neg_eye_n),
-            (d0, g0, neg_eye_n),
-            # mu' = z
-            (mu0, 0, _entries(Z)),
-            # phi' = -L(mu + z) + C(eta- - eta+)
-            (phi0, 0, _entries(-(csr_matrix(L) @ Z))),
-            (phi0, mu0, (li, lj, -lv)),
-            (phi0, ep0, (ci, cj, -cv)),
-            (phi0, em0, (ci, cj, cv)),
-            # varphi+' = -varphi+ + eta+ + C^T phi - theta_max
-            (vp0, phi0, (cj, ci, cv)),
-            (vp0, vp0, neg_eye_m),
-            (vp0, ep0, eye_m),
-            # varphi-' = -varphi- + eta- + theta_min - C^T phi
-            (vm0, phi0, (cj, ci, -cv)),
-            (vm0, vm0, neg_eye_m),
-            (vm0, em0, eye_m),
+        def x(name: str, w=1.0, rows=slice(None)):
+            """The map x -> w * x[name][rows]."""
+            cols = np.arange(X)[operand[name]][rows]
+            return entries(cols.size, np.arange(cols.size), cols, w)
+
+        def plant(A: np.ndarray):
+            """A map on the plant part theta_e | omega_g of x, padded to x's width; its -0.0 entries become 0."""
+            i, j = np.nonzero(A)
+            return entries(A.shape[0], i, j, A[i, j])
+
+        Lc, Cc, Ct = csr_matrix(L), csr_matrix(C), csr_matrix(C.T)
+        omega = plant(Wp) + x("p_l", wpl) + x("p_m", wpm)
+        z = plant(Zp) + Lc @ x("phi") + x("p_l", zpl) + x("p_m", zpm)
+        plant_rows = [
+            Ct @ omega,  # theta_e'
+            plant(Vp) + x("p_l", vpl, gidx) + x("p_m", vpm, gidx),  # omega_g'
         ]
-        k0 = np.zeros(S)
+        # p_l - z is formed before omega is added, so that under `model` its
+        # p_l entries cancel to exactly 0. Each -0.0 of a negation is then
+        # added to a +0.0, which makes it 0: a dense K holds none.
+        controller_rows = [
+            omega + (x("p_l") - z) - x("d") - x("mu") - x("g"),  # d'
+            z,  # mu'
+            -(Lc @ (z + x("mu"))) + Cc @ (x("eta_minus") - x("eta_plus")),  # phi'
+            Ct @ x("phi") - x("varphi_plus") + x("eta_plus"),  # varphi+' (+ -theta_max in k0)
+            -(Ct @ x("phi")) - x("varphi_minus") + x("eta_minus"),  # varphi-' (+ theta_min in k0)
+        ]
+        # The global controller time scale epsilon scales every row from d on.
+        rows = plant_rows + [self.config.epsilon * row for row in controller_rows]
+        if dense:
+            A = np.vstack(rows)
+        else:
+            A = sparse_vstack(rows, format="csr")
+            A.sort_indices()
+            A.eliminate_zeros()
+        self.K, self.Kpm = A[:, : operand["p_m"].start], A[:, operand["p_m"]]
+        self.k0 = k0 = np.zeros(S)
         k0[self.sl_vp] = -model.angle_upper
         k0[self.sl_vm] = model.angle_lower
-
-        # Global controller time scale: it scales every row from d on. No two
-        # pieces share an entry, so scaling their entries scales the rows.
-        eps = self.config.epsilon
-        blocks = [(r0, c0, (i, j, eps * v) if r0 >= d0 else (i, j, v)) for r0, c0, (i, j, v) in blocks]
-        k0[d0:] *= eps
-
-        A = _hot_operator((S, X), blocks)
-        self.K, self.Kpm = A[:, :U], A[:, U:]
-        self.k0 = k0
+        k0[self.sl_d.start :] *= self.config.epsilon
         self._wpl, self._wpm = wpl, wpm
         # For `observe` on a stack of states: the frequency map on the plant
         # part as CSR (a few entries per row), so that k states cost a sparse
@@ -429,11 +395,12 @@ class ClosedLoop:
         # Operand buffer of K; its blocks are written in place on every call.
         # varphi+ | varphi- ends y and eta+ | eta- follows p_l, so each pair
         # is one contiguous block.
-        self._u = np.empty(U)
-        self._u_y = self._u[:S]
+        self._u = np.empty(operand["p_m"].start)
+        self._u_y = self._u[operand["y"]]
         self._y_d = self._u_y[self.sl_d]
-        self._y_varphi = self._u_y[vp0:]
-        self._u_pl, self._u_eta, self._u_g = self._u[pl0:ep0], self._u[ep0:g0], self._u[g0:]
+        self._y_varphi = self._u_y[self.sl_vp.start : self.sl_vm.stop]
+        self._u_pl, self._u_g = self._u[operand["p_l"]], self._u[operand["g"]]
+        self._u_eta = self._u[operand["eta_plus"].start : operand["eta_minus"].stop]
         # The cost piece of each bus as (lower, upper, 2a, b) rows, kept
         # across stages and steps; NaN brackets send the first stage to the
         # exact lookup.

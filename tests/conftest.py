@@ -1,4 +1,4 @@
-"""Shared fixtures: bundled networks, the uncached closed-loop derivative, RK4, and a cache of checked pipelines."""
+"""Shared fixtures: bundled and degenerate networks, the uncached closed-loop derivative, RK4, and a cache of checked pipelines."""
 
 import dataclasses
 import functools
@@ -10,7 +10,7 @@ import pytest
 
 from olfc import load_scenario
 from olfc.cli import ScenarioResult, check_scenario
-from olfc.network import load_network
+from olfc.network import load_network, parse_network
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "olfc" / "data"
 SCENARIO_DIR = DATA_DIR / "scenarios"
@@ -36,6 +36,39 @@ def scenario_path(name: str) -> Path:
 @functools.cache
 def bundled_network(name: str):
     return load_network(network_path(name))
+
+
+def _degenerate_doc(kinds: str, lines: list[tuple[int, int]]) -> dict:
+    """Buses of the given kinds ('g'enerator or 'l'oad), each with a two-piece cost kinked at 0.1."""
+    cost = [
+        {"x_min": None, "x_max": 0.1, "a": 0.25, "b": 0.0, "c": 0.0},
+        {"x_min": 0.1, "x_max": None, "a": 0.5, "b": 0.05, "c": -0.0075},
+    ]
+    buses = []
+    for i, kind in enumerate(kinds):
+        bus = {"id": i, "kind": "load", "D": 1.0 + 0.1 * i, "p_l_min": -1.0, "p_l_max": 1.0, "cost": cost}
+        if kind == "g":
+            bus.update(kind="generator", M=0.3)
+        buses.append(bus)
+    return {
+        "buses": buses,
+        "lines": [{"from": a, "to": b, "B": 1.5, "theta_min": -0.5, "theta_max": 0.5} for a, b in lines],
+    }
+
+
+# Networks whose packed layout has zero-width blocks: no line (m = 0), no
+# generator (g = 0), no load bus.
+DEGENERATE_NETWORKS = ("one_bus", "loads_only", "generators_only")
+_DEGENERATE_DOCS = {
+    "one_bus": _degenerate_doc("g", []),
+    "loads_only": _degenerate_doc("lll", [(0, 1), (1, 2)]),
+    "generators_only": _degenerate_doc("gg", [(0, 1)]),
+}
+
+
+@functools.cache
+def degenerate_network(name: str):
+    return parse_network(_DEGENERATE_DOCS[name], name)
 
 
 def reference_derivative(loop, y: np.ndarray, aff: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ over the packed state. The specification it must reproduce is the readable
 per-module code: `dynamics.plant_rhs`, `controller.outputs` (fed by
 `controller.estimate_mismatch` on the measurement path),
 `controller.subgradient_selection` and `controller.controller_rhs`. This test
-evaluates both at the same states, on every bundled network, under every
-selection rule, both mismatch sources and a controller time scale != 1.
+evaluates both at the same states, on every bundled network and three
+degenerate ones (no line, no generator, no load bus: zero-width blocks of the
+layout), under every selection rule, both mismatch sources and a controller
+time scale != 1.
 States are pinned exactly on cost breakpoints, load-box bounds and the
 zero boundary of the filter projections, where the projected and selected
 signals switch.
@@ -30,14 +32,14 @@ from olfc.costs import SELECTION_RULES, project_box
 from olfc.dynamics import Injection, PlantState, plant_rhs
 from olfc.simulator import ClosedLoop, ControllerConfig
 
-from conftest import NETWORKS, bundled_network
+from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network
 
 RTOL = 1e-12
 
 
 @functools.cache
 def _loop(name: str, config: ControllerConfig) -> ClosedLoop:
-    return ClosedLoop(bundled_network(name), config)
+    return ClosedLoop(degenerate_network(name) if name in DEGENERATE_NETWORKS else bundled_network(name), config)
 
 
 def reference_rhs(model, plant: PlantState, ctrl: ControllerState, p_m, config: ControllerConfig) -> np.ndarray:
@@ -76,7 +78,7 @@ def assert_matches(loop: ClosedLoop, plant: PlantState, ctrl: ControllerState, p
 @pytest.mark.parametrize("epsilon", [1.0, 2.5])
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 @pytest.mark.parametrize("selection", SELECTION_RULES)
-@pytest.mark.parametrize("name", NETWORKS)
+@pytest.mark.parametrize("name", NETWORKS + DEGENERATE_NETWORKS)
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.3, 1.0]))
 def test_packed_rhs_matches_readable_equations(name, selection, mismatch, epsilon, seed, share):
@@ -102,7 +104,7 @@ def test_packed_rhs_matches_readable_equations(name, selection, mismatch, epsilo
 
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 @pytest.mark.parametrize("selection", SELECTION_RULES)
-@pytest.mark.parametrize("name", NETWORKS)
+@pytest.mark.parametrize("name", NETWORKS + DEGENERATE_NETWORKS)
 def test_packed_rhs_matches_on_every_switching_point(name, selection, mismatch):
     """Every bus at once on a cost kink (or a box bound), every filter at 0."""
     loop = _loop(name, ControllerConfig(selection=selection, mismatch=mismatch, epsilon=0.4))

@@ -2,11 +2,13 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import issparse
 
+from olfc.cli import check_scenario
 from olfc.controller import init_controller
 from olfc.costs import project_box, project_nonneg
 from olfc.dynamics import Injection, PlantState, assemble_frequencies
@@ -20,11 +22,9 @@ from olfc.simulator import (
     load_scenario,
     run,
     settle,
-    _entries,
-    _hot_operator,
 )
 
-from conftest import network_path, scenario_path
+from conftest import DEGENERATE_NETWORKS, degenerate_network, network_path, scenario_path
 
 
 @pytest.fixture(scope="module")
@@ -179,28 +179,6 @@ def test_operator_storage_follows_size(model):
     assert issparse(big.K)
 
 
-@pytest.mark.parametrize("shape", [(150, 310), (100, 100)])
-def test_hot_operator_builds_the_dense_block_sum(shape):
-    """CSR from the size rule on, equal to csr_matrix of the dense sum; the dense sum below it."""
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((40, 60)) * (rng.random((40, 60)) < 0.2)
-    b = rng.standard_normal((30, 50)) * (rng.random((30, 50)) < 0.2)
-    # At most two nonzero contributions to an entry; one pair cancels exactly.
-    blocks = [(0, 0, a), (10, 40, a), (50, 100, b), (50, 100, -b), (100, 250, a)]
-    blocks = [(r0, c0, x) for r0, c0, x in blocks if r0 + x.shape[0] <= shape[0] and c0 + x.shape[1] <= shape[1]]
-    dense = np.zeros(shape)
-    for r0, c0, block in blocks:
-        dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] += block
-    A = _hot_operator(shape, [(r0, c0, _entries(x)) for r0, c0, x in blocks])
-    if shape[0] * shape[1] < 2**15:
-        assert isinstance(A, np.ndarray) and np.array_equal(A, dense)
-        return
-    ref = csr_matrix(dense)
-    assert issparse(A) and A.has_canonical_format
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A, name), getattr(ref, name)), name
-
-
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 @pytest.mark.parametrize("name", ["two_bus", "three_bus", "three_bus_congested", "nine_bus", "sixty_eight_bus"])
 def test_epsilon_scales_the_rows_of_K_from_d_on(name, mismatch):
@@ -231,6 +209,14 @@ def test_sixty_eight_bus_build_never_holds_dense_K(mismatch):
         assert peak < rows * cols * 8, f"build peaked at {peak} bytes"
         assert loop.K.has_canonical_format
         assert loop.K.nnz == np.count_nonzero(loop.K.toarray())
+
+
+@pytest.mark.parametrize("name", DEGENERATE_NETWORKS)
+def test_degenerate_network_settles_at_the_optimum(name):
+    """With a zero-width block in the layout (no line, no generator or no load bus), `check` passes."""
+    scenario = Scenario(network_path=Path(name), t_end=1.0, dt=1e-3, events=[Event(0.0, 0, 0.45)])
+    report = check_scenario(scenario, degenerate_network(name), name, tol=1e-4, t_max=200.0).report
+    assert report.passed, report.checks
 
 
 @pytest.mark.parametrize("name, t_end", [("three_bus", 0.1), ("nine_bus", 0.1), ("sixty_eight_bus", 0.05)])
