@@ -54,6 +54,20 @@ or a stack of them and never touches the operand buffer. The record is kept
 in Fortran order, so the sparse frequency map reads it without a copy; the
 log's state signals are column blocks of it.
 
+`settle` stops where the textbook loop does: at the first step whose
+max|rhs| is below tol. Where K is dense (the size rule; not the 68-bus
+network), it takes most steps in chunks. Off every kink, box bound and
+varphi+- sign change the loop is affine, dy/dt = J y + c, with J and c read
+off K and aff (`ClosedLoop.affine_piece`); then an RK4 step is the affine
+map y -> R y + r, and so is each of its stages. A chunk makes up to 256
+states by doubling with the powers R^(2^i), takes a step only while all four
+of its stages are strictly inside the piece, and reads each state's
+residual as max|J y + c|; the first one below tol is confirmed with `rhs`.
+Any other step is one plain `rk4` step. The stop step and the reported
+residual are the textbook loop's; the settled states agree with it to about
+1e-13 relative, not bit for bit, since R^j y sums in another order. `run`
+and `rk4` stay textbook RK4 bit for bit.
+
 A plant warm start must be physical: its theta_e must be C^T of bus angles
 (to within rounding), since the dynamics conserve any loop component.
 """
@@ -63,9 +77,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse import vstack as sparse_vstack
 
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
@@ -251,6 +266,15 @@ def _packed_layout(n: int, g: int, m: int) -> dict[str, slice]:
     return _slices({"theta_e": m, "omega_g": g, "d": n, "mu": n, "phi": n, "varphi_plus": m, "varphi_minus": m})
 
 
+class AffinePiece(NamedTuple):
+    """dy/dt = J y + c on the open region lower < y[rows] < upper, rows = `ClosedLoop.region_rows`."""
+
+    J: np.ndarray
+    c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
 def _unpack(y: np.ndarray, layout: dict[str, slice]) -> tuple[PlantState, ControllerState]:
     """Copies of the plant and controller parts of one packed state."""
     parts = {name: y[sl].copy() for name, sl in layout.items()}
@@ -278,6 +302,8 @@ class ClosedLoop:
         self._layout = layout = _packed_layout(n, g, m)
         self.sl_theta, self.sl_og, self.sl_d, self.sl_mu, self.sl_phi, self.sl_vp, self.sl_vm = layout.values()
         self.dim = self.sl_vm.stop
+        # The rows d | varphi+ | varphi- of y, whose values fix the affine piece.
+        self.region_rows = np.r_[np.arange(self.dim)[self.sl_d], np.arange(self.sl_vp.start, self.dim)]
 
         C = model.incidence
         B = model.susceptances
@@ -457,6 +483,44 @@ class ClosedLoop:
         dy = self.K @ self._u
         dy += aff
         return dy
+
+    def affine_piece(self, y: np.ndarray, aff: np.ndarray) -> AffinePiece | None:
+        """The piece dy/dt = J y + c of the right-hand side around y, or None when y lies on a piece's boundary.
+
+        A piece fixes each bus's box side and, inside the box, its cost piece,
+        and the sign of each varphi+-. Its region is open: lower < y < upper on
+        the rows d | varphi+ | varphi- (`region_rows`), with the bracket of the
+        cost piece intersected with the box on an inside bus. Inside it p_l is
+        d or a box bound, eta is varphi or 0, and g is 2a p_l + b or, at a
+        box bound, the rule's constant element there, so J and c are K's
+        columns under 0/1 masks and 2a, and `aff` plus K times the constants.
+        Both are read from K and aff as they are now, whatever edited them.
+        """
+        d, varphi = y[self.sl_d], y[self.region_rows[self.n :]]
+        below, above = d < self.box_lower, d > self.box_upper
+        inside = (self.box_lower < d) & (d < self.box_upper)
+        p_l = np.clip(d, self.box_lower, self.box_upper)
+        g, (lower, upper, slope, b) = self.batch.select_piece(p_l, self.config.selection)
+        on_kink = inside & ~((lower < p_l) & (p_l < upper))
+        if np.count_nonzero(below | above | inside) < self.n or on_kink.any() or not np.all(varphi != 0.0):
+            return None
+        active = varphi > 0.0
+        K = self.K.toarray() if issparse(self.K) else self.K
+        op = self.operand
+        K_pl, K_g = K[:, op["p_l"]], K[:, op["g"]]
+        J = K[:, op["y"]].copy()
+        J[:, self.sl_d] += K_pl * inside + K_g * np.where(inside, slope, 0.0)
+        J[:, self.region_rows[self.n :]] += K[:, op["eta_plus"].start : op["eta_minus"].stop] * active
+        c = aff + K_pl @ np.where(inside, 0.0, p_l) + K_g @ np.where(inside, b, g)
+        lo = np.concatenate([
+            np.where(inside, np.maximum(self.box_lower, lower), np.where(below, -np.inf, self.box_upper)),
+            np.where(active, 0.0, -np.inf),
+        ])
+        hi = np.concatenate([
+            np.where(inside, np.minimum(self.box_upper, upper), np.where(below, self.box_lower, np.inf)),
+            np.where(active, np.inf, 0.0),
+        ])
+        return AffinePiece(J, c, lo, hi)
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
         """Packed derivative dy/dt."""
@@ -644,13 +708,102 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
 
 @dataclass
 class SettleResult:
-    """Outcome of settling: final states, elapsed simulated time, convergence flag."""
+    """Outcome of settling: final states, elapsed simulated time, convergence flag.
+
+    `rk4_steps` counts the steps taken one at a time by `ClosedLoop.rk4`;
+    the others were taken in chunks of the affine path.
+    """
 
     plant: PlantState
     ctrl: ControllerState
     t: float
     converged: bool
     residual: float
+    rk4_steps: int
+
+
+# Most steps in one chunk of `settle`'s affine path. The chunk's states are
+# made by doubling, so 256 steps take 8 products with the powers R^(2^i).
+_CHUNK_STEPS = 256
+
+
+class _AffineSteps:
+    """RK4 steps of dy/dt = J y + c, many at a time, while every stage state stays inside the piece's region.
+
+    One step is the affine map y -> R y + r, and each of its four stage states
+    an affine map of y (the first is y). A chunk holds the states y_0 .. y_{n-1}
+    as rows: y_0 is given, and rows 2^i .. 2^(i+1) - 1 are R^(2^i) applied to
+    rows 0 .. 2^i - 1. Each new block is checked before the next is made: a
+    step is taken only if all four of its stage states are strictly inside the
+    region, and the residual of a state that starts a taken step is
+    max|J y + c|, which is the right-hand side there.
+    """
+
+    def __init__(self, piece: AffinePiece, rows: np.ndarray, dt: float):
+        J, c = piece.J, piece.c
+        eye = np.eye(c.size)
+        self.rows, self.lower, self.upper = rows, piece.lower, piece.upper
+        # Stage i is s_i = A_i y + a_i and its derivative k_i = J s_i + c;
+        # s_2 = y + (dt/2) k_1, s_3 = y + (dt/2) k_2, s_4 = y + dt k_3.
+        A, a = eye, np.zeros(c.size)
+        stages = [(A[rows], a[rows])]
+        kA, ka = J, c
+        sum_A, sum_a = J.copy(), c.copy()
+        for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+            A, a = eye + h * kA, h * ka
+            stages.append((A[rows], a[rows]))
+            kA, ka = J @ A, J @ a + c
+            sum_A += weight * kA
+            sum_a += weight * ka
+        # Row blocks hold the states, so every map is applied from the right.
+        self.stage_T = np.ascontiguousarray(np.vstack([A for A, _ in stages]).T)
+        self.stage_a = np.concatenate([a for _, a in stages])
+        self.stage_lower, self.stage_upper = np.tile(piece.lower, 4), np.tile(piece.upper, 4)
+        self.J_T, self.c = np.ascontiguousarray(J.T), c
+        # (R^(2^i))^T and the offset of 2^i steps, made as the chunks need them.
+        self.powers = [(np.ascontiguousarray((eye + (dt / 6.0) * sum_A).T), (dt / 6.0) * sum_a)]
+
+    def holds(self, y: np.ndarray) -> bool:
+        """Whether y is strictly inside the region."""
+        x = y[self.rows]
+        return bool(np.all((self.lower < x) & (x < self.upper)))
+
+    def _power(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        while len(self.powers) <= i:
+            P_T, p = self.powers[-1]
+            self.powers.append((P_T @ P_T, p @ P_T + p))
+        return self.powers[i]
+
+    def advance(self, y: np.ndarray, n: int, tol: float) -> tuple[int, np.ndarray, bool]:
+        """Up to n steps from y: (steps taken, the state they end at, whether its residual max|J y + c| is below tol).
+
+        The steps stop before the first one with a stage outside the region, or
+        at the first state past y whose residual is below tol.
+        """
+        Y = np.empty((n, y.size))
+        Y[0] = y
+        done, made = 0, 1  # rows checked, rows made
+        while True:
+            block = Y[done:made]
+            S = block @ self.stage_T
+            S += self.stage_a
+            inside = np.all((self.stage_lower < S) & (S < self.stage_upper), axis=1)
+            stop = made if inside.all() else done + int(np.argmin(inside))
+            residual = np.max(np.abs(block[: stop - done] @ self.J_T + self.c), axis=1)
+            rest = np.flatnonzero(residual < tol)
+            rest = rest[rest + done > 0]
+            if rest.size:
+                return done + int(rest[0]), Y[done + rest[0]], True
+            if stop < made:
+                return stop, Y[stop], False
+            if made == n:
+                P_T, p = self.powers[0]
+                return n, Y[n - 1] @ P_T + p, False
+            P_T, p = self._power(made.bit_length() - 1)
+            k = min(made, n - made)
+            new = np.matmul(Y[:k], P_T, out=Y[made : made + k])
+            new += p
+            done, made = made, made + k
 
 
 def settle(
@@ -664,6 +817,21 @@ def settle(
     dt: float = 1e-3,
 ) -> SettleResult:
     """Integrate under constant p_m until the full state derivative is below tol.
+
+    The result is that of the textbook loop: at each step k, stop if
+    max|rhs(y_k)| < tol (or k is the last step), else take an RK4 step. Where
+    K is dense (the size rule), steps off every kink, box bound and varphi+-
+    sign are taken in chunks of the exact affine RK4 map of the piece around
+    them (`ClosedLoop.affine_piece`, `_AffineSteps`): a chunk is taken only
+    up to the first step with a stage outside the piece, and its first state
+    whose affine residual is below tol is confirmed with the exact `rhs`. A
+    state where a chunk cannot take a step, or where that residual disagrees,
+    takes one plain `rk4` step (`rk4_steps` counts them); after a chunk that
+    took none, the next is tried only after 1, 2, 4, ... plain steps. The
+    stop step and `residual` (max|rhs| at the returned state) are the
+    textbook loop's; the states agree with it to about 1e-13 relative, not
+    bit for bit, since R^j y sums in another order. The CSR (68-bus) loop
+    takes every step with `rk4`.
 
     A timeout is reported via converged=False, not an exception: slow
     convergence is a finding, not a crash.
@@ -684,18 +852,32 @@ def settle(
     p_m = np.asarray(p_m, dtype=float)
     aff = loop.feedthrough(p_m)
     n_steps = int(np.ceil(t_max / dt))
-    t = 0.0
-    residual = np.inf
-    converged = False
-    for k in range(n_steps + 1):
+    chunked = not issparse(loop.K)
+    steps = None  # the chunk maps of the last piece found
+    k = rk4_steps = 0
+    next_chunk, wait = 0, 1  # the first step a chunk may start at; plain steps after a chunk that takes none
+    while True:
         k1 = loop.rhs(y, p_m, aff)
         residual = float(np.max(np.abs(k1)))
         if not np.isfinite(residual):
-            raise NumericalError(f"non-finite state while settling at t={t:g}s")
+            raise NumericalError(f"non-finite state while settling at t={k * dt:g}s")
         converged = residual < tol
         if converged or k == n_steps:
             break
+        if chunked and k >= next_chunk:
+            if steps is None or not steps.holds(y):
+                piece = loop.affine_piece(y, aff)
+                steps = None if piece is None else _AffineSteps(piece, loop.region_rows, dt)
+            taken = 0
+            if steps is not None:
+                taken, y_next, rest = steps.advance(y, min(_CHUNK_STEPS, n_steps - k), tol)
+            if taken:
+                # A rest the exact residual does not confirm is left by one rk4 step.
+                y, k, next_chunk, wait = y_next, k + taken, k + taken + rest, 1
+                continue
+            next_chunk, wait = k + wait, min(2 * wait, _CHUNK_STEPS)
         y = loop.rk4(y, p_m, dt, aff, k1=k1)
-        t = (k + 1) * dt
+        k += 1
+        rk4_steps += 1
     plant_f, ctrl_f = loop.unpack(y)
-    return SettleResult(plant=plant_f, ctrl=ctrl_f, t=t, converged=converged, residual=residual)
+    return SettleResult(plant=plant_f, ctrl=ctrl_f, t=k * dt, converged=converged, residual=residual, rk4_steps=rk4_steps)
