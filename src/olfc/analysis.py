@@ -34,7 +34,7 @@ import numpy as np
 
 from .controller import ControllerState
 from .costs import CostBatch, project_box
-from .dynamics import Injection, PlantState, assemble_frequencies
+from .dynamics import PlantState, assemble_frequencies
 from .errors import ValidationError
 from .network import NetworkModel
 from .oracle import OptimalSolution
@@ -257,11 +257,9 @@ def check_theorem1(
     """
     p_m = np.asarray(p_m, dtype=float)
     plant, ctrl = settled.plant, settled.ctrl
-    p_l = project_box(ctrl.d, model.load_box)
-    omega = assemble_frequencies(model, plant, Injection(p_m=p_m, p_l=p_l))
-    omega_inf = float(np.max(np.abs(omega)))
-
     candidate = candidate_from_state(model, ctrl)
+    p_l = candidate.p_l_star
+    omega_inf = float(np.max(np.abs(assemble_frequencies(model, plant, p_m, p_l))))
     kkt = kkt_residuals(model, p_m, candidate)
 
     edge_ctrl = model.incidence.T @ ctrl.phi

@@ -44,7 +44,8 @@ import numpy as np
 
 from .analysis import FullState, Theorem1Report, check_theorem1
 from .costs import SELECTION_RULES, project_box
-from .dynamics import Injection, assemble_frequencies
+from .controller import MISMATCH_SOURCES
+from .dynamics import assemble_frequencies
 from .errors import InfeasibleProblemError, NumericalError, OlfcError, ValidationError, naming
 from .network import NetworkModel, load_network
 from .oracle import OptimalSolution, solve_olc
@@ -94,7 +95,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", type=float, default=None, help="horizon override [s]")
     p.add_argument("--selection", choices=[*SELECTION_RULES, "mid"], default=None,
                    help="subgradient selection rule override")
-    p.add_argument("--mismatch", choices=["model", "estimate"], default=None,
+    p.add_argument("--mismatch", choices=MISMATCH_SOURCES, default=None,
                    help="power mismatch source override")
     p.add_argument("--epsilon", type=float, default=None, help="controller time-scale override")
     p.add_argument("--log-decimation", type=int, default=None, help="record every k-th step")
@@ -318,7 +319,7 @@ def _cmd_settle(ns) -> int:
         res = settle_scenario(scenario, model, tol=ns.tol, t_max=ns.t_max)
     sr = res.settled
     p_l = project_box(sr.ctrl.d, res.model.load_box)
-    omega = assemble_frequencies(res.model, sr.plant, Injection(p_m=res.p_m, p_l=p_l))
+    omega = assemble_frequencies(res.model, sr.plant, res.p_m, p_l)
     print(_dumps({
         "converged": sr.converged,
         "t": sr.t,

@@ -28,10 +28,6 @@ class NumericalError(OlfcError):
 class InfeasibleProblemError(OlfcError):
     """The steady-state allocation problem has no feasible point."""
 
-    def __init__(self, message: str, certificate: object | None = None):
-        super().__init__(message)
-        self.certificate = certificate
-
 
 def require_finite(where: str, **values: float | None) -> None:
     """Raise ValidationError naming the first value that is NaN or infinite.

@@ -148,7 +148,7 @@ def check_feasibility(model: NetworkModel, p_m: np.ndarray) -> np.ndarray:
         method="highs",
     )
     if res.status == 2:
-        raise InfeasibleProblemError("no load allocation satisfies balance, box and line limits", certificate=res)
+        raise InfeasibleProblemError("no load allocation satisfies balance, box and line limits")
     if not res.success:
         raise NumericalError(f"phase-1 feasibility solve failed: {res.message}")
     return np.asarray(res.x, dtype=float)
@@ -301,7 +301,6 @@ def solve_olc(model: NetworkModel, p_m: np.ndarray, tol: float = 1e-6) -> Optima
         )
 
     phi = primal["phi"] - primal["phi"][0]
-    edge = model.incidence.T @ phi
     sol = OptimalSolution(
         p_l_star=primal["p"],
         phi_star=phi,
@@ -312,7 +311,7 @@ def solve_olc(model: NetworkModel, p_m: np.ndarray, tol: float = 1e-6) -> Optima
         dual_objective=lower,
         iterations=primal["iterations"] + dual_iters,
         balance_residual=primal["balance_residual"],
-        diagnostics={"edge_angles": edge, "dual_iterations": dual_iters},
+        diagnostics={"dual_iterations": dual_iters},
     )
     _assert_solution_invariants(model, sol, tol)
     return sol

@@ -12,7 +12,7 @@ from olfc.controller import (
     outputs,
     subgradient_selection,
 )
-from olfc.dynamics import Injection, PlantState, plant_rhs
+from olfc.dynamics import PlantState, plant_rhs
 from olfc.errors import ValidationError
 from olfc.network import load_network
 from olfc.oracle import solve_olc
@@ -181,8 +181,7 @@ def test_oracle_optimum_is_controller_fixed_point(model, congested, case):
 
     # matching plant equilibrium: edge angles from phi, zero frequency
     plant = PlantState(theta_e=net.incidence.T @ st.phi, omega_g=np.zeros(net.n_g))
-    inj = Injection(p_m=p_m, p_l=out.p_l)
-    dtheta, domega, omega = plant_rhs(net, plant, inj)
+    dtheta, domega, omega = plant_rhs(net, plant, p_m, out.p_l)
     assert np.max(np.abs(omega)) < 1e-6
     assert np.max(np.abs(dtheta)) < 1e-6
     assert np.max(np.abs(domega)) < 1e-5
@@ -198,8 +197,7 @@ def test_estimate_mismatch_identity(model):
         p_m = rng.uniform(-0.5, 0.5, model.n)
         p_l = rng.uniform(-0.5, 0.5, model.n)
         plant = PlantState(theta_e=theta_e, omega_g=omega_g)
-        inj = Injection(p_m=p_m, p_l=p_l)
-        _, domega_g, omega = plant_rhs(model, plant, inj)
+        _, domega_g, omega = plant_rhs(model, plant, p_m, p_l)
         flows = model.susceptances * theta_e
         est = estimate_mismatch(model, omega, domega_g, flows)
         assert np.allclose(est, p_l - p_m, atol=1e-12)

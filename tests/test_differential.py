@@ -29,7 +29,7 @@ from olfc.controller import (
     subgradient_selection,
 )
 from olfc.costs import SELECTION_RULES, project_box
-from olfc.dynamics import Injection, PlantState, plant_rhs
+from olfc.dynamics import PlantState, plant_rhs
 from olfc.simulator import ClosedLoop, ControllerConfig
 
 from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network
@@ -45,7 +45,7 @@ def _loop(name: str, config: ControllerConfig) -> ClosedLoop:
 def reference_rhs(model, plant: PlantState, ctrl: ControllerState, p_m, config: ControllerConfig) -> np.ndarray:
     """dy/dt from the readable module functions, in the packed layout."""
     p_l = project_box(ctrl.d, model.load_box)
-    dtheta, domega_g, omega = plant_rhs(model, plant, Injection(p_m=p_m, p_l=p_l))
+    dtheta, domega_g, omega = plant_rhs(model, plant, p_m, p_l)
     mismatch = None
     if config.mismatch == "estimate":
         mismatch = estimate_mismatch(model, omega, domega_g, model.susceptances * plant.theta_e)

@@ -63,7 +63,7 @@ def test_congested_line_splits_prices(congested):
     assert sol.eta_plus_star[0] > 0.5
     assert abs(sol.eta_plus_star[1]) < 1e-5
     # saturated line sits on its angle limit
-    edge = sol.diagnostics["edge_angles"]
+    edge = congested.incidence.T @ sol.phi_star
     assert abs(edge[0] - 0.125) < 1e-6
 
 

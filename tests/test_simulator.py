@@ -11,7 +11,7 @@ from scipy.sparse import issparse
 from olfc.cli import check_scenario
 from olfc.controller import init_controller
 from olfc.costs import project_box, project_nonneg
-from olfc.dynamics import Injection, PlantState, assemble_frequencies
+from olfc.dynamics import PlantState, assemble_frequencies
 from olfc.errors import NumericalError, ValidationError
 from olfc.network import load_network
 from olfc.simulator import (
@@ -252,7 +252,7 @@ def test_log_matches_readable_observation(name, t_end, mismatch, decimation):
         assert np.array_equal(log.eta_minus[r], project_nonneg(log.varphi_minus[r]))
         assert np.array_equal(log.flows[r], net.susceptances * log.theta_e[r])
         assert log.cost[r] == np.sum([cost.value(x) for cost, x in zip(net.costs, p_l)])
-        omega = assemble_frequencies(net, plant, Injection(p_m=p_m, p_l=p_l))
+        omega = assemble_frequencies(net, plant, p_m, p_l)
         scale = max(1.0, float(np.max(np.abs(omega))))
         assert np.max(np.abs(log.omega[r] - omega)) <= 1e-12 * scale, f"record {r} (step {k})"
         assert np.array_equal(log.omega[r, net.generator_index], log.omega_g[r])
