@@ -54,19 +54,21 @@ or a stack of them and never touches the operand buffer. The record is kept
 in Fortran order, so the sparse frequency map reads it without a copy; the
 log's state signals are column blocks of it.
 
-`settle` stops where the textbook loop does: at the first step whose
-max|rhs| is below tol. Where K is dense (the size rule; not the 68-bus
-network), it takes most steps in chunks. Off every kink, box bound and
-varphi+- sign change the loop is affine, dy/dt = J y + c, with J and c read
-off K and aff (`ClosedLoop.affine_piece`); then an RK4 step is the affine
-map y -> R y + r, and so is each of its stages. A chunk makes up to 256
-states by doubling with the powers R^(2^i), takes a step only while all four
-of its stages are strictly inside the piece, and reads each state's
-residual as max|J y + c|; the first one below tol is confirmed with `rhs`.
-Any other step is one plain `rk4` step. The stop step and the reported
-residual are the textbook loop's; the settled states agree with it to about
-1e-13 relative, not bit for bit, since R^j y sums in another order. `run`
-and `rk4` stay textbook RK4 bit for bit.
+Where K is dense (the size rule; not the 68-bus network), `run` and
+`settle` take most steps in chunks, through one stepper (`_Stepper`).
+Off every kink, box bound and varphi+- sign change the loop is affine,
+dy/dt = J y + c, with J and c read off K and aff (`ClosedLoop.affine_piece`);
+then an RK4 step is the affine map y -> R y + r, and so is each of its
+stages. A chunk makes up to 256 states by doubling with the powers R^(2^i)
+and takes a step only while all four of its stages are strictly inside the
+piece; any other step is one plain `rk4` step. `run` cuts each chunk at the
+next event step, since c depends on p_m, and logs the chunk's states
+straight into its record. `settle` stops where the textbook loop does, at
+the first step whose max|rhs| is below tol: it reads each chunk state's
+residual as max|J y + c| and confirms the first one below tol with `rhs`.
+Either way the states agree with textbook RK4 to about 1e-13 relative, not
+bit for bit, since R^j y sums in another order. `rk4`, and both loops where
+K is CSR, are textbook RK4 bit for bit.
 
 A plant warm start must be physical: its theta_e must be C^T of bus angles
 (to within rounding), since the dynamics conserve any loop component.
@@ -655,7 +657,15 @@ class TrajectoryLog:
 
 
 def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
-    """Integrate a scenario from t=0 to t_end, logging at the configured decimation."""
+    """Integrate a scenario from t=0 to t_end, logging at the configured decimation.
+
+    Where K is dense (the size rule; not the 68-bus network), the steps are
+    `_Stepper`'s: verified affine chunks, each cut at the next event step,
+    else plain `rk4` steps; the records agree with textbook RK4 to about
+    1e-13 relative, not bit for bit. The CSR loop takes every step with
+    `rk4`, textbook RK4 bit for bit. Either way a logged state that is not
+    finite raises `NumericalError` naming its model time.
+    """
     if model is None:
         model = scenario.load_model()
     y = scenario.start_state(model)
@@ -680,27 +690,53 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
             f"scenario t_end / dt = {scenario.t_end:g} / {dt:g} at log_decimation {dec} needs {n_rec:.4g} records "
             f"of {loop.dim} numbers, which cannot be allocated: {exc}"
         ) from exc
+    rec = 0
+
+    def record(k: int, rows: np.ndarray) -> None:
+        """Log rows, the states at steps k, k + dec, ..., once each is checked finite."""
+        nonlocal rec
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"non-finite state at t={(k + dec * int(np.argmax(bad))) * dt:g}s")
+        m = len(rows)
+        times[rec : rec + m] = (k + dec * np.arange(m)) * dt
+        states[rec : rec + m] = rows
+        rec += m
 
     # p_m per event segment: segment i applies from record starts[i] on.
     p_m = np.zeros(model.n)
     starts, segments = [0], [p_m.copy()]
     aff = loop.feedthrough(p_m)
-    rec = 0
-    for k in range(n_steps + 1):
-        if k in events_at:
-            for ev in events_at[k]:
+    stepper = None if issparse(loop.K) else _Stepper(loop, dt, p_m, aff)
+    k = 0
+    for stop in sorted(events_at.keys() | {n_steps}):
+        if stepper is None:
+            # One `rk4` step at a time, the record written in place: no other call per step.
+            while k < stop:
+                if k % dec == 0:
+                    if not np.all(np.isfinite(y)):
+                        raise NumericalError(f"non-finite state at t={k * dt:g}s")
+                    times[rec] = k * dt
+                    states[rec] = y
+                    rec += 1
+                y = loop.rk4(y, p_m, dt, aff)
+                k += 1
+        else:
+            while k < stop:
+                Y, _ = stepper.advance(y, k, stop - k)
+                # Row j is the state at step k + j; the last row starts the next pass.
+                first = -k % dec
+                record(k + first, Y[first:-1:dec])
+                y, k = Y[-1], k + len(Y) - 1
+        if stop in events_at:
+            for ev in events_at[stop]:
                 p_m[ev.bus] += ev.delta_p_m
             aff = loop.feedthrough(p_m)
+            if stepper is not None:
+                stepper.feed(p_m, aff)
             starts.append(rec)
             segments.append(p_m.copy())
-        if k % dec == 0 or k == n_steps:
-            if not np.all(np.isfinite(y)):
-                raise NumericalError(f"non-finite state at t={k * dt:g}s")
-            times[rec] = k * dt
-            states[rec] = y
-            rec += 1
-        if k < n_steps:
-            y = loop.rk4(y, p_m, dt, aff)
+    record(n_steps, y[np.newaxis])
 
     obs = loop.observe(states, np.array(segments), tuple(starts))
     return TrajectoryLog(times=times, states=states, p_m_final=p_m, **obs)
@@ -722,8 +758,8 @@ class SettleResult:
     rk4_steps: int
 
 
-# Most steps in one chunk of `settle`'s affine path. The chunk's states are
-# made by doubling, so 256 steps take 8 products with the powers R^(2^i).
+# Most steps in one chunk of the affine path. The chunk's states are made by
+# doubling, so 256 steps take 8 products with the powers R^(2^i) and one with R.
 _CHUNK_STEPS = 256
 
 
@@ -731,12 +767,11 @@ class _AffineSteps:
     """RK4 steps of dy/dt = J y + c, many at a time, while every stage state stays inside the piece's region.
 
     One step is the affine map y -> R y + r, and each of its four stage states
-    an affine map of y (the first is y). A chunk holds the states y_0 .. y_{n-1}
+    an affine map of y (the first is y). A chunk holds the states y_0 .. y_n
     as rows: y_0 is given, and rows 2^i .. 2^(i+1) - 1 are R^(2^i) applied to
-    rows 0 .. 2^i - 1. Each new block is checked before the next is made: a
-    step is taken only if all four of its stage states are strictly inside the
-    region, and the residual of a state that starts a taken step is
-    max|J y + c|, which is the right-hand side there.
+    rows 0 .. 2^i - 1 (row n, when n is a power of 2, is R applied to row
+    n - 1). Each new block is checked before the next is made: a step is
+    taken only if all four of its stage states are strictly inside the region.
     """
 
     def __init__(self, piece: AffinePiece, rows: np.ndarray, dt: float):
@@ -768,42 +803,86 @@ class _AffineSteps:
         x = y[self.rows]
         return bool(np.all((self.lower < x) & (x < self.upper)))
 
+    def residuals(self, Y: np.ndarray) -> np.ndarray:
+        """max|J y + c| of each row of Y: max|rhs| there, for a state inside the region."""
+        return np.max(np.abs(Y @ self.J_T + self.c), axis=1)
+
     def _power(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         while len(self.powers) <= i:
             P_T, p = self.powers[-1]
             self.powers.append((P_T @ P_T, p @ P_T + p))
         return self.powers[i]
 
-    def advance(self, y: np.ndarray, n: int, tol: float) -> tuple[int, np.ndarray, bool]:
-        """Up to n steps from y: (steps taken, the state they end at, whether its residual max|J y + c| is below tol).
+    def states(self, y: np.ndarray, n: int) -> np.ndarray:
+        """y and the states of the steps from it, up to n, before the first one with a stage outside the region, as rows.
 
-        The steps stop before the first one with a stage outside the region, or
-        at the first state past y whose residual is below tol.
+        No row is handed back past one that is not finite: a power of R can
+        overflow before the states it would make do, so the steps that are
+        left go to `rk4`.
         """
-        Y = np.empty((n, y.size))
+        Y = np.empty((n + 1, y.size))
         Y[0] = y
         done, made = 0, 1  # rows checked, rows made
         while True:
-            block = Y[done:made]
-            S = block @ self.stage_T
+            S = Y[done : min(made, n)] @ self.stage_T
             S += self.stage_a
             inside = np.all((self.stage_lower < S) & (S < self.stage_upper), axis=1)
-            stop = made if inside.all() else done + int(np.argmin(inside))
-            residual = np.max(np.abs(block[: stop - done] @ self.J_T + self.c), axis=1)
-            rest = np.flatnonzero(residual < tol)
-            rest = rest[rest + done > 0]
-            if rest.size:
-                return done + int(rest[0]), Y[done + rest[0]], True
-            if stop < made:
-                return stop, Y[stop], False
-            if made == n:
-                P_T, p = self.powers[0]
-                return n, Y[n - 1] @ P_T + p, False
-            P_T, p = self._power(made.bit_length() - 1)
-            k = min(made, n - made)
-            new = np.matmul(Y[:k], P_T, out=Y[made : made + k])
+            if not inside.all():
+                taken = done + int(np.argmin(inside))
+                break
+            if made > n:
+                taken = n
+                break
+            # The next rows are `span` steps past rows made - span, ...
+            span = made if made < n else 1
+            k = min(span, n + 1 - made)
+            P_T, p = self._power(span.bit_length() - 1)
+            new = np.matmul(Y[made - span : made - span + k], P_T, out=Y[made : made + k])
             new += p
             done, made = made, made + k
+        bad = ~np.isfinite(Y[1 : taken + 1]).all(axis=1)
+        if bad.any():
+            taken = int(np.argmax(bad))
+        return Y[: taken + 1]
+
+
+class _Stepper:
+    """The steps of `run` and `settle` where K is dense: a chunk of `_AffineSteps` where one holds, else one plain `rk4` step.
+
+    The chunk maps belong to the piece around the state that last found one,
+    and to the feedthrough: `feed` sets a new one and drops them. After a
+    chunk that takes no step, the next is tried only after 1, 2, 4, ... 256
+    plain steps.
+    """
+
+    def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray):
+        self.loop, self.dt = loop, dt
+        self.next_chunk, self.wait = 0, 1  # the first step a chunk may start at; plain steps after a chunk that takes none
+        self.rk4_steps = 0
+        self.feed(p_m, aff)
+
+    def feed(self, p_m: np.ndarray, aff: np.ndarray) -> None:
+        """Step under p_m, whose feedthrough is aff, from now on."""
+        self.p_m, self.aff, self.chunk = p_m, aff, None
+
+    def advance(self, y: np.ndarray, k: int, n: int, k1: np.ndarray | None = None) -> tuple[np.ndarray, _AffineSteps | None]:
+        """The states at steps k .. k + t from y at step k, for some 1 <= t <= n, as rows, and the chunk maps that made them.
+
+        The maps are None when the step is one plain `rk4` step; k1, if given,
+        is rhs(y).
+        """
+        if k >= self.next_chunk:
+            if self.chunk is None or not self.chunk.holds(y):
+                piece = self.loop.affine_piece(y, self.aff)
+                self.chunk = None if piece is None else _AffineSteps(piece, self.loop.region_rows, self.dt)
+            if self.chunk is not None:
+                Y = self.chunk.states(y, min(_CHUNK_STEPS, n))
+                if len(Y) > 1:
+                    self.wait = 1
+                    return Y, self.chunk
+            self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)
+        self.rk4_steps += 1
+        return np.stack((y, self.loop.rk4(y, self.p_m, self.dt, self.aff, k1=k1))), None
 
 
 def settle(
@@ -820,15 +899,12 @@ def settle(
 
     The result is that of the textbook loop: at each step k, stop if
     max|rhs(y_k)| < tol (or k is the last step), else take an RK4 step. Where
-    K is dense (the size rule), steps off every kink, box bound and varphi+-
-    sign are taken in chunks of the exact affine RK4 map of the piece around
-    them (`ClosedLoop.affine_piece`, `_AffineSteps`): a chunk is taken only
-    up to the first step with a stage outside the piece, and its first state
-    whose affine residual is below tol is confirmed with the exact `rhs`. A
-    state where a chunk cannot take a step, or where that residual disagrees,
-    takes one plain `rk4` step (`rk4_steps` counts them); after a chunk that
-    took none, the next is tried only after 1, 2, 4, ... plain steps. The
-    stop step and `residual` (max|rhs| at the returned state) are the
+    K is dense (the size rule), the steps are `_Stepper`'s, as in `run`:
+    chunks of the exact affine RK4 map of the piece around the state
+    (`ClosedLoop.affine_piece`, `_AffineSteps`), else plain `rk4` steps
+    (`rk4_steps` counts them). A chunk's rest test reads max|J y + c| at its
+    states, and its first state below tol is confirmed with the exact `rhs`.
+    The stop step and `residual` (max|rhs| at the returned state) are the
     textbook loop's; the states agree with it to about 1e-13 relative, not
     bit for bit, since R^j y sums in another order. The CSR (68-bus) loop
     takes every step with `rk4`.
@@ -852,10 +928,8 @@ def settle(
     p_m = np.asarray(p_m, dtype=float)
     aff = loop.feedthrough(p_m)
     n_steps = int(np.ceil(t_max / dt))
-    chunked = not issparse(loop.K)
-    steps = None  # the chunk maps of the last piece found
-    k = rk4_steps = 0
-    next_chunk, wait = 0, 1  # the first step a chunk may start at; plain steps after a chunk that takes none
+    stepper = None if issparse(loop.K) else _Stepper(loop, dt, p_m, aff)
+    k = 0
     while True:
         k1 = loop.rhs(y, p_m, aff)
         residual = float(np.max(np.abs(k1)))
@@ -864,20 +938,17 @@ def settle(
         converged = residual < tol
         if converged or k == n_steps:
             break
-        if chunked and k >= next_chunk:
-            if steps is None or not steps.holds(y):
-                piece = loop.affine_piece(y, aff)
-                steps = None if piece is None else _AffineSteps(piece, loop.region_rows, dt)
-            taken = 0
-            if steps is not None:
-                taken, y_next, rest = steps.advance(y, min(_CHUNK_STEPS, n_steps - k), tol)
-            if taken:
-                # A rest the exact residual does not confirm is left by one rk4 step.
-                y, k, next_chunk, wait = y_next, k + taken, k + taken + rest, 1
-                continue
-            next_chunk, wait = k + wait, min(2 * wait, _CHUNK_STEPS)
-        y = loop.rk4(y, p_m, dt, aff, k1=k1)
-        k += 1
-        rk4_steps += 1
+        if stepper is None:
+            y = loop.rk4(y, p_m, dt, aff, k1=k1)
+            k += 1
+            continue
+        Y, chunk = stepper.advance(y, k, n_steps - k, k1)
+        if chunk is not None:
+            # Stop at the first state past y whose affine residual is below tol; the next rhs confirms it.
+            rest = np.flatnonzero(chunk.residuals(Y[1:]) < tol)
+            if rest.size:
+                Y = Y[: rest[0] + 2]
+        y, k = Y[-1], k + len(Y) - 1
     plant_f, ctrl_f = loop.unpack(y)
+    rk4_steps = k if stepper is None else stepper.rk4_steps
     return SettleResult(plant=plant_f, ctrl=ctrl_f, t=k * dt, converged=converged, residual=residual, rk4_steps=rk4_steps)

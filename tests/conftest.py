@@ -4,13 +4,16 @@ import dataclasses
 import functools
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from olfc import load_scenario
+from olfc import load_scenario, simulator
 from olfc.cli import ScenarioResult, check_scenario
+from olfc.errors import NumericalError
 from olfc.network import load_network, parse_network
+from olfc.simulator import ClosedLoop
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "olfc" / "data"
 SCENARIO_DIR = DATA_DIR / "scenarios"
@@ -36,6 +39,14 @@ def scenario_path(name: str) -> Path:
 @functools.cache
 def bundled_network(name: str):
     return load_network(network_path(name))
+
+
+def dense(model) -> bool:
+    """Whether the closed loop of `model` holds K dense, under the size rule: then `run` and `settle` take chunks."""
+    return isinstance(ClosedLoop(model).K, np.ndarray)
+
+
+DENSE_SCENARIOS = sorted(p.stem for p in SCENARIO_DIR.glob("*.json") if dense(load_scenario(p).load_model()))
 
 
 def _degenerate_doc(kinds: str, lines: list[tuple[int, int]]) -> dict:
@@ -93,6 +104,43 @@ def textbook_rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def textbook_run(scenario, model) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+    """The loop `run` specifies, one textbook RK4 step over `reference_derivative` at a time.
+
+    Returns the state at every step (one row each), and p_m on each event
+    segment with the step it starts at. A state that is not finite at a
+    logged step raises `NumericalError` with `run`'s message.
+    """
+    loop = ClosedLoop(model, scenario.config)
+    dt, dec, n_steps = scenario.dt, scenario.log_decimation, scenario.step_count()
+    y = scenario.start_state(model)
+    p_m = np.zeros(model.n)
+    segments, starts = [p_m.copy()], [0]
+    states = np.empty((n_steps + 1, loop.dim))
+    for k in range(n_steps + 1):
+        events = [ev for ev in scenario.events if min(max(round(ev.time / dt), 0), n_steps) == k]
+        for ev in events:
+            p_m[ev.bus] += ev.delta_p_m
+        if events:
+            segments.append(p_m.copy())
+            starts.append(k)
+        if k == 0 or events:
+            f = functools.partial(reference_derivative, loop, aff=loop.feedthrough(p_m))
+        if (k % dec == 0 or k == n_steps) and not np.all(np.isfinite(y)):
+            raise NumericalError(f"non-finite state at t={k * dt:g}s")
+        states[k] = y
+        if k < n_steps:
+            y = textbook_rk4(f, y, dt)
+    return states, segments, starts
+
+
+def rows_within(got: np.ndarray, ref: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether each row of got is within tol relative of the same row of ref, relative to that row's max |ref|."""
+    if got.shape != ref.shape:
+        return False
+    return bool(np.all(np.max(np.abs(got - ref), axis=1) <= tol * np.max(np.abs(ref), axis=1)))
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -114,3 +162,29 @@ def pipeline():
         return cache[key]
 
     return build
+
+
+class Chunk(NamedTuple):
+    """One chunk the stepper took: its maps, start state and step, the steps it could take, the steps it took."""
+
+    maps: object
+    y: np.ndarray
+    k: int
+    n: int
+    taken: int
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """Every chunk that `run` and `settle` take through the stepper, `simulator._Stepper.advance`, in order."""
+    seen: list[Chunk] = []
+    advance = simulator._Stepper.advance
+
+    def spy(self, y, k, n, k1=None):
+        Y, maps = advance(self, y, k, n, k1)
+        if maps is not None:
+            seen.append(Chunk(maps, y.copy(), k, min(n, simulator._CHUNK_STEPS), len(Y) - 1))
+        return Y, maps
+
+    monkeypatch.setattr(simulator._Stepper, "advance", spy)
+    return seen

@@ -8,22 +8,25 @@ the kink branch of `CostBatch.select` inside a step.
 
 The stages keep each bus's cost piece from the stage before (see
 `tests/test_piece_cache.py`), so `rhs` itself is not the specification of a
-whole run: the first 5 s of `three_bus_congested`, logged at every step,
-must equal textbook RK4 over `conftest.reference_derivative`, which looks
-every piece up. Bus 0 crosses its kink at 0.2 in that window, so stages
-there change piece.
+whole run: that is textbook RK4 over `conftest.reference_derivative`, which
+looks every piece up (`conftest.textbook_run`). Where K is dense, `run` takes
+most steps in affine chunks, so the first 5 s of `three_bus_congested`,
+logged at every step, must agree with it to 1e-12 relative, through chunk
+steps and plain steps both. Bus 0 crosses its kink at 0.2 in that window, so
+stages there change piece. A 68-bus run (CSR K) with an event takes every
+step with `rk4` and must equal textbook RK4 bit for bit.
 """
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from olfc.costs import SELECTION_RULES
 from olfc.simulator import ClosedLoop, ControllerConfig, load_scenario, run
 
-from conftest import NETWORKS, bundled_network, reference_derivative, same_bits, scenario_path, textbook_rk4
+from conftest import NETWORKS, bundled_network, rows_within, same_bits, scenario_path, textbook_rk4, textbook_run
 
 DT = 1e-3
 
@@ -89,25 +92,32 @@ def test_kink_state_puts_buses_on_kinks(name):
 
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 @pytest.mark.parametrize("selection", SELECTION_RULES)
-def test_run_is_textbook_rk4_over_the_exact_selection(selection, mismatch):
+def test_run_is_textbook_rk4_over_the_exact_selection(chunks, selection, mismatch):
     scenario = load_scenario(scenario_path("three_bus_congested"))
     config = dataclasses.replace(scenario.config, selection=selection, mismatch=mismatch)
     scenario = dataclasses.replace(scenario, t_end=5.0, log_decimation=1, config=config)
     model = scenario.load_model()
     log = run(scenario, model)
-
-    spec = ClosedLoop(model, config)
-    dt = scenario.dt
-    y = scenario.start_state(model)
-    p_m = np.zeros(model.n)
-    for k in range(log.times.size):
-        events = [ev for ev in scenario.events if round(ev.time / dt) == k]
-        for ev in events:
-            p_m[ev.bus] += ev.delta_p_m
-        if k == 0 or events:
-            aff = spec.feedthrough(p_m)
-        assert same_bits(log.states[k], y), f"step {k}"
-        y = textbook_rk4(functools.partial(reference_derivative, spec, aff=aff), y, dt)
+    states, _, _ = textbook_run(scenario, model)
     assert log.times.size == 5001
+    assert rows_within(log.states, states)
+    chunk_steps = sum(c.taken for c in chunks)
+    assert 0 < chunk_steps < 5000, f"{chunk_steps} of 5000 steps in chunks: the window must take both kinds"
     p_l0 = log.p_l[:, 0]
     assert np.any(p_l0 < 0.2) and np.any(p_l0 > 0.2), "bus 0 never crosses its kink"
+
+
+def test_csr_run_is_textbook_rk4_bit_for_bit(chunks):
+    """The 68-bus K is CSR: `run` takes every step with `rk4`, across an event, and logs textbook RK4 bits."""
+    scenario = load_scenario(scenario_path("sixty_eight_bus_steps"))
+    first, second = scenario.events[:2]
+    scenario = dataclasses.replace(
+        scenario, t_end=0.05, log_decimation=1, events=[first, dataclasses.replace(second, time=0.02)]
+    )
+    model = scenario.load_model()
+    assert issparse(ClosedLoop(model, scenario.config).K)
+    log = run(scenario, model)
+    states, _, _ = textbook_run(scenario, model)
+    assert log.times.size == 26
+    assert same_bits(log.states, states)
+    assert not chunks

@@ -1,0 +1,108 @@
+"""`run`'s affine path against the textbook loop.
+
+Where `ClosedLoop.K` is dense, `run` takes its steps through the stepper
+that `settle` uses (`simulator._Stepper`): chunks of the exact affine RK4 map
+of the piece around the state, each cut at the next event step, else plain
+`rk4` steps. The reference is the loop `run` specifies, textbook RK4 over the
+exact selection (`conftest.textbook_run`). Over a horizon that covers every
+event of every dense bundled scenario, logged at every step and at the
+scenario's own decimation, the chunked run must log the same times and the
+same p_m segments, bit for bit, and every state within 1e-12 relative; no
+chunk may span an event step. A diverging run must fail where the textbook
+loop does, and a chunk must never hand back a state that an overflowing
+power of R made.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from olfc.costs import SELECTION_RULES
+from olfc.errors import NumericalError
+from olfc.simulator import AffinePiece, ClosedLoop, _AffineSteps, load_scenario, run, settle
+
+from conftest import DENSE_SCENARIOS, bundled_network, network_path, rows_within, same_bits, scenario_path, textbook_run
+
+# Past the last event of every dense bundled scenario (nine_bus_steps has one at 5 s).
+HORIZON = 6.0
+
+
+@pytest.fixture
+def observed(monkeypatch):
+    """The p_m segments and their first records, as `run` hands them to `ClosedLoop.observe`."""
+    seen = []
+    observe = ClosedLoop.observe
+
+    def spy(self, y, p_m, starts=(0,)):
+        seen.append((np.array(p_m), starts))
+        return observe(self, y, p_m, starts)
+
+    monkeypatch.setattr(ClosedLoop, "observe", spy)
+    return seen
+
+
+@pytest.mark.parametrize("mismatch", ["model", "estimate"])
+@pytest.mark.parametrize("selection", SELECTION_RULES)
+@pytest.mark.parametrize("name", DENSE_SCENARIOS)
+def test_chunked_run_is_the_textbook_loop(chunks, observed, name, selection, mismatch):
+    """Same times and p_m segments bit for bit, states within 1e-12, no chunk across an event; at decimation 1 and the scenario's."""
+    base = load_scenario(scenario_path(name))
+    config = dataclasses.replace(base.config, selection=selection, mismatch=mismatch)
+    base = dataclasses.replace(base, t_end=HORIZON, config=config)
+    assert all(ev.time < HORIZON for ev in base.events)
+    model = base.load_model()
+    states, segments, first_steps = textbook_run(dataclasses.replace(base, log_decimation=1), model)
+    n_steps = base.step_count()
+    for dec in sorted({1, base.log_decimation}):
+        chunks.clear()
+        observed.clear()
+        log = run(dataclasses.replace(base, log_decimation=dec), model)
+        steps = np.r_[np.arange(0, n_steps, dec), n_steps]
+        assert same_bits(log.times, steps * base.dt), dec
+        assert same_bits(log.p_m_final, segments[-1]), dec
+        [(p_m, starts)] = observed
+        assert same_bits(p_m, np.array(segments)) and starts == tuple(-(-s // dec) for s in first_steps), dec
+        assert rows_within(log.states, states[steps]), dec
+        across = [c for c in chunks for s in first_steps[1:] if c.k < s < c.k + c.taken]
+        assert not across, f"chunks across an event step: {across}"
+        if base.events:
+            assert sum(c.taken for c in chunks) > n_steps // 2, "most steps should be chunk steps"
+
+
+def test_a_diverging_chunked_run_names_the_textbook_time(tmp_path, chunks):
+    """From rest, at a step past RK4's stability bound: chunks run, then the run fails at the textbook loop's logged step."""
+    model = bundled_network("three_bus")
+    rest = settle(model, np.array([0.3, 0.0, 0.0]), tol=1e-10, t_max=300.0)
+    np.savetxt(tmp_path / "plant.txt", np.concatenate([rest.plant.theta_e, rest.plant.omega_g]))
+    np.savetxt(tmp_path / "ctrl.txt", rest.ctrl.pack())
+    doc = {
+        "network": str(network_path("three_bus")),
+        "t_end": 300.0,
+        "dt": 0.12,
+        "events": [{"time": 0.0, "bus": 0, "delta_p_m": 0.3}],
+        "init": {"plant": "plant.txt", "controller": "ctrl.txt"},
+        "log_decimation": 10,
+    }
+    (tmp_path / "scn.json").write_text(json.dumps(doc))
+    scenario = load_scenario(tmp_path / "scn.json")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=r"at t=\S+s") as exc:
+            run(scenario, model)
+        with pytest.raises(NumericalError) as ref:
+            textbook_run(scenario, model)
+    assert sum(c.taken for c in chunks) > 0, "no chunk step was taken"
+    assert str(exc.value) == str(ref.value)
+
+
+def test_a_chunk_stops_short_of_an_overflowing_power():
+    """At a fixed point the states stay 0 while R^(2^i) overflows; the chunk hands back only the rows before it."""
+    dim = 3
+    piece = AffinePiece(J=1e3 * np.eye(dim), c=np.zeros(dim), lower=np.array([-1.0]), upper=np.array([1.0]))
+    steps = _AffineSteps(piece, np.array([0]), dt=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = steps.states(np.zeros(dim), 256)
+    overflows = next(i for i in range(9) if not np.all(np.isfinite(steps.powers[i][0])))
+    assert len(Y) == 2**overflows
+    assert np.all(Y == 0.0)

@@ -28,10 +28,11 @@ from olfc.simulator import ClosedLoop, ControllerConfig, settle
 
 from conftest import (
     DEGENERATE_NETWORKS,
+    DENSE_SCENARIOS,
     NETWORKS,
-    SCENARIO_DIR,
     bundled_network,
     degenerate_network,
+    dense,
     network_path,
     scenario_path,
 )
@@ -43,12 +44,7 @@ def network(name: str):
     return bundled_network(name) if name in NETWORKS else degenerate_network(name)
 
 
-def _dense(model) -> bool:
-    return isinstance(ClosedLoop(model).K, np.ndarray)
-
-
-DENSE_SCENARIOS = sorted(p.stem for p in SCENARIO_DIR.glob("*.json") if _dense(load_scenario(p).load_model()))
-DENSE_NETWORKS = [name for name in NETWORKS + DEGENERATE_NETWORKS if _dense(network(name))]
+DENSE_NETWORKS = [name for name in NETWORKS + DEGENERATE_NETWORKS if dense(network(name))]
 
 
 def textbook_settle(loop, y, p_m, tol, t_max, dt):
@@ -101,21 +97,6 @@ def region_kinds(model, loop, Y):
     }
 
 
-@pytest.fixture
-def chunks(monkeypatch):
-    """Every chunk `settle` advances: (its maps, start state, steps asked for, steps taken)."""
-    seen = []
-    advance = simulator._AffineSteps.advance
-
-    def spy(self, y, n, tol):
-        out = advance(self, y, n, tol)
-        seen.append((self, y.copy(), n, out[0]))
-        return out
-
-    monkeypatch.setattr(simulator._AffineSteps, "advance", spy)
-    return seen
-
-
 @pytest.mark.parametrize(
     "name, kind",
     [("three_bus_kink", "piece"), ("two_bus_box", "box"), ("three_bus_congested", "varphi")],
@@ -126,6 +107,7 @@ def test_no_chunk_step_crosses_a_boundary(chunks, name, kind):
     scenario = dataclasses.replace(scenario, t_end=3.0, log_decimation=1)
     model = scenario.load_model()
     log = simulator.run(scenario, model)
+    chunks.clear()  # the run's own
     loop = ClosedLoop(model, scenario.config)
     # From the step after the last event on, where p_m is final and varphi+- is no longer 0.
     first = max(round(ev.time / scenario.dt) for ev in scenario.events) + 1
@@ -142,10 +124,10 @@ def test_no_chunk_step_crosses_a_boundary(chunks, name, kind):
     assert_close(loop.pack(sr.plant, sr.ctrl), ref)
     # The loop does not rest within t_max, so a chunk cut short was cut by its piece's boundary.
     assert not sr.converged
-    assert any(0 < taken < n for _, _, n, taken in chunks), "no chunk stopped at a boundary"
+    assert any(0 < c.taken < c.n for c in chunks), "no chunk stopped at a boundary"
 
     aff = loop.feedthrough(p_m)
-    for steps, y, _, taken in chunks:
+    for steps, y, _, _, taken in chunks:
         for _ in range(taken):
             k1 = loop.rhs(y, p_m, aff)
             k2 = loop.rhs(y + (0.5 * dt) * k1, p_m, aff)
@@ -166,7 +148,7 @@ def test_a_diverging_chunked_settle_names_the_model_time(chunks):
             settle(model, p_m, tol=1e-12, t_max=200.0, plant=rest.plant, ctrl=rest.ctrl, dt=0.12)
         with pytest.raises(NumericalError) as ref:
             textbook_settle(loop, loop.pack(rest.plant, rest.ctrl), p_m, tol=1e-12, t_max=200.0, dt=0.12)
-    assert sum(taken for *_, taken in chunks) > 0, "no chunk step was taken"
+    assert sum(c.taken for c in chunks) > 0, "no chunk step was taken"
     assert str(exc.value) == str(ref.value)
 
 
