@@ -54,21 +54,21 @@ or a stack of them and never touches the operand buffer. The record is kept
 in Fortran order, so the sparse frequency map reads it without a copy; the
 log's state signals are column blocks of it.
 
-Where K is dense (the size rule; not the 68-bus network), `run` and
-`settle` take most steps in chunks, through one stepper (`_Stepper`).
-Off every kink, box bound and varphi+- sign change the loop is affine,
-dy/dt = J y + c, with J and c read off K and aff (`ClosedLoop.affine_piece`);
-then an RK4 step is the affine map y -> R y + r, and so is each of its
-stages. A chunk makes up to 256 states by doubling with the powers R^(2^i)
-and takes a step only while all four of its stages are strictly inside the
-piece; any other step is one plain `rk4` step. `run` cuts each chunk at the
-next event step, since c depends on p_m, and logs the chunk's states
-straight into its record. `settle` stops where the textbook loop does, at
-the first step whose max|rhs| is below tol: it reads each chunk state's
-residual as max|J y + c| and confirms the first one below tol with `rhs`.
-Either way the states agree with textbook RK4 to about 1e-13 relative, not
-bit for bit, since R^j y sums in another order. `rk4`, and both loops where
-K is CSR, are textbook RK4 bit for bit.
+`run` and `settle` take every step through one stepper (`_Stepper`), which
+hands back blocks of consecutive states. Off every kink, box bound and
+varphi+- sign change the loop is affine, dy/dt = J y + c, with J and c read
+off K and aff (`ClosedLoop.affine_piece`); then an RK4 step is the affine map
+y -> R y + r, and so is each of its stages. Where K is dense (the size rule),
+a block is a chunk where one holds: up to 256 states made by doubling with the
+powers R^(2^i), taking a step only while all four of its stages are strictly
+inside the piece. Every other block is plain `rk4` steps, up to 256. `run`
+cuts each block at the next event step, since c depends on p_m, and logs its
+states straight into its record. `settle` stops where the textbook loop does,
+at the first step whose max|rhs| is below tol: the stepper ends each block at
+the first state that may rest, read as max|J y + c| on a chunk, and `settle`
+confirms it with `rhs`. A chunk's states agree with textbook RK4 to about
+1e-13 relative, not bit for bit, since R^j y sums in another order; plain
+steps, and so every step where K is CSR, are textbook RK4 bit for bit.
 
 A plant warm start must be physical: its theta_e must be C^T of bus angles
 (to within rounding), since the dynamics conserve any loop component.
@@ -659,12 +659,11 @@ class TrajectoryLog:
 def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     """Integrate a scenario from t=0 to t_end, logging at the configured decimation.
 
-    Where K is dense (the size rule; not the 68-bus network), the steps are
-    `_Stepper`'s: verified affine chunks, each cut at the next event step,
-    else plain `rk4` steps; the records agree with textbook RK4 to about
-    1e-13 relative, not bit for bit. The CSR loop takes every step with
-    `rk4`, textbook RK4 bit for bit. Either way a logged state that is not
-    finite raises `NumericalError` naming its model time.
+    The steps are `_Stepper`'s, each block cut at the next event step:
+    verified affine chunks where K is dense, else plain `rk4` steps. The
+    records agree with textbook RK4 to about 1e-13 relative, and bit for bit
+    where every step is plain. A logged state that is not finite raises
+    `NumericalError` naming its model time.
     """
     if model is None:
         model = scenario.load_model()
@@ -706,34 +705,19 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     # p_m per event segment: segment i applies from record starts[i] on.
     p_m = np.zeros(model.n)
     starts, segments = [0], [p_m.copy()]
-    aff = loop.feedthrough(p_m)
-    stepper = None if issparse(loop.K) else _Stepper(loop, dt, p_m, aff)
+    stepper = _Stepper(loop, dt, p_m, loop.feedthrough(p_m))
     k = 0
     for stop in sorted(events_at.keys() | {n_steps}):
-        if stepper is None:
-            # One `rk4` step at a time, the record written in place: no other call per step.
-            while k < stop:
-                if k % dec == 0:
-                    if not np.all(np.isfinite(y)):
-                        raise NumericalError(f"non-finite state at t={k * dt:g}s")
-                    times[rec] = k * dt
-                    states[rec] = y
-                    rec += 1
-                y = loop.rk4(y, p_m, dt, aff)
-                k += 1
-        else:
-            while k < stop:
-                Y, _ = stepper.advance(y, k, stop - k)
-                # Row j is the state at step k + j; the last row starts the next pass.
-                first = -k % dec
-                record(k + first, Y[first:-1:dec])
-                y, k = Y[-1], k + len(Y) - 1
+        while k < stop:
+            Y = stepper.advance(y, k, stop - k)
+            # Row j is the state at step k + j; the last row starts the next pass.
+            first = -k % dec
+            record(k + first, Y[first:-1:dec])
+            y, k = Y[-1], k + len(Y) - 1
         if stop in events_at:
             for ev in events_at[stop]:
                 p_m[ev.bus] += ev.delta_p_m
-            aff = loop.feedthrough(p_m)
-            if stepper is not None:
-                stepper.feed(p_m, aff)
+            stepper.feed(p_m, loop.feedthrough(p_m))
             starts.append(rec)
             segments.append(p_m.copy())
     record(n_steps, y[np.newaxis])
@@ -746,8 +730,8 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
 class SettleResult:
     """Outcome of settling: final states, elapsed simulated time, convergence flag.
 
-    `rk4_steps` counts the steps taken one at a time by `ClosedLoop.rk4`;
-    the others were taken in chunks of the affine path.
+    `rk4_steps` counts the plain `ClosedLoop.rk4` steps; the others were
+    chunk steps of the affine path.
     """
 
     plant: PlantState
@@ -847,7 +831,7 @@ class _AffineSteps:
 
 
 class _Stepper:
-    """The steps of `run` and `settle` where K is dense: a chunk of `_AffineSteps` where one holds, else one plain `rk4` step.
+    """The steps of `run` and `settle`, as blocks of states: a chunk of `_AffineSteps` where one holds, else plain `rk4` steps.
 
     The chunk maps belong to the piece around the state that last found one,
     and to the feedthrough: `feed` sets a new one and drops them. After a
@@ -857,19 +841,29 @@ class _Stepper:
 
     def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray):
         self.loop, self.dt = loop, dt
-        self.next_chunk, self.wait = 0, 1  # the first step a chunk may start at; plain steps after a chunk that takes none
+        # The first step a chunk may start at, and the plain steps after a chunk that takes none. Chunks are
+        # tried only where the size rule holds K dense: on the 68-bus network their dense maps would raise
+        # a `check`'s peak memory by about a quarter.
+        self.next_chunk, self.wait = (math.inf if issparse(loop.K) else 0), 1
         self.rk4_steps = 0
+        # Plain steps are written here, each block over the one before: a new block per call would keep two
+        # alive while the next is made, which cost the 68-bus `check` benchmark 2.4 MiB of peak memory.
+        self.rows = np.empty((_CHUNK_STEPS + 1, loop.dim))
         self.feed(p_m, aff)
 
     def feed(self, p_m: np.ndarray, aff: np.ndarray) -> None:
         """Step under p_m, whose feedthrough is aff, from now on."""
         self.p_m, self.aff, self.chunk = p_m, aff, None
 
-    def advance(self, y: np.ndarray, k: int, n: int, k1: np.ndarray | None = None) -> tuple[np.ndarray, _AffineSteps | None]:
-        """The states at steps k .. k + t from y at step k, for some 1 <= t <= n, as rows, and the chunk maps that made them.
+    def advance(self, y: np.ndarray, k: int, n: int, tol: float | None = None, k1: np.ndarray | None = None) -> np.ndarray:
+        """The states at steps k .. k + t from y at step k, for some 1 <= t <= n, as rows.
 
-        The maps are None when the step is one plain `rk4` step; k1, if given,
-        is rhs(y).
+        They are one verified chunk, else plain `rk4` steps up to the next step
+        a chunk may start at (at most 256). Given tol, the rows end at the first
+        state past y whose residual is below tol or is not finite: max|J y + c|
+        on a chunk, max|rhs| on a plain step, whose rhs the next step takes as
+        its k1. k1, if given, is rhs(y). The rows are valid until the next
+        call, which may write over them once it has read y.
         """
         if k >= self.next_chunk:
             if self.chunk is None or not self.chunk.holds(y):
@@ -879,10 +873,23 @@ class _Stepper:
                 Y = self.chunk.states(y, min(_CHUNK_STEPS, n))
                 if len(Y) > 1:
                     self.wait = 1
-                    return Y, self.chunk
+                    if tol is not None:
+                        r = self.chunk.residuals(Y[1:])
+                        rest = np.flatnonzero((r < tol) | ~np.isfinite(r))
+                        Y = Y[: rest[0] + 2] if rest.size else Y
+                    return Y
             self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)
-        self.rk4_steps += 1
-        return np.stack((y, self.loop.rk4(y, self.p_m, self.dt, self.aff, k1=k1))), None
+        Y = self.rows[: min(n, self.next_chunk - k, _CHUNK_STEPS) + 1]
+        Y[0] = y
+        for j in range(1, len(Y)):
+            Y[j] = self.loop.rk4(Y[j - 1], self.p_m, self.dt, self.aff, k1=k1)
+            self.rk4_steps += 1
+            if tol is not None:
+                k1 = self.loop.rhs(Y[j], self.p_m, self.aff)
+                r = np.max(np.abs(k1))
+                if r < tol or not np.isfinite(r):
+                    return Y[: j + 1]
+        return Y
 
 
 def settle(
@@ -898,16 +905,14 @@ def settle(
     """Integrate under constant p_m until the full state derivative is below tol.
 
     The result is that of the textbook loop: at each step k, stop if
-    max|rhs(y_k)| < tol (or k is the last step), else take an RK4 step. Where
-    K is dense (the size rule), the steps are `_Stepper`'s, as in `run`:
-    chunks of the exact affine RK4 map of the piece around the state
-    (`ClosedLoop.affine_piece`, `_AffineSteps`), else plain `rk4` steps
-    (`rk4_steps` counts them). A chunk's rest test reads max|J y + c| at its
-    states, and its first state below tol is confirmed with the exact `rhs`.
-    The stop step and `residual` (max|rhs| at the returned state) are the
-    textbook loop's; the states agree with it to about 1e-13 relative, not
-    bit for bit, since R^j y sums in another order. The CSR (68-bus) loop
-    takes every step with `rk4`.
+    max|rhs(y_k)| < tol (or k is the last step), else take an RK4 step. The
+    steps are `_Stepper`'s, as in `run`: chunks of the exact affine RK4 map of
+    the piece around the state (`ClosedLoop.affine_piece`, `_AffineSteps`)
+    where K is dense, else plain `rk4` steps (`rk4_steps` counts them). Each
+    block ends at its first state that may rest, and the exact `rhs` there
+    confirms it. The stop step and `residual` (max|rhs| at the returned state)
+    are the textbook loop's; the states agree with it to about 1e-13 relative,
+    and bit for bit where every step is plain.
 
     A timeout is reported via converged=False, not an exception: slow
     convergence is a finding, not a crash.
@@ -928,9 +933,10 @@ def settle(
     p_m = np.asarray(p_m, dtype=float)
     aff = loop.feedthrough(p_m)
     n_steps = int(np.ceil(t_max / dt))
-    stepper = None if issparse(loop.K) else _Stepper(loop, dt, p_m, aff)
+    stepper = _Stepper(loop, dt, p_m, aff)
     k = 0
     while True:
+        # The exact rest test; after a plain block it repeats the stepper's last rhs, on purpose.
         k1 = loop.rhs(y, p_m, aff)
         residual = float(np.max(np.abs(k1)))
         if not np.isfinite(residual):
@@ -938,17 +944,10 @@ def settle(
         converged = residual < tol
         if converged or k == n_steps:
             break
-        if stepper is None:
-            y = loop.rk4(y, p_m, dt, aff, k1=k1)
-            k += 1
-            continue
-        Y, chunk = stepper.advance(y, k, n_steps - k, k1)
-        if chunk is not None:
-            # Stop at the first state past y whose affine residual is below tol; the next rhs confirms it.
-            rest = np.flatnonzero(chunk.residuals(Y[1:]) < tol)
-            if rest.size:
-                Y = Y[: rest[0] + 2]
+        # The block ends at its first state that may rest; the next pass's rhs confirms it.
+        Y = stepper.advance(y, k, n_steps - k, tol, k1)
         y, k = Y[-1], k + len(Y) - 1
     plant_f, ctrl_f = loop.unpack(y)
-    rk4_steps = k if stepper is None else stepper.rk4_steps
-    return SettleResult(plant=plant_f, ctrl=ctrl_f, t=k * dt, converged=converged, residual=residual, rk4_steps=rk4_steps)
+    return SettleResult(
+        plant=plant_f, ctrl=ctrl_f, t=k * dt, converged=converged, residual=residual, rk4_steps=stepper.rk4_steps
+    )

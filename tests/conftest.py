@@ -11,13 +11,21 @@ import pytest
 
 from olfc import load_scenario, simulator
 from olfc.cli import ScenarioResult, check_scenario
+from olfc.controller import init_controller
+from olfc.dynamics import PlantState
 from olfc.errors import NumericalError
 from olfc.network import load_network, parse_network
-from olfc.simulator import ClosedLoop
+from olfc.simulator import ClosedLoop, settle
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "olfc" / "data"
 SCENARIO_DIR = DATA_DIR / "scenarios"
 NETWORKS = ("two_bus", "three_bus", "three_bus_congested", "nine_bus", "sixty_eight_bus")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "hot: the hot path's specifications and the operator build, which CI runs as a step of their own"
+    )
 
 
 @dataclasses.dataclass
@@ -80,6 +88,27 @@ _DEGENERATE_DOCS = {
 @functools.cache
 def degenerate_network(name: str):
     return parse_network(_DEGENERATE_DOCS[name], name)
+
+
+# A step past RK4's stability bound on three_bus and sixty_eight_bus, and the disturbance (bus, p_m) each diverges under.
+DIVERGING_DT = 0.12
+DIVERGING_P_M = {"three_bus": (0, 0.3), "sixty_eight_bus": (20, 0.5)}
+
+
+def diverging_start(name: str):
+    """(model, p_m, plant, ctrl) from which RK4 at `DIVERGING_DT` diverges under p_m.
+
+    A dense network starts at rest, so chunks run before the state grows; the
+    68-bus network takes no chunk, and starts from zero.
+    """
+    model = bundled_network(name)
+    bus, value = DIVERGING_P_M[name]
+    p_m = np.zeros(model.n)
+    p_m[bus] = value
+    if not dense(model):
+        return model, p_m, PlantState.zero(model), init_controller(model)
+    rest = settle(model, p_m, tol=1e-10, t_max=300.0)
+    return model, p_m, rest.plant, rest.ctrl
 
 
 def reference_derivative(loop, y: np.ndarray, aff: np.ndarray) -> np.ndarray:
@@ -165,7 +194,7 @@ def pipeline():
 
 
 class Chunk(NamedTuple):
-    """One chunk the stepper took: its maps, start state and step, the steps it could take, the steps it took."""
+    """One chunk the stepper took: its maps, start state and step, the steps it could take, the steps it kept."""
 
     maps: object
     y: np.ndarray
@@ -176,15 +205,20 @@ class Chunk(NamedTuple):
 
 @pytest.fixture
 def chunks(monkeypatch):
-    """Every chunk that `run` and `settle` take through the stepper, `simulator._Stepper.advance`, in order."""
+    """Every chunk that `run` and `settle` take through the stepper, `simulator._Stepper.advance`, in order.
+
+    A block is a chunk when it took no plain `rk4` step. Its steps kept are
+    those past a settle's rest cut.
+    """
     seen: list[Chunk] = []
     advance = simulator._Stepper.advance
 
-    def spy(self, y, k, n, k1=None):
-        Y, maps = advance(self, y, k, n, k1)
-        if maps is not None:
-            seen.append(Chunk(maps, y.copy(), k, min(n, simulator._CHUNK_STEPS), len(Y) - 1))
-        return Y, maps
+    def spy(self, y, k, n, tol=None, k1=None):
+        plain = self.rk4_steps
+        Y = advance(self, y, k, n, tol, k1)
+        if self.rk4_steps == plain:
+            seen.append(Chunk(self.chunk, y.copy(), k, min(n, simulator._CHUNK_STEPS), len(Y) - 1))
+        return Y
 
     monkeypatch.setattr(simulator._Stepper, "advance", spy)
     return seen

@@ -18,6 +18,8 @@ from olfc.costs import (
 )
 from olfc.errors import ValidationError
 
+pytestmark = pytest.mark.hot
+
 
 def reference_cost() -> PiecewiseCost:
     """Quadratic with doubled curvature outside [-0.2, 0.2], continuous at the kinks."""

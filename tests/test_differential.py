@@ -34,6 +34,8 @@ from olfc.simulator import ClosedLoop, ControllerConfig
 
 from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network
 
+pytestmark = pytest.mark.hot
+
 RTOL = 1e-12
 
 

@@ -22,6 +22,8 @@ from olfc.simulator import ClosedLoop, ControllerConfig
 
 from conftest import NETWORKS, bundled_network, network_path, reference_derivative, same_bits, textbook_rk4
 
+pytestmark = pytest.mark.hot
+
 DT = 1e-3
 
 

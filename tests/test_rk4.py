@@ -28,6 +28,8 @@ from olfc.simulator import ClosedLoop, ControllerConfig, load_scenario, run
 
 from conftest import NETWORKS, bundled_network, rows_within, same_bits, scenario_path, textbook_rk4, textbook_run
 
+pytestmark = pytest.mark.hot
+
 DT = 1e-3
 
 

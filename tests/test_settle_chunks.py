@@ -5,7 +5,9 @@ exact affine RK4 map of the piece around the state (`ClosedLoop.affine_piece`).
 The reference here is the loop `settle` specifies, written out: at each step
 k, stop if max|rhs(y_k)| < tol or k is the last step, else take one `rk4`
 step. The chunked result must stop at the same step, agree with it to 1e-12
-relative, and report max|rhs| at the state it returns. A chunk must never take
+relative, and report max|rhs| at the state it returns. A settle that rests in
+the middle of a block of plain steps, on the 68-bus CSR K or where a dense
+K's chunks fail, must stop there, bit for bit. A chunk must never take
 a step with a stage outside its piece, so start states just short of a cost
 kink, a box bound and a varphi sign change are stepped across each.
 
@@ -29,13 +31,19 @@ from olfc.simulator import ClosedLoop, ControllerConfig, settle
 from conftest import (
     DEGENERATE_NETWORKS,
     DENSE_SCENARIOS,
+    DIVERGING_DT,
+    DIVERGING_P_M,
     NETWORKS,
     bundled_network,
     degenerate_network,
     dense,
+    diverging_start,
     network_path,
+    same_bits,
     scenario_path,
 )
+
+pytestmark = pytest.mark.hot
 
 MISMATCHES = ("model", "estimate")
 
@@ -82,6 +90,44 @@ def test_chunked_settle_is_the_textbook_loop(pipeline, name, selection, mismatch
     assert_close(y, ref)
     assert sr.residual == float(np.max(np.abs(ClosedLoop(model, config).rhs(y, p_m))))
     assert sr.rk4_steps == 0
+
+
+@pytest.mark.parametrize("name, t0, rest", [("sixty_eight_bus_steps", 0.0, 100), ("three_bus_congested", 2.0, 5)])
+def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, name, t0, rest):
+    """A settle from the scenario's state at t0 that rests at step `rest`, in the middle of a block of plain steps.
+
+    The 68-bus K is CSR, so its blocks are 256 plain steps, and step 100 from
+    the zero state is inside the first. At 2 s of three_bus_congested bus 0
+    chatters on its cost kink, so no chunk takes a step and the blocks are the
+    1, 2, 4, ... plain steps of the backoff; step 5 is inside the block of
+    steps 4 .. 7. tol lies between the residual at `rest` and the least one
+    before it, so the textbook loop rests there. The settle must stop at the
+    same step with the same residual and state, bit for bit, having taken
+    every step with `rk4`.
+    """
+    scenario = load_scenario(scenario_path(name))
+    scenario = dataclasses.replace(scenario, t_end=t0, events=[ev for ev in scenario.events if ev.time <= t0])
+    model = scenario.load_model()
+    log = simulator.run(scenario, model)
+    loop = ClosedLoop(model, scenario.config)
+    dt, p_m, start = scenario.dt, log.p_m_final, log.states[-1]
+    aff, y, residuals = loop.feedthrough(p_m), start, []
+    for _ in range(rest + 1):
+        k1 = loop.rhs(y, p_m, aff)
+        residuals.append(float(np.max(np.abs(k1))))
+        y = loop.rk4(y, p_m, dt, aff, k1=k1)
+    least = min(residuals[:rest])
+    assert residuals[rest] < least
+    tol = 0.5 * (residuals[rest] + least)
+    chunks.clear()  # the run's own
+
+    plant, ctrl = loop.unpack(start)
+    sr = settle(model, p_m, tol=tol, t_max=1.0, plant=plant, ctrl=ctrl, config=scenario.config, dt=dt)
+    k, converged, ref = textbook_settle(loop, start, p_m, tol=tol, t_max=1.0, dt=dt)
+    assert (k, converged) == (rest, True)
+    assert (sr.t, sr.converged, sr.residual) == (k * dt, True, residuals[rest])
+    assert same_bits(loop.pack(sr.plant, sr.ctrl), ref)
+    assert sr.rk4_steps == rest and not chunks
 
 
 def region_kinds(model, loop, Y):
@@ -137,18 +183,22 @@ def test_no_chunk_step_crosses_a_boundary(chunks, name, kind):
             y = loop.rk4(y, p_m, dt, aff, k1=k1)
 
 
-def test_a_diverging_chunked_settle_names_the_model_time(chunks):
-    """Just past RK4's stability bound, from rest: chunks run, then the state overflows at the textbook loop's time."""
-    model = bundled_network("three_bus")
-    p_m = np.array([0.3, 0.0, 0.0])
-    rest = settle(model, p_m, tol=1e-10, t_max=300.0)
+@pytest.mark.parametrize("name", DIVERGING_P_M)
+def test_a_diverging_chunked_settle_names_the_model_time(chunks, name):
+    """Past RK4's stability bound the state overflows at the textbook loop's time; on a dense K, after chunks.
+
+    A block of plain steps ends at the first state that is not finite, so
+    `settle`'s own rhs names it.
+    """
+    model, p_m, plant, ctrl = diverging_start(name)
     loop = ClosedLoop(model)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=r"at t=\S+s") as exc:
-            settle(model, p_m, tol=1e-12, t_max=200.0, plant=rest.plant, ctrl=rest.ctrl, dt=0.12)
+            settle(model, p_m, tol=1e-12, t_max=200.0, plant=plant, ctrl=ctrl, dt=DIVERGING_DT)
         with pytest.raises(NumericalError) as ref:
-            textbook_settle(loop, loop.pack(rest.plant, rest.ctrl), p_m, tol=1e-12, t_max=200.0, dt=0.12)
-    assert sum(c.taken for c in chunks) > 0, "no chunk step was taken"
+            textbook_settle(loop, loop.pack(plant, ctrl), p_m, tol=1e-12, t_max=200.0, dt=DIVERGING_DT)
+    if dense(model):
+        assert sum(c.taken for c in chunks) > 0, "no chunk step was taken"
     assert str(exc.value) == str(ref.value)
 
 

@@ -24,7 +24,7 @@ from olfc.simulator import (
     settle,
 )
 
-from conftest import DEGENERATE_NETWORKS, degenerate_network, network_path, scenario_path
+from conftest import DEGENERATE_NETWORKS, degenerate_network, network_path, rows_within, same_bits, scenario_path
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,7 @@ def test_settle_is_bit_identical(model):
                 assert np.array_equal(value, getattr(y, name)), name
 
 
+@pytest.mark.hot
 def test_operator_storage_follows_size(model):
     """Large operators are held as CSR, small ones as dense arrays."""
     small = ClosedLoop(model, ControllerConfig(mismatch="estimate"))
@@ -179,6 +180,7 @@ def test_operator_storage_follows_size(model):
     assert issparse(big.K)
 
 
+@pytest.mark.hot
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 @pytest.mark.parametrize("name", ["two_bus", "three_bus", "three_bus_congested", "nine_bus", "sixty_eight_bus"])
 def test_epsilon_scales_the_rows_of_K_from_d_on(name, mismatch):
@@ -193,6 +195,7 @@ def test_epsilon_scales_the_rows_of_K_from_d_on(name, mismatch):
         assert four.K.has_canonical_format and four.K.nnz == one.K.nnz
 
 
+@pytest.mark.hot
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 def test_sixty_eight_bus_build_never_holds_dense_K(mismatch):
     """K is assembled sparse: the build never allocates one dense S x U array."""
@@ -211,6 +214,7 @@ def test_sixty_eight_bus_build_never_holds_dense_K(mismatch):
         assert loop.K.nnz == np.count_nonzero(loop.K.toarray())
 
 
+@pytest.mark.hot
 @pytest.mark.parametrize("name", DEGENERATE_NETWORKS)
 def test_degenerate_network_settles_at_the_optimum(name):
     """With a zero-width block in the layout (no line, no generator or no load bus), `check` passes."""
@@ -308,17 +312,36 @@ def test_event_snaps_to_step_grid(model):
     assert log.omega[k, 2] != 0.0
 
 
-def test_step_matches_run(model):
-    """One RK4 step of the packed closed loop is the one step `run` takes, bit for bit."""
-    scn = make_scenario(t_end=0.01, dt=0.01, events=[Event(time=0.0, bus=0, delta_p_m=0.3)])
-    log = run(scn, model)
-    loop = ClosedLoop(model, scn.config)
+def test_step_matches_run(model, tmp_path, chunks):
+    """The one step `run` takes against one RK4 step of the packed closed loop, from two starts.
+
+    From the zero state (checked against an independently packed cold start),
+    whose varphi+- = 0 lies on a piece boundary, it is a plain `rk4` step, bit
+    for bit. From a warm start inside a piece (the state after 1 s under the
+    same event) it is a chunk step, within 1e-12 relative.
+    """
+    event = Event(time=0.0, bus=0, delta_p_m=0.3)
     p_m = np.array([0.3, 0.0, 0.0])
-    y = loop.rk4(loop.pack(PlantState.zero(model), init_controller(model)), p_m, 0.01, loop.feedthrough(p_m))
-    plant2, ctrl2 = loop.unpack(y)
-    assert np.array_equal(plant2.theta_e, log.theta_e[-1])
-    for name, value in vars(ctrl2).items():
-        assert np.array_equal(value, getattr(log, name)[-1]), name
+    loop = ClosedLoop(model)
+    aff = loop.feedthrough(p_m)
+
+    log = run(make_scenario(t_end=0.01, dt=0.01, events=[event]), model)
+    assert not chunks
+    assert same_bits(log.states[0], loop.pack(PlantState.zero(model), init_controller(model)))
+    assert same_bits(log.states[1], loop.rk4(log.states[0], p_m, 0.01, aff))
+
+    warm = run(make_scenario(t_end=1.0, dt=0.01, events=[event]), model)
+    plant = warm.final_plant(model)
+    np.savetxt(tmp_path / "plant.txt", np.concatenate([plant.theta_e, plant.omega_g]))
+    np.savetxt(tmp_path / "ctrl.txt", warm.final_controller().pack())
+    chunks.clear()
+    scn = make_scenario(
+        t_end=0.01, dt=0.01, events=[event], init_plant=tmp_path / "plant.txt", init_controller=tmp_path / "ctrl.txt"
+    )
+    log = run(scn, model)
+    assert same_bits(log.states[0], warm.states[-1])
+    assert [c.taken for c in chunks] == [1]
+    assert rows_within(log.states[1:], loop.rk4(log.states[0], p_m, 0.01, aff)[np.newaxis])
 
 
 def test_integrator_order(model):
