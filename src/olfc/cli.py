@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_settle = sub.add_parser("settle", help="integrate a scenario to equilibrium")
     p_settle.add_argument("scenario", help="scenario JSON file")
-    p_settle.add_argument("--tol", type=_positive("tol"), default=1e-8, help="settle tolerance on the state derivative")
+    p_settle.add_argument("--tol", type=_positive("tol"), default=1e-8, help="settle tolerance on the RK4 step's increment over dt")
     p_settle.add_argument("--t-max", type=_positive("t_max"), default=600.0, help="settle time budget [s of model time]")
     _add_sim_flags(p_settle)
 

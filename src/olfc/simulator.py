@@ -63,12 +63,14 @@ a block is a chunk where one holds: up to 256 states made by doubling with the
 powers R^(2^i), taking a step only while all four of its stages are strictly
 inside the piece. Every other block is plain `rk4` steps, up to 256. `run`
 cuts each block at the next event step, since c depends on p_m, and logs its
-states straight into its record. `settle` stops where the textbook loop does,
-at the first step whose max|rhs| is below tol: the stepper ends each block at
-the first state that may rest, read as max|J y + c| on a chunk, and `settle`
-confirms it with `rhs`. A chunk's states agree with textbook RK4 to about
-1e-13 relative, not bit for bit, since R^j y sums in another order; plain
-steps, and so every step where K is CSR, are textbook RK4 bit for bit.
+states straight into its record. `settle` stops at the first y that rests,
+max|Phi_dt(y) - y| / dt < tol with Phi_dt the RK4 step (on a kink, where rhs
+never vanishes, the stages straddle it and cancel: the Filippov rest). The
+stepper reads it off the step's own increment, `rk4`'s accumulator or a
+chunk's map y -> G y + r, and ends each block at its first resting row. A
+chunk's states agree with textbook RK4 to about 1e-13 relative, not bit for
+bit, since R^j y sums in another order; plain steps, and so every step where
+K is CSR, are textbook RK4 bit for bit.
 
 A plant warm start must be physical: its theta_e must be C^T of bus angles
 (to within rounding), since the dynamics conserve any loop component.
@@ -531,15 +533,15 @@ class ClosedLoop:
         self._u_y[...] = y
         return self._derivative(aff)
 
-    def rk4(self, y: np.ndarray, p_m: np.ndarray, dt: float, aff: np.ndarray, k1: np.ndarray | None = None) -> np.ndarray:
+    def rk4(self, y: np.ndarray, p_m: np.ndarray, dt: float, aff: np.ndarray) -> np.ndarray:
         """One RK4 step, y + (dt / 6) * (k1 + 2 * (k2 + k3) + k4), as a new array.
 
         Each stage state is written straight into the buffer's y block; the
         operations and their order are those of the textbook formula, so the
-        result is the same bit for bit. Neither y nor k1 is written to.
+        result is the same bit for bit. y is not written to. `_acc` holds the
+        step's increment Phi_dt(y) - y until the next call.
         """
-        if k1 is None:
-            k1 = self.rhs(y, p_m, aff)
+        k1 = self.rhs(y, p_m, aff)
         stage, acc = self._u_y, self._acc
         np.add(y, np.multiply(0.5 * dt, k1, out=stage), out=stage)
         k2 = self._derivative(aff)
@@ -709,7 +711,7 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     k = 0
     for stop in sorted(events_at.keys() | {n_steps}):
         while k < stop:
-            Y = stepper.advance(y, k, stop - k)
+            Y, _ = stepper.advance(y, k, stop - k)
             # Row j is the state at step k + j; the last row starts the next pass.
             first = -k % dec
             record(k + first, Y[first:-1:dec])
@@ -721,6 +723,8 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
             starts.append(rec)
             segments.append(p_m.copy())
     record(n_steps, y[np.newaxis])
+    # y and the last block are views of the stepper's buffers: free them before `observe` makes its temporaries.
+    stepper = y = Y = None
 
     obs = loop.observe(states, np.array(segments), tuple(starts))
     return TrajectoryLog(times=times, states=states, p_m_final=p_m, **obs)
@@ -730,8 +734,8 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
 class SettleResult:
     """Outcome of settling: final states, elapsed simulated time, convergence flag.
 
-    `rk4_steps` counts the plain `ClosedLoop.rk4` steps; the others were
-    chunk steps of the affine path.
+    `residual` is max|Phi_dt(y) - y| / dt at the returned state y, Phi_dt the
+    RK4 step. `rk4_steps` counts the plain `rk4` steps taken, not chunk steps.
     """
 
     plant: PlantState
@@ -742,6 +746,11 @@ class SettleResult:
     rk4_steps: int
 
 
+def _rest_residual(increment: np.ndarray, dt: float):
+    """max|Phi_dt(y) - y| / dt from the increment Phi_dt(y) - y of an RK4 step, or one per row of a stack of them."""
+    return np.max(np.abs(increment), axis=-1) / dt
+
+
 # Most steps in one chunk of the affine path. The chunk's states are made by
 # doubling, so 256 steps take 8 products with the powers R^(2^i) and one with R.
 _CHUNK_STEPS = 256
@@ -750,12 +759,12 @@ _CHUNK_STEPS = 256
 class _AffineSteps:
     """RK4 steps of dy/dt = J y + c, many at a time, while every stage state stays inside the piece's region.
 
-    One step is the affine map y -> R y + r, and each of its four stage states
-    an affine map of y (the first is y). A chunk holds the states y_0 .. y_n
-    as rows: y_0 is given, and rows 2^i .. 2^(i+1) - 1 are R^(2^i) applied to
-    rows 0 .. 2^i - 1 (row n, when n is a power of 2, is R applied to row
-    n - 1). Each new block is checked before the next is made: a step is
-    taken only if all four of its stage states are strictly inside the region.
+    One step is the affine map y -> R y + r, R = I + G, with increment G y + r;
+    each of its stage states is an affine map of y (the first is y). A chunk
+    holds the states y_0 .. y_n as rows: y_0 is given, and rows 2^i ..
+    2^(i+1) - 1 are R^(2^i) applied to rows 0 .. 2^i - 1 (row n, when n is a
+    power of 2, is R applied to row n - 1). Each new block is checked before
+    the next is made: a step is taken only if its stages are strictly inside.
     """
 
     def __init__(self, piece: AffinePiece, rows: np.ndarray, dt: float):
@@ -778,18 +787,14 @@ class _AffineSteps:
         self.stage_T = np.ascontiguousarray(np.vstack([A for A, _ in stages]).T)
         self.stage_a = np.concatenate([a for _, a in stages])
         self.stage_lower, self.stage_upper = np.tile(piece.lower, 4), np.tile(piece.upper, 4)
-        self.J_T, self.c = np.ascontiguousarray(J.T), c
+        self.G_T, self.r = np.ascontiguousarray(((dt / 6.0) * sum_A).T), (dt / 6.0) * sum_a
         # (R^(2^i))^T and the offset of 2^i steps, made as the chunks need them.
-        self.powers = [(np.ascontiguousarray((eye + (dt / 6.0) * sum_A).T), (dt / 6.0) * sum_a)]
+        self.powers = [(self.G_T + eye, self.r)]
 
     def holds(self, y: np.ndarray) -> bool:
         """Whether y is strictly inside the region."""
         x = y[self.rows]
         return bool(np.all((self.lower < x) & (x < self.upper)))
-
-    def residuals(self, Y: np.ndarray) -> np.ndarray:
-        """max|J y + c| of each row of Y: max|rhs| there, for a state inside the region."""
-        return np.max(np.abs(Y @ self.J_T + self.c), axis=1)
 
     def _power(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         while len(self.powers) <= i:
@@ -855,15 +860,15 @@ class _Stepper:
         """Step under p_m, whose feedthrough is aff, from now on."""
         self.p_m, self.aff, self.chunk = p_m, aff, None
 
-    def advance(self, y: np.ndarray, k: int, n: int, tol: float | None = None, k1: np.ndarray | None = None) -> np.ndarray:
-        """The states at steps k .. k + t from y at step k, for some 1 <= t <= n, as rows.
+    def advance(self, y: np.ndarray, k: int, n: int, tol: float | None = None) -> tuple[np.ndarray, float | None]:
+        """The states at steps k .. k + t from y at step k, for some 0 <= t <= n, as rows, and a rest residual or None.
 
-        They are one verified chunk, else plain `rk4` steps up to the next step
-        a chunk may start at (at most 256). Given tol, the rows end at the first
-        state past y whose residual is below tol or is not finite: max|J y + c|
-        on a chunk, max|rhs| on a plain step, whose rhs the next step takes as
-        its k1. k1, if given, is rhs(y). The rows are valid until the next
-        call, which may write over them once it has read y.
+        The rows are one verified chunk, else plain `rk4` steps up to the next
+        step a chunk may start at (at most 256). Given tol, the rows end at the
+        first whose rest residual (the increment of the step from it, over dt)
+        is below tol or not finite, returned with them; else, and without tol,
+        t >= 1, the last row is untested and None is returned. The rows are
+        valid until the next call, which may write over them once it has read y.
         """
         if k >= self.next_chunk:
             if self.chunk is None or not self.chunk.holds(y):
@@ -874,22 +879,22 @@ class _Stepper:
                 if len(Y) > 1:
                     self.wait = 1
                     if tol is not None:
-                        r = self.chunk.residuals(Y[1:])
+                        r = _rest_residual(Y[:-1] @ self.chunk.G_T + self.chunk.r, self.dt)
                         rest = np.flatnonzero((r < tol) | ~np.isfinite(r))
-                        Y = Y[: rest[0] + 2] if rest.size else Y
-                    return Y
+                        if rest.size:
+                            return Y[: rest[0] + 1], float(r[rest[0]])
+                    return Y, None
             self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)
         Y = self.rows[: min(n, self.next_chunk - k, _CHUNK_STEPS) + 1]
         Y[0] = y
         for j in range(1, len(Y)):
-            Y[j] = self.loop.rk4(Y[j - 1], self.p_m, self.dt, self.aff, k1=k1)
-            self.rk4_steps += 1
+            Y[j] = self.loop.rk4(Y[j - 1], self.p_m, self.dt, self.aff)
             if tol is not None:
-                k1 = self.loop.rhs(Y[j], self.p_m, self.aff)
-                r = np.max(np.abs(k1))
-                if r < tol or not np.isfinite(r):
-                    return Y[: j + 1]
-        return Y
+                r = float(_rest_residual(self.loop._acc, self.dt))
+                if r < tol or not math.isfinite(r):
+                    return Y[:j], r
+            self.rk4_steps += 1
+        return Y, None
 
 
 def settle(
@@ -902,17 +907,14 @@ def settle(
     config: ControllerConfig | None = None,
     dt: float = 1e-3,
 ) -> SettleResult:
-    """Integrate under constant p_m until the full state derivative is below tol.
+    """Integrate under constant p_m until the state rests: max|Phi_dt(y) - y| / dt < tol, Phi_dt the RK4 step.
 
-    The result is that of the textbook loop: at each step k, stop if
-    max|rhs(y_k)| < tol (or k is the last step), else take an RK4 step. The
-    steps are `_Stepper`'s, as in `run`: chunks of the exact affine RK4 map of
-    the piece around the state (`ClosedLoop.affine_piece`, `_AffineSteps`)
-    where K is dense, else plain `rk4` steps (`rk4_steps` counts them). Each
-    block ends at its first state that may rest, and the exact `rhs` there
-    confirms it. The stop step and `residual` (max|rhs| at the returned state)
-    are the textbook loop's; the states agree with it to about 1e-13 relative,
-    and bit for bit where every step is plain.
+    The result is that of the textbook loop: at each step k, stop if the RK4
+    increment from y_k over dt is below tol (or k is the last step), else
+    take that step. The steps and the rest test are `_Stepper`'s, as in
+    `run`; the states agree with the textbook loop's to about 1e-13 relative,
+    and bit for bit where every step is plain. On a timeout `residual` is
+    that of one `rk4` step from the returned state.
 
     A timeout is reported via converged=False, not an exception: slow
     convergence is a finding, not a crash.
@@ -934,19 +936,16 @@ def settle(
     aff = loop.feedthrough(p_m)
     n_steps = int(np.ceil(t_max / dt))
     stepper = _Stepper(loop, dt, p_m, aff)
-    k = 0
-    while True:
-        # The exact rest test; after a plain block it repeats the stepper's last rhs, on purpose.
-        k1 = loop.rhs(y, p_m, aff)
-        residual = float(np.max(np.abs(k1)))
-        if not np.isfinite(residual):
-            raise NumericalError(f"non-finite state while settling at t={k * dt:g}s")
-        converged = residual < tol
-        if converged or k == n_steps:
-            break
-        # The block ends at its first state that may rest; the next pass's rhs confirms it.
-        Y = stepper.advance(y, k, n_steps - k, tol, k1)
+    k, residual = 0, None
+    while residual is None and k < n_steps:
+        Y, residual = stepper.advance(y, k, n_steps - k, tol)
         y, k = Y[-1], k + len(Y) - 1
+    if residual is None:
+        loop.rk4(y, p_m, dt, aff)
+        residual = float(_rest_residual(loop._acc, dt))
+    if not math.isfinite(residual):
+        raise NumericalError(f"non-finite state while settling at t={k * dt:g}s")
+    converged = residual < tol
     plant_f, ctrl_f = loop.unpack(y)
     return SettleResult(
         plant=plant_f, ctrl=ctrl_f, t=k * dt, converged=converged, residual=residual, rk4_steps=stepper.rk4_steps

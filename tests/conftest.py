@@ -124,13 +124,24 @@ def reference_derivative(loop, y: np.ndarray, aff: np.ndarray) -> np.ndarray:
     return loop.K @ u + aff
 
 
-def textbook_rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step of dy/dt = f(y), written as the textbook formula."""
+def textbook_increment(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """The increment Phi_dt(y) - y of one RK4 step of dy/dt = f(y), written as the textbook formula."""
     k1 = f(y)
     k2 = f(y + (0.5 * dt) * k1)
     k3 = f(y + (0.5 * dt) * k2)
     k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def textbook_rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step of dy/dt = f(y), written as the textbook formula."""
+    return y + textbook_increment(f, y, dt)
+
+
+def textbook_residual(loop, y: np.ndarray, p_m: np.ndarray, dt: float) -> float:
+    """The rest residual max|Phi_dt(y) - y| / dt of one textbook RK4 step of `loop.rhs` from y."""
+    aff = loop.feedthrough(p_m)
+    return float(np.max(np.abs(textbook_increment(lambda x: loop.rhs(x, p_m, aff), y, dt)))) / dt
 
 
 def textbook_run(scenario, model) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
@@ -207,18 +218,17 @@ class Chunk(NamedTuple):
 def chunks(monkeypatch):
     """Every chunk that `run` and `settle` take through the stepper, `simulator._Stepper.advance`, in order.
 
-    A block is a chunk when it took no plain `rk4` step. Its steps kept are
-    those past a settle's rest cut.
+    A block is a chunk when its rows are not in the stepper's buffer of
+    plain steps. Its steps kept are those up to a settle's rest cut.
     """
     seen: list[Chunk] = []
     advance = simulator._Stepper.advance
 
-    def spy(self, y, k, n, tol=None, k1=None):
-        plain = self.rk4_steps
-        Y = advance(self, y, k, n, tol, k1)
-        if self.rk4_steps == plain:
+    def spy(self, y, k, n, tol=None):
+        Y, residual = advance(self, y, k, n, tol)
+        if not np.shares_memory(Y, self.rows):
             seen.append(Chunk(self.chunk, y.copy(), k, min(n, simulator._CHUNK_STEPS), len(Y) - 1))
-        return Y
+        return Y, residual
 
     monkeypatch.setattr(simulator._Stepper, "advance", spy)
     return seen

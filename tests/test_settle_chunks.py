@@ -3,13 +3,17 @@
 Where `ClosedLoop.K` is dense, `settle` takes most steps in chunks of the
 exact affine RK4 map of the piece around the state (`ClosedLoop.affine_piece`).
 The reference here is the loop `settle` specifies, written out: at each step
-k, stop if max|rhs(y_k)| < tol or k is the last step, else take one `rk4`
-step. The chunked result must stop at the same step, agree with it to 1e-12
-relative, and report max|rhs| at the state it returns. A settle that rests in
-the middle of a block of plain steps, on the 68-bus CSR K or where a dense
-K's chunks fail, must stop there, bit for bit. A chunk must never take
-a step with a stage outside its piece, so start states just short of a cost
-kink, a box bound and a varphi sign change are stepped across each.
+k, stop if the increment of the textbook RK4 step from y_k, over dt, is below
+tol or k is the last step, else take that step. The chunked result must stop
+at the same step, agree with it to 1e-12 relative, and report the residual at
+the state it returns to within 1e-6 relative of one textbook step from there
+(it is read off the chunk's increment map, not four right-hand sides). Off
+the kinks that rest is as tight as max|rhs| < tol was: max|rhs| there is
+below 1.01 tol. A settle that rests in the middle of a block of plain steps,
+on the 68-bus CSR K or where a dense K's chunks fail, must stop there with
+the textbook residual, bit for bit. A chunk must never
+take a step with a stage outside its piece, so start states just short of a
+cost kink, a box bound and a varphi sign change are stepped across each.
 
 The piece itself is pinned apart from `settle`: J is the Jacobian of `rhs`
 inside it, and its region is exactly the set of states that share it.
@@ -41,6 +45,8 @@ from conftest import (
     network_path,
     same_bits,
     scenario_path,
+    textbook_increment,
+    textbook_residual,
 )
 
 pytestmark = pytest.mark.hot
@@ -56,17 +62,21 @@ DENSE_NETWORKS = [name for name in NETWORKS + DEGENERATE_NETWORKS if dense(netwo
 
 
 def textbook_settle(loop, y, p_m, tol, t_max, dt):
-    """(stop step, converged, state) of the loop `settle` specifies, one `rk4` step at a time."""
+    """(stop step, converged, state, residual) of the loop `settle` specifies, one textbook RK4 step at a time.
+
+    At each step k it stops if the step's increment over dt is below tol or k
+    is the last step, else it takes the step.
+    """
     aff = loop.feedthrough(p_m)
     n_steps = int(np.ceil(t_max / dt))
     for k in range(n_steps + 1):
-        k1 = loop.rhs(y, p_m, aff)
-        residual = float(np.max(np.abs(k1)))
+        increment = textbook_increment(lambda x: loop.rhs(x, p_m, aff), y, dt)
+        residual = float(np.max(np.abs(increment))) / dt
         if not np.isfinite(residual):
             raise NumericalError(f"non-finite state while settling at t={k * dt:g}s")
         if residual < tol or k == n_steps:
-            return k, residual < tol, y
-        y = loop.rk4(y, p_m, dt, aff, k1=k1)
+            return k, residual < tol, y, residual
+        y = y + increment
 
 
 def assert_close(y, ref):
@@ -78,26 +88,35 @@ def assert_close(y, ref):
 @pytest.mark.parametrize("selection", SELECTION_RULES)
 @pytest.mark.parametrize("name", DENSE_SCENARIOS)
 def test_chunked_settle_is_the_textbook_loop(pipeline, name, selection, mismatch):
-    """`check`'s settle from the run's end: same stop step, states within 1e-12, the exact residual, no rk4 step."""
+    """`check`'s settle from the run's end: same stop step, states within 1e-12, the residual within 1e-6, no rk4 step.
+
+    The residual is checked against one textbook step from the returned
+    state: the worst gap here was 1.9e-8 relative (against the textbook
+    loop's own residual, whose state differs by up to 1e-12, it was 5.8e-6).
+    Off the kinks the rest is as tight as the old test max|rhs| < tol: the
+    worst max|rhs| / tol over these settles and both 68-bus ones was 1.00012.
+    """
     pl = pipeline(name, selection, mismatch)
     model, config, dt, p_m = pl.model, pl.scenario.config, pl.scenario.dt, pl.p_m
     loop = ClosedLoop(model, config)
     start = loop.pack(pl.log.final_plant(model), pl.log.final_controller())
-    k, converged, ref = textbook_settle(loop, start, p_m, tol=1e-8, t_max=600.0, dt=dt)
+    k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=1e-8, t_max=600.0, dt=dt)
     sr = pl.settled
     y = loop.pack(sr.plant, sr.ctrl)
     assert (sr.t, sr.converged) == (k * dt, converged)
     assert_close(y, ref)
-    assert sr.residual == float(np.max(np.abs(ClosedLoop(model, config).rhs(y, p_m))))
+    residual = textbook_residual(loop, y, p_m, dt)
+    assert abs(sr.residual - residual) <= 1e-6 * residual
+    assert float(np.max(np.abs(ClosedLoop(model, config).rhs(y, p_m)))) < 1.01e-8
     assert sr.rk4_steps == 0
 
 
-@pytest.mark.parametrize("name, t0, rest", [("sixty_eight_bus_steps", 0.0, 100), ("three_bus_congested", 2.0, 5)])
+@pytest.mark.parametrize("name, t0, rest", [("sixty_eight_bus_steps", 0.0, 100), ("three_bus_congested", 2.25, 5)])
 def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, name, t0, rest):
     """A settle from the scenario's state at t0 that rests at step `rest`, in the middle of a block of plain steps.
 
     The 68-bus K is CSR, so its blocks are 256 plain steps, and step 100 from
-    the zero state is inside the first. At 2 s of three_bus_congested bus 0
+    the zero state is inside the first. At 2.25 s of three_bus_congested bus 0
     chatters on its cost kink, so no chunk takes a step and the blocks are the
     1, 2, 4, ... plain steps of the backoff; step 5 is inside the block of
     steps 4 .. 7. tol lies between the residual at `rest` and the least one
@@ -113,9 +132,9 @@ def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, name, t0, rest):
     dt, p_m, start = scenario.dt, log.p_m_final, log.states[-1]
     aff, y, residuals = loop.feedthrough(p_m), start, []
     for _ in range(rest + 1):
-        k1 = loop.rhs(y, p_m, aff)
-        residuals.append(float(np.max(np.abs(k1))))
-        y = loop.rk4(y, p_m, dt, aff, k1=k1)
+        increment = textbook_increment(lambda x: loop.rhs(x, p_m, aff), y, dt)
+        residuals.append(float(np.max(np.abs(increment))) / dt)
+        y = y + increment
     least = min(residuals[:rest])
     assert residuals[rest] < least
     tol = 0.5 * (residuals[rest] + least)
@@ -123,7 +142,7 @@ def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, name, t0, rest):
 
     plant, ctrl = loop.unpack(start)
     sr = settle(model, p_m, tol=tol, t_max=1.0, plant=plant, ctrl=ctrl, config=scenario.config, dt=dt)
-    k, converged, ref = textbook_settle(loop, start, p_m, tol=tol, t_max=1.0, dt=dt)
+    k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=tol, t_max=1.0, dt=dt)
     assert (k, converged) == (rest, True)
     assert (sr.t, sr.converged, sr.residual) == (k * dt, True, residuals[rest])
     assert same_bits(loop.pack(sr.plant, sr.ctrl), ref)
@@ -165,7 +184,7 @@ def test_no_chunk_step_crosses_a_boundary(chunks, name, kind):
 
     plant, ctrl = loop.unpack(start)
     sr = settle(model, p_m, tol=1e-8, t_max=t_max, plant=plant, ctrl=ctrl, config=scenario.config, dt=dt)
-    k, converged, ref = textbook_settle(loop, start, p_m, tol=1e-8, t_max=t_max, dt=dt)
+    k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=1e-8, t_max=t_max, dt=dt)
     assert (sr.t, sr.converged) == (k * dt, converged)
     assert_close(loop.pack(sr.plant, sr.ctrl), ref)
     # The loop does not rest within t_max, so a chunk cut short was cut by its piece's boundary.
@@ -180,15 +199,15 @@ def test_no_chunk_step_crosses_a_boundary(chunks, name, kind):
             k3 = loop.rhs(y + (0.5 * dt) * k2, p_m, aff)
             for stage in (y, y + (0.5 * dt) * k1, y + (0.5 * dt) * k2, y + dt * k3):
                 assert steps.holds(stage), "a chunk step has a stage outside its piece"
-            y = loop.rk4(y, p_m, dt, aff, k1=k1)
+            y = loop.rk4(y, p_m, dt, aff)
 
 
 @pytest.mark.parametrize("name", DIVERGING_P_M)
 def test_a_diverging_chunked_settle_names_the_model_time(chunks, name):
     """Past RK4's stability bound the state overflows at the textbook loop's time; on a dense K, after chunks.
 
-    A block of plain steps ends at the first state that is not finite, so
-    `settle`'s own rhs names it.
+    A block ends at the first state whose RK4 increment is not finite, and
+    `settle` names that state's time.
     """
     model, p_m, plant, ctrl = diverging_start(name)
     loop = ClosedLoop(model)

@@ -13,7 +13,8 @@ from olfc.controller import init_controller
 from olfc.costs import project_box, project_nonneg
 from olfc.dynamics import PlantState, assemble_frequencies
 from olfc.errors import NumericalError, ValidationError
-from olfc.network import load_network
+from olfc.network import load_network, parse_network
+from olfc.oracle import solve_olc
 from olfc.simulator import (
     ClosedLoop,
     ControllerConfig,
@@ -24,7 +25,15 @@ from olfc.simulator import (
     settle,
 )
 
-from conftest import DEGENERATE_NETWORKS, degenerate_network, network_path, rows_within, same_bits, scenario_path
+from conftest import (
+    DEGENERATE_NETWORKS,
+    degenerate_network,
+    network_path,
+    rows_within,
+    same_bits,
+    scenario_path,
+    textbook_residual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -382,20 +391,63 @@ def test_unstable_step_raises(model):
             settle(model, np.array([0.3, 0.0, 0.0]), dt=0.5, t_max=120.0)
 
 
-def test_settle_converges_and_is_idempotent(model):
+def settled_state(model, res) -> np.ndarray:
+    return ClosedLoop(model).pack(res.plant, res.ctrl)
+
+
+@pytest.mark.parametrize("t_max", [600.0, 0.0])
+def test_settle_converges_and_is_idempotent(model, t_max):
+    """A settle from a rest stops at once, returning its start bit for bit; with t_max 0 its residual is the start's."""
     res = settle(model, np.zeros(3), tol=1e-7, t_max=60.0)
     assert res.converged
     # filter states have relaxed onto the angle limits
     assert np.allclose(res.ctrl.varphi_plus, -model.angle_upper, atol=1e-5)
-    again = settle(model, np.zeros(3), tol=1e-7, plant=res.plant, ctrl=res.ctrl)
+    again = settle(model, np.zeros(3), tol=1e-7, t_max=t_max, plant=res.plant, ctrl=res.ctrl)
     assert again.converged
     assert again.t == 0.0
+    assert same_bits(settled_state(model, again), settled_state(model, res))
+    if t_max == 0.0:
+        assert again.residual == textbook_residual(ClosedLoop(model), settled_state(model, res), np.zeros(3), 1e-3)
+        assert again.converged == (again.residual < 1e-7)
 
 
-def test_settle_timeout_reports_not_raises(model):
-    res = settle(model, np.array([0.3, 0.0, 0.0]), tol=1e-12, t_max=0.05)
+@pytest.mark.parametrize("t_max", [0.05, 0.0])
+def test_settle_timeout_reports_not_raises(model, t_max):
+    """A timeout returns; its residual is the textbook increment over dt at the state it returns, the start at t_max 0."""
+    p_m = np.array([0.3, 0.0, 0.0])
+    res = settle(model, p_m, tol=1e-12, t_max=t_max)
     assert not res.converged
     assert res.residual > 1e-12
+    assert res.residual == textbook_residual(ClosedLoop(model), settled_state(model, res), p_m, 1e-3)
+    if t_max == 0.0:
+        start = ClosedLoop(model).pack(PlantState.zero(model), init_controller(model))
+        assert same_bits(settled_state(model, res), start)
+
+
+def test_settle_rests_on_an_interior_kink():
+    """The loop rests where bus 0 sits on its kink with the price strictly inside the Clarke interval.
+
+    three_bus with buses 1 and 2 given the one-piece cost a = 1, under +0.5
+    at bus 0: the optimum is p_l = (0.2, 0.15, 0.15), bus 0 on its kink at
+    0.2 with the price 0.3 strictly inside its Clarke interval [0.2, 0.4]
+    (mu* = -0.3). There the one-sided derivative of d0 never vanishes
+    (max|rhs| stays near 0.1), but the RK4 stages straddle the kink and
+    cancel, so the RK4 map is stationary: the loop is at rest in the
+    Filippov sense, and `settle` must say so.
+    """
+    doc = json.loads(network_path("three_bus").read_text())
+    for bus in doc["buses"][1:]:
+        bus["cost"] = [{"x_min": None, "x_max": None, "a": 1.0, "b": 0.0, "c": 0.0}]
+    model = parse_network(doc, "three_bus_interior_kink")
+    p_m = np.array([0.5, 0.0, 0.0])
+    res = settle(model, p_m, tol=1e-6, t_max=60.0, dt=2e-3)
+    assert res.converged
+    p_l = project_box(res.ctrl.d, model.load_box)
+    optimum = solve_olc(model, p_m).p_l_star
+    assert np.allclose(optimum, [0.2, 0.15, 0.15], atol=1e-6)
+    assert np.max(np.abs(p_l - optimum)) < 1e-4
+    # The rest the old test max|rhs| < tol could not see.
+    assert np.max(np.abs(ClosedLoop(model).rhs(settled_state(model, res), p_m))) >= 0.09
 
 
 def test_settle_insensitive_to_initial_state(model):
