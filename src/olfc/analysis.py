@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .controller import ControllerState
-from .costs import CostBatch, project_box
+from .costs import PiecewiseCost, project_box
 from .dynamics import PlantState, assemble_frequencies
 from .errors import ValidationError
 from .network import NetworkModel
@@ -53,11 +53,12 @@ class KktReport:
     """Residuals of the optimality system, all reported as nonnegative numbers.
 
     `stationarity_load` uses the residual-minimizing selection from the
-    Clarke interval at each bus: with the interval [g_lo, g_hi] at p_j, the
-    reachable projections P(p_j - g - mu_j) form the interval
-    [P(p_j - mu_j - g_hi), P(p_j - mu_j - g_lo)] by monotonicity, so the
-    residual is the distance from p_j to that interval. The multiplier
-    identities carry no selection and are evaluated directly.
+    Clarke interval at each bus, read off its cost (`PiecewiseCost.clarke`):
+    with the interval [g_lo, g_hi] at p_j, the reachable projections
+    P(p_j - g - mu_j) form the interval [P(p_j - mu_j - g_hi),
+    P(p_j - mu_j - g_lo)] by monotonicity, so the residual is the distance
+    from p_j to that interval. The multiplier identities carry no selection
+    and are evaluated directly.
     """
 
     stationarity_load: float
@@ -115,7 +116,7 @@ def kkt_residuals(model: NetworkModel, p_m: np.ndarray, candidate: OptimalSoluti
     L = model.laplacian
     edge = model.incidence.T @ phi
 
-    g_lo, g_hi = CostBatch(model.costs).bounds(p)
+    g_lo, g_hi = np.array([(iv.lo, iv.hi) for iv in map(PiecewiseCost.clarke, model.costs, p)]).T
     reach_lo = np.clip(p - mu - g_hi, box.lower, box.upper)
     reach_hi = np.clip(p - mu - g_lo, box.lower, box.upper)
 
@@ -208,7 +209,7 @@ def equilibrium_from_state(
     p, mu = candidate.p_l_star, candidate.mu_star
     ep, em = candidate.eta_plus_star, candidate.eta_minus_star
     phi = ctrl.phi.copy()
-    g_lo, g_hi = CostBatch(model.costs).bounds(p)
+    g_lo, g_hi = np.array([(iv.lo, iv.hi) for iv in map(PiecewiseCost.clarke, model.costs, p)]).T
     g = np.clip(-mu, g_lo, g_hi)
     d_star = p - g - mu
     edge = model.incidence.T @ phi

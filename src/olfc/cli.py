@@ -48,7 +48,7 @@ from .controller import MISMATCH_SOURCES
 from .dynamics import assemble_frequencies
 from .errors import InfeasibleProblemError, NumericalError, OlfcError, ValidationError, naming
 from .network import NetworkModel, load_network
-from .oracle import OptimalSolution, solve_olc
+from .oracle import OptimalSolution, check_feasibility, solve_olc
 from .simulator import Scenario, SettleResult, TrajectoryLog, load_scenario, run, settle
 
 EXIT_OK = 0
@@ -235,12 +235,17 @@ def settle_scenario(scenario: Scenario, model: NetworkModel, tol: float, t_max: 
 def check_scenario(scenario: Scenario, model: NetworkModel, label: str, tol: float, t_max: float) -> ScenarioResult:
     """Settle a scenario on its network, solve for the optimum independently and check the claims at `tol`.
 
-    Raises NumericalError, naming `label`, when the closed loop does not settle
-    within t_max seconds of model time.
+    When the closed loop does not settle within t_max seconds of model time,
+    raises InfeasibleProblemError if no load allocation can balance the final
+    injection (the oracle's phase 1), else NumericalError; either names `label`.
     """
     res = settle_scenario(scenario, model, tol=1e-8, t_max=t_max)
     sr = res.settled
     if not sr.converged:
+        try:
+            check_feasibility(res.model, res.p_m)
+        except InfeasibleProblemError as exc:
+            raise InfeasibleProblemError(f"{label}: {exc}") from None
         raise NumericalError(f"{label}: closed loop did not settle within {t_max:g} s (residual {sr.residual:.3e})")
     res.oracle = solve_olc(res.model, res.p_m, tol=1e-6)
     res.report = check_theorem1(res.model, FullState(sr.plant, sr.ctrl), res.oracle, res.p_m, tol=tol)

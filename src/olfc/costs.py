@@ -180,12 +180,14 @@ class CostBatch:
     row base plus one comparison per column, and coefficients are fetched
     with `ndarray.take`. A further flat table holds the breakpoint just below
     each piece (NaN for piece 0 and for padded pieces, so it never compares
-    equal). The Clarke interval is looked up once (`_interval`): the
-    right-sided piece, and the left-sided one only for the buses whose lower
-    breakpoint equals x. Off every kink it is the point f'(x), whose element
+    equal). `_select` looks the Clarke interval up once: the right-sided
+    piece, and the left-sided one only for the buses whose lower breakpoint
+    equals x. Off every kink it is the point f'(x), whose element
     under each rule is `select_point`. The results equal the scalar
     PiecewiseCost methods (and `select_subgradient`) bit for bit, which the
-    tests check.
+    tests check. Only the simulator uses it: the claim check (`analysis`)
+    reads each bus's Clarke interval off its own cost, so it certifies the
+    loop's rest without running the lookup it checks.
 
     `select_piece` also returns the right-sided piece of each bus, under
     every rule: its column of a (4, n*K) table whose rows are the open
@@ -239,23 +241,10 @@ class CostBatch:
     def _slope_at(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return self._slope.take(idx) * x + self._b.take(idx)
 
-    def _interval(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """f'-(x), f'+(x) (the same array off every kink), the flat index of the right-sided piece, and whether any bus is on a kink."""
-        hi = self._pieces(x)
-        g_hi = self._slope_at(x, hi)
-        kink = self._left_bp.take(hi) == x
-        if not kink.any():
-            return g_hi, g_hi, hi, False
-        return self._slope_at(x, hi - kink), g_hi, hi, True
-
     def value(self, x: np.ndarray) -> np.ndarray:
         """Per-bus cost values f_j(x_j)."""
         idx = self._pieces(x)
         return self._a.take(idx) * x * x + self._b.take(idx) * x + self._c.take(idx)
-
-    def bounds(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One-sided derivatives (f'-(x_j), f'+(x_j)) per bus."""
-        return self._interval(x)[:2]
 
     def select(self, x: np.ndarray, rule: str = "minnorm") -> np.ndarray:
         """Vectorized select_subgradient over the per-bus Clarke intervals."""
@@ -270,9 +259,12 @@ class CostBatch:
         """The selection and the flat index of the right-sided piece per bus."""
         if rule not in SELECTION_RULES:
             raise ValidationError(f"unknown selection rule {rule!r}, expected one of {SELECTION_RULES}")
-        g_lo, g_hi, idx, kink = self._interval(x)
-        if not kink:
+        idx = self._pieces(x)
+        g_hi = self._slope_at(x, idx)
+        kink = self._left_bp.take(idx) == x
+        if not kink.any():
             return select_point(g_hi, rule), idx
+        g_lo = self._slope_at(x, idx - kink)
         if rule == "minnorm":
             return np.where(g_lo > 0.0, g_lo, np.where(g_hi < 0.0, g_hi, 0.0)), idx
         if rule == "midpoint":

@@ -15,7 +15,10 @@ and evaluates the right-hand side as one precomputed affine operator applied
 to (y, p_l, eta+, eta-, g) plus the disturbance feedthrough. The local
 imbalance z is an affine function of y, p_l and p_m under either mismatch
 source (`model`, or the measured `estimate`), so it is folded into the
-operator when it is built; a step costs the same for both. The readable
+operator when it is built. A step takes the same operations under both,
+except that entries cancelling to exactly 0 under `model` may be left at
+rounding level under `estimate`: the 68-bus CSR K holds 3 616 nonzeros
+against 3 546 (70 entries, each at most 3.1e-15). The readable
 per-module functions in `dynamics` and `controller` define the semantics;
 `tests/test_differential.py` checks the packed right-hand side against them
 on every bundled network, selection rule and mismatch source.
@@ -405,13 +408,17 @@ class ClosedLoop:
         ]
         # The global controller time scale epsilon scales every row from d on.
         rows = plant_rows + [self.config.epsilon * row for row in controller_rows]
+        split = operand["p_m"].start
         if dense:
-            A = np.vstack(rows)
+            # C-contiguous copies, not column views of the stack, whose rows
+            # are strided across the p_m columns: as views, a dense matvec ran
+            # up to 8 % slower at some 16-byte start offsets.
+            self.K, self.Kpm = map(np.ascontiguousarray, np.hsplit(np.vstack(rows), [split]))
         else:
             A = sparse_vstack(rows, format="csr")
             A.sort_indices()
             A.eliminate_zeros()
-        self.K, self.Kpm = A[:, : operand["p_m"].start], A[:, operand["p_m"]]
+            self.K, self.Kpm = A[:, :split], A[:, split:]
         self.k0 = k0 = np.zeros(S)
         k0[self.sl_vp] = -model.angle_upper
         k0[self.sl_vm] = model.angle_lower
@@ -425,7 +432,7 @@ class ClosedLoop:
         # Operand buffer of K; its blocks are written in place on every call.
         # varphi+ | varphi- ends y and eta+ | eta- follows p_l, so each pair
         # is one contiguous block.
-        self._u = np.empty(operand["p_m"].start)
+        self._u = np.empty(split)
         self._u_y = self._u[operand["y"]]
         self._y_d = self._u_y[self.sl_d]
         self._y_varphi = self._u_y[self.sl_vp.start : self.sl_vm.stop]
@@ -561,9 +568,9 @@ class ClosedLoop:
     def observe(self, y: np.ndarray, p_m: np.ndarray, starts: tuple[int, ...] = (0,)) -> dict:
         """Logged signals at one packed state (dim,) or at each row of a stack (k, dim).
 
-        Returns what a `TrajectoryLog` records besides the state, as new
-        arrays (one row per state for a stack): omega, p_l, eta_plus,
-        eta_minus, flows and the total cost (a float for one state). `p_m`
+        Returns the signals a `TrajectoryLog` records beside the state, those
+        that need the network, as new arrays (one row per state for a stack):
+        omega, p_l, flows and the total cost (a float for one state). `p_m`
         is the injection (n,) at every state, or (s, n) with row i applying
         from state starts[i] on, so a run's event segments need no copy of
         p_m per record. The plant part of a stack in Fortran order (as `run`
@@ -584,8 +591,6 @@ class ClosedLoop:
         return {
             "omega": omega,
             "p_l": p_l,
-            "eta_plus": np.maximum(y[..., self.sl_vp], 0.0),
-            "eta_minus": np.maximum(y[..., self.sl_vm], 0.0),
             "flows": self.B * y[..., self.sl_theta],
             "cost": cost if y.ndim == 2 else float(cost),
         }
@@ -597,15 +602,15 @@ class TrajectoryLog:
 
     `states` holds the packed state of every record; the state signals
     (theta_e, omega_g, d, mu, phi, varphi+, varphi-) are views of its column
-    blocks, not copies. The other signals are observed from it.
+    blocks, not copies, and eta+- = max(varphi+-, 0) are read off them. The
+    signals that need the network (omega, p_l, flows, cost) are observed
+    from it once, by `ClosedLoop.observe`.
     """
 
     times: np.ndarray
     states: np.ndarray
     omega: np.ndarray
     p_l: np.ndarray
-    eta_plus: np.ndarray
-    eta_minus: np.ndarray
     flows: np.ndarray
     cost: np.ndarray
     p_m_final: np.ndarray
@@ -625,6 +630,8 @@ class TrajectoryLog:
     phi = property(lambda self: self._block("phi"))
     varphi_plus = property(lambda self: self._block("varphi_plus"))
     varphi_minus = property(lambda self: self._block("varphi_minus"))
+    eta_plus = property(lambda self: np.maximum(self.varphi_plus, 0.0))
+    eta_minus = property(lambda self: np.maximum(self.varphi_minus, 0.0))
 
     def final_plant(self, model: NetworkModel) -> PlantState:
         plant = _unpack(self.states[-1], self._layout)[0]
@@ -658,6 +665,9 @@ class TrajectoryLog:
         np.savetxt(path, data, delimiter=",", header=",".join(header), comments="", fmt="%.17g")
 
 
+# `run` and `settle` check their states and rest residuals for finiteness and raise a `NumericalError` naming the model
+# time, so numpy's overflow and invalid-value warnings on the way there are only noise on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     """Integrate a scenario from t=0 to t_end, logging at the configured decimation.
 
@@ -897,6 +907,7 @@ class _Stepper:
         return Y, None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def settle(
     model: NetworkModel,
     p_m: np.ndarray,

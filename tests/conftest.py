@@ -12,6 +12,7 @@ import pytest
 from olfc import load_scenario, simulator
 from olfc.cli import ScenarioResult, check_scenario
 from olfc.controller import init_controller
+from olfc.costs import PiecewiseCost
 from olfc.dynamics import PlantState
 from olfc.errors import NumericalError
 from olfc.network import load_network, parse_network
@@ -109,6 +110,11 @@ def diverging_start(name: str):
         return model, p_m, PlantState.zero(model), init_controller(model)
     rest = settle(model, p_m, tol=1e-10, t_max=300.0)
     return model, p_m, rest.plant, rest.ctrl
+
+
+def on_kinks(costs, x: np.ndarray) -> np.ndarray:
+    """Whether each bus's cost has a kink at x: its Clarke interval there, read off the cost, has lo < hi."""
+    return np.array([iv.lo < iv.hi for iv in map(PiecewiseCost.clarke, costs, x)])
 
 
 def reference_derivative(loop, y: np.ndarray, aff: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from olfc.analysis import (
     lyapunov_series,
 )
 from olfc.controller import ControllerState, init_controller
+from olfc.costs import CostBatch
 from olfc.dynamics import PlantState
 from olfc.errors import ValidationError
 from olfc.network import load_network
@@ -216,6 +217,24 @@ def test_check_theorem1_sees_a_wrong_injection(model, settled, smooth_solution):
     rep = check_theorem1(model, state, smooth_solution, np.array([0.35, 0.0, 0.0]))
     assert rep.kkt.balance == pytest.approx(0.05, abs=1e-6)
     assert not rep.checks["kkt"] and not rep.passed
+
+
+def test_the_claim_check_builds_no_cost_batch(model, settled, smooth_solution, monkeypatch):
+    """The claim check reads Clarke intervals off the costs: with the simulator's CostBatch unbuildable it still reports."""
+    p_m = np.array([0.3, 0.0, 0.0])
+    state = FullState(settled.plant, settled.ctrl)
+    report = check_theorem1(model, state, smooth_solution, p_m).to_dict()
+    star, kkt = equilibrium_from_state(model, p_m, settled.plant, settled.ctrl)
+
+    def unbuildable(self, costs):
+        raise AssertionError("the claim check built a CostBatch")
+
+    monkeypatch.setattr(CostBatch, "__init__", unbuildable)
+    assert check_theorem1(model, state, smooth_solution, p_m).to_dict() == report
+    star_again, kkt_again = equilibrium_from_state(model, p_m, settled.plant, settled.ctrl)
+    assert kkt_again == kkt
+    assert np.array_equal(star_again.ctrl.pack(), star.ctrl.pack())
+    assert np.array_equal(star_again.plant.theta_e, star.plant.theta_e)
 
 
 def test_check_theorem1_fails_on_unsettled(model, smooth_solution):

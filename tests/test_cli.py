@@ -525,6 +525,15 @@ def test_check_settle_budget_exhausted_exits_2(tmp_scenario, capsys):
     assert errs[-1]["error"] == "numerical"
 
 
+def test_check_names_an_infeasible_injection(tmp_scenario, capsys):
+    """A loop that cannot settle because no load allocation balances its injection exits 1 with the oracle's reason."""
+    scn = tmp_scenario(events=[{"time": 0.0, "bus": 0, "delta_p_m": 5.0}])
+    assert main(["check", scn, "--t-max", "5"]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert captured.out == ""
+    assert errs == [{"error": "validation", "message": f"{scn}: total injection 5 outside aggregate load range [-3, 3]"}]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_check_reports_the_scenarios_that_settle(tmp_path, capsys, monkeypatch, cpus):
     """One timeout among several scenarios: the others are still printed and written, exit 2, in this process or in two workers."""

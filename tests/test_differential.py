@@ -32,7 +32,7 @@ from olfc.costs import SELECTION_RULES, project_box
 from olfc.dynamics import PlantState, plant_rhs
 from olfc.simulator import ClosedLoop, ControllerConfig
 
-from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network
+from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network, on_kinks
 
 pytestmark = pytest.mark.hot
 
@@ -128,6 +128,5 @@ def test_packed_rhs_matches_on_every_switching_point(name, selection, mismatch):
         varphi_minus=np.zeros(model.m),
     )
     if on_kink:
-        lo, hi = loop.batch.bounds(np.clip(d, box.lower, box.upper))
-        assert np.count_nonzero(lo < hi) == on_kink
+        assert np.count_nonzero(on_kinks(model.costs, np.clip(d, box.lower, box.upper))) == on_kink
     assert_matches(loop, plant, ctrl, rng.uniform(-0.5, 0.5, model.n))

@@ -20,7 +20,7 @@ from olfc.costs import SELECTION_RULES
 from olfc.network import parse_network
 from olfc.simulator import ClosedLoop, ControllerConfig
 
-from conftest import NETWORKS, bundled_network, network_path, reference_derivative, same_bits, textbook_rk4
+from conftest import NETWORKS, bundled_network, network_path, on_kinks, reference_derivative, same_bits, textbook_rk4
 
 pytestmark = pytest.mark.hot
 
@@ -168,8 +168,7 @@ def test_the_sequence_puts_buses_on_and_beside_kinks():
     blocks = state_sequence(loop, np.random.default_rng(1))
     p_l = {name: [np.clip(y[loop.sl_d], box.lower, box.upper) for y in ys] for name, ys in blocks.items()}
     assert all(np.all(np.abs(x) == 0.2) for x in p_l["on_kinks"])
-    lo, hi = loop.batch.bounds(p_l["on_kinks"][0])
-    assert np.all(lo < hi)
+    assert np.all(on_kinks(loop.model.costs, p_l["on_kinks"][0]))
     sides = np.array(p_l["sides"])
     assert np.all((np.abs(sides[0::2]) < 0.2) != (np.abs(sides[1::2]) < 0.2))
     assert np.all(sides != 0.2) and np.all(sides != -0.2)

@@ -22,6 +22,7 @@ inside it, and its region is exactly the set of states that share it.
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -221,8 +222,9 @@ def test_a_diverging_chunked_settle_names_the_model_time(chunks, name):
     assert str(exc.value) == str(ref.value)
 
 
-def test_a_diverging_settle_exits_2(tmp_path, capsys):
-    """`olfc settle` from rest at a step past RK4's stability bound fails as numerical, naming the model time."""
+@pytest.fixture
+def diverging_settle(tmp_path):
+    """The arguments of an `olfc settle` from rest at a step past RK4's stability bound."""
     model = bundled_network("three_bus")
     rest = settle(model, np.array([0.3, 0.0, 0.0]), tol=1e-10, t_max=300.0)
     np.savetxt(tmp_path / "plant.txt", np.concatenate([rest.plant.theta_e, rest.plant.omega_g]))
@@ -235,11 +237,24 @@ def test_a_diverging_settle_exits_2(tmp_path, capsys):
         "init": {"plant": "plant.txt", "controller": "ctrl.txt"},
     }
     (tmp_path / "scn.json").write_text(json.dumps(doc))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["settle", str(tmp_path / "scn.json"), "--tol", "1e-12", "--t-max", "200"]) == 2
+    return ["settle", str(tmp_path / "scn.json"), "--tol", "1e-12", "--t-max", "200"]
+
+
+def test_a_diverging_settle_exits_2(diverging_settle, capsys):
+    """`olfc settle` past RK4's stability bound fails as numerical, naming the model time."""
+    assert main(diverging_settle) == 2
     err = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")][-1]
     assert err["error"] == "numerical"
     assert re.search(r"at t=\S+s", err["message"]), err["message"]
+
+
+def test_a_diverging_settle_warns_nothing(diverging_settle, capsys):
+    """The loop's own finiteness check reports the divergence: numpy's overflow warnings stay off stderr, one JSON object a line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(diverging_settle) == 2
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()] == ["numerical"]
 
 
 def random_state(loop, rng):
