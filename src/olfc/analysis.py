@@ -120,14 +120,14 @@ def kkt_residuals(model: NetworkModel, p_m: np.ndarray, candidate: OptimalSoluti
     reach_lo = np.clip(p - mu - g_hi, box.lower, box.upper)
     reach_hi = np.clip(p - mu - g_lo, box.lower, box.upper)
 
-    stat_plus = float(np.max(np.abs(ep - np.maximum(ep + edge - model.angle_upper, 0.0)))) if m else 0.0
-    stat_minus = float(np.max(np.abs(em - np.maximum(em + model.angle_lower - edge, 0.0)))) if m else 0.0
+    stat_plus = float(np.max(np.abs(ep - np.maximum(ep + edge - model.angle_upper, 0.0)), initial=0.0))
+    stat_minus = float(np.max(np.abs(em - np.maximum(em + model.angle_lower - edge, 0.0)), initial=0.0))
 
     balance = float(np.max(np.abs(p - p_m + L @ phi)))
-    network = float(np.max(np.abs(L @ mu + model.incidence @ (ep - em)))) if m else 0.0
+    network = float(np.max(np.abs(L @ mu + model.incidence @ (ep - em)), initial=0.0))
 
-    comp_plus = float(np.max(np.abs(ep * (model.angle_upper - edge)))) if m else 0.0
-    comp_minus = float(np.max(np.abs(em * (edge - model.angle_lower)))) if m else 0.0
+    comp_plus = float(np.max(np.abs(ep * (model.angle_upper - edge)), initial=0.0))
+    comp_minus = float(np.max(np.abs(em * (edge - model.angle_lower)), initial=0.0))
 
     eta_violation = float(max(np.max(np.maximum(-ep, 0.0), initial=0.0), np.max(np.maximum(-em, 0.0), initial=0.0)))
 
@@ -264,7 +264,7 @@ def check_theorem1(
     kkt = kkt_residuals(model, p_m, candidate)
 
     edge_ctrl = model.incidence.T @ ctrl.phi
-    theta_phi_gap = float(np.max(np.abs(plant.theta_e - edge_ctrl))) if model.m else 0.0
+    theta_phi_gap = float(np.max(np.abs(plant.theta_e - edge_ctrl), initial=0.0))
     line_violation = _excess(plant.theta_e, model.angle_lower, model.angle_upper)
     p_l_gap = float(np.max(np.abs(p_l - oracle.p_l_star)))
     mu_spread = float(np.max(ctrl.mu) - np.min(ctrl.mu))

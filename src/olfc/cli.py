@@ -19,13 +19,12 @@ every file `--out` names: one that is a directory or lies under a file
 exits 1 before any work, as does a write that fails later.
 `run` and `check` take several scenarios in min(scenarios, usable CPUs)
 worker processes (`taskset` caps the usable CPUs); the outputs do not
-depend on that count. `check`
-with several scenarios reports every scenario that finishes: a numerical
+depend on that count. Both report every scenario that finishes: a numerical
 failure in one of them prints one error line naming it (with a "scenario"
-field), and the tables and the `--out` file still hold the others. Its
-exit code is the gravest outcome: 1 if any input is invalid (nothing is
-reported), else 2 if any scenario failed numerically, else 3 if any report
-failed, else 0.
+field), and the `wrote` lines, the tables and the `--out` files still hold
+the others. The exit code is the gravest outcome: 1 if any input is
+invalid (nothing is reported), else 2 if any scenario failed numerically,
+else 3 if any `check` report failed, else 0.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -58,12 +58,10 @@ EXIT_CHECK_FAILED = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the parse-error exit code pinned to the CLI contract."""
+    """argparse whose parse errors are validation errors, reported by `main` like any other."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        _emit_error("validation", message)
-        raise SystemExit(EXIT_VALIDATION)
+        raise ValidationError(message)
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:
@@ -187,8 +185,7 @@ def _out_paths(out: str, paths: list[str]) -> list[Path]:
     return list(owners)
 
 
-def _run_job(args: tuple) -> dict:
-    path, scenario, csv_path = args
+def _run_job(path: str, scenario: Scenario, csv_path: Path) -> dict:
     with naming(path):
         log = run(scenario)
     _write(csv_path, log.to_csv)
@@ -252,14 +249,9 @@ def check_scenario(scenario: Scenario, model: NetworkModel, label: str, tol: flo
     return res
 
 
-def _check_job(args: tuple) -> dict:
-    """One scenario's report, or its numerical failure as {"scenario", "error"}."""
-    path, scenario, model, tol, t_max = args
-    try:
-        with naming(path):
-            res = check_scenario(scenario, model, path, tol=tol, t_max=t_max)
-    except NumericalError as exc:
-        return {"scenario": path, "error": str(exc)}
+def _check_job(path: str, scenario: Scenario, model: NetworkModel, tol: float, t_max: float) -> dict:
+    with naming(path):
+        res = check_scenario(scenario, model, path, tol=tol, t_max=t_max)
     sr = res.settled
     return {
         "scenario": path,
@@ -290,15 +282,32 @@ def _print_check_table(result: dict) -> None:
     print(f"  {'overall':<22} {'PASS' if rep['passed'] else 'FAIL'}")
 
 
-def _map_jobs(fn, job_args: list[tuple]) -> list:
-    """fn over job_args, in order, in min(jobs, CPUs this process may run on) worker processes, or in-process for 1."""
+def _job(fn, args: tuple) -> dict:
+    """fn(*args), the job of the scenario file args[0], or its numerical failure as {"scenario", "error"}."""
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return {"scenario": args[0], "error": str(exc)}
+
+
+def _map_jobs(fn, job_args: list[tuple]) -> list[dict]:
+    """fn(*args) of the jobs that do not fail numerically, in order; each that does is one error line naming it.
+
+    The jobs run in min(jobs, CPUs this process may run on) worker processes, or in-process for 1.
+    """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(len(job_args), cpus)
+    job = partial(_job, fn)
     if workers <= 1:
-        return [fn(a) for a in job_args]
-    # Spawned, not forked: a fork copies a process whose BLAS threads may hold locks.
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-        return list(pool.map(fn, job_args))
+        done = [job(a) for a in job_args]
+    else:
+        # Spawned, not forked: a fork copies a process whose BLAS threads may hold locks.
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            done = list(pool.map(job, job_args))
+    for res in done:
+        if "error" in res:
+            _emit_error("numerical", res["error"], scenario=res["scenario"])
+    return [res for res in done if "error" not in res]
 
 
 def _cmd_validate(ns) -> int:
@@ -313,9 +322,10 @@ def _cmd_run(ns) -> int:
     # end of a benchmark run, which raised trajectory_export's peak RSS by
     # 6 % (90.8 -> 96.5 MiB median on a 2-vCPU Xeon guest).
     job_args = [(p, _load(p, ns)[0], csv) for p, csv in zip(ns.scenario, _out_paths(ns.out, ns.scenario))]
-    for res in _map_jobs(_run_job, job_args):
+    results = _map_jobs(_run_job, job_args)
+    for res in results:
         print(f"wrote {res['out']} ({res['records']} records, t_end = {res['t_end']:g} s)")
-    return EXIT_OK
+    return EXIT_NUMERICAL if len(results) < len(job_args) else EXIT_OK
 
 
 def _cmd_settle(ns) -> int:
@@ -335,8 +345,7 @@ def _cmd_settle(ns) -> int:
         "mu_spread": float(np.max(sr.ctrl.mu) - np.min(sr.ctrl.mu)),
     }))
     if not sr.converged:
-        _emit_error("numerical", f"did not settle within {ns.t_max:g} s (residual {sr.residual:.3e})")
-        return EXIT_NUMERICAL
+        raise NumericalError(f"did not settle within {ns.t_max:g} s (residual {sr.residual:.3e})")
     return EXIT_OK
 
 
@@ -365,26 +374,20 @@ def _cmd_solve(ns) -> int:
 def _cmd_check(ns) -> int:
     out = ns.out and _file_target(Path(ns.out))
     job_args = [(p, *_load(p, ns), ns.tol, ns.t_max) for p in ns.scenario]
-    results = []
-    failed = False
-    for res in _map_jobs(_check_job, job_args):
-        if "error" in res:
-            _emit_error("numerical", res["error"], scenario=res["scenario"])
-            failed = True
-        else:
-            _print_check_table(res)
-            results.append(res)
+    results = _map_jobs(_check_job, job_args)
+    for res in results:
+        _print_check_table(res)
     if out and results:
         _write(out, lambda path: path.write_text(_dumps(results, indent=2) + "\n"))
-    if failed:
+    if len(results) < len(job_args):
         return EXIT_NUMERICAL
     return EXIT_OK if all(res["report"]["passed"] for res in results) else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the one place an error becomes its JSON line on stderr and its exit code."""
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
         handler = {
             "validate": _cmd_validate,
             "run": _cmd_run,
@@ -393,16 +396,13 @@ def main(argv=None) -> int:
             "check": _cmd_check,
         }[ns.command]
         return handler(ns)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    except (ValidationError, InfeasibleProblemError) as exc:
-        _emit_error("validation", str(exc))
-        return EXIT_VALIDATION
+    except SystemExit as exc:  # --help
+        return exc.code
     except NumericalError as exc:
         _emit_error("numerical", str(exc))
         return EXIT_NUMERICAL
     except OlfcError as exc:
-        _emit_error("error", str(exc))
+        _emit_error("validation", str(exc))
         return EXIT_VALIDATION
 
 

@@ -113,18 +113,11 @@ def controller_rhs(
     C = model.incidence
     flows_of = model.laplacian  # C B C^T
     dd = -cstate.d + out.p_l + omega - g_sel - out.z - cstate.mu
-    dmu = out.z.copy()
     dphi = -flows_of @ (cstate.mu + out.z) + C @ (out.eta_minus - out.eta_plus)
     edge_phi = C.T @ cstate.phi
     dvp = -cstate.varphi_plus + out.eta_plus + edge_phi - model.angle_upper
     dvm = -cstate.varphi_minus + out.eta_minus + model.angle_lower - edge_phi
-    if epsilon != 1.0:
-        dd *= epsilon
-        dmu *= epsilon
-        dphi *= epsilon
-        dvp *= epsilon
-        dvm *= epsilon
-    return ControllerState(d=dd, mu=dmu, phi=dphi, varphi_plus=dvp, varphi_minus=dvm)
+    return ControllerState(*(epsilon * v for v in (dd, out.z, dphi, dvp, dvm)))
 
 
 def estimate_mismatch(

@@ -18,6 +18,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .costs import Box, PiecewiseCost
 from .errors import ValidationError, naming, read_json, require_fields, require_finite
@@ -118,25 +119,9 @@ class NetworkModel:
             if key in seen:
                 raise ValidationError(f"duplicate line between buses {key[0]} and {key[1]}")
             seen.add(key)
-        if not self._connected():
+        # The weighted Laplacian's off-diagonal entries are the lines.
+        if connected_components(self.laplacian, directed=False)[0] > 1:
             raise ValidationError("graph not connected")
-
-    def _connected(self) -> bool:
-        # Union-find over the undirected edge set.
-        parent = list(range(self.n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for line in self.lines:
-            ra, rb = find(line.from_bus), find(line.to_bus)
-            if ra != rb:
-                parent[ra] = rb
-        root = find(0)
-        return all(find(i) == root for i in range(self.n))
 
     # -- matrix views -------------------------------------------------------
 

@@ -240,11 +240,7 @@ def load_scenario(path: str | Path) -> Scenario:
             t_end=float(data["t_end"]),
             dt=float(data["dt"]),
             events=events,
-            config=ControllerConfig(
-                selection=cfg_raw.get("selection", "minnorm"),
-                mismatch=cfg_raw.get("mismatch", "model"),
-                epsilon=float(cfg_raw.get("epsilon", 1.0)),
-            ),
+            config=ControllerConfig(**{k: float(v) if k == "epsilon" else v for k, v in cfg_raw.items()}),
             init_plant=base / init_raw["plant"] if "plant" in init_raw else None,
             init_controller=base / init_raw["controller"] if "controller" in init_raw else None,
             log_decimation=data.get("log_decimation", 1),
@@ -911,7 +907,7 @@ class _Stepper:
 def settle(
     model: NetworkModel,
     p_m: np.ndarray,
-    tol: float = 1e-7,
+    tol: float = 1e-8,
     t_max: float = 600.0,
     plant: PlantState | None = None,
     ctrl: ControllerState | None = None,

@@ -40,9 +40,11 @@ def pin_cpus(monkeypatch, cpus: int) -> None:
 
 
 def read_stderr_json(capsys):
+    """The captured output and stderr's lines, each of which must be one JSON object."""
     captured = capsys.readouterr()
-    lines = [ln for ln in captured.err.splitlines() if ln.startswith("{")]
-    return captured, [json.loads(ln) for ln in lines]
+    errs = [json.loads(ln) for ln in captured.err.splitlines()]
+    assert all(isinstance(e, dict) for e in errs), captured.err
+    return captured, errs
 
 
 # -- validate -----------------------------------------------------------------
@@ -89,6 +91,14 @@ def test_missing_required_flag_exits_1(tmp_scenario, capsys):
 
 def test_no_arguments_exits_1(capsys):
     assert main([]) == 1
+
+
+def test_a_parse_error_is_one_json_line(capsys):
+    """No usage text: stderr holds exactly the one validation error, naming the flag."""
+    assert main(["check", str(scenario_path("three_bus_smooth")), "--tol", "0"]) == 1
+    captured, errs = read_stderr_json(capsys)
+    assert captured.out == ""
+    assert errs == [{"error": "validation", "message": "argument --tol: tol must be finite and positive, got 0"}]
 
 
 # -- non-finite input ---------------------------------------------------------
@@ -535,17 +545,30 @@ def test_check_names_an_infeasible_injection(tmp_scenario, capsys):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_check_reports_the_scenarios_that_settle(tmp_path, capsys, monkeypatch, cpus):
-    """One timeout among several scenarios: the others are still printed and written, exit 2, in this process or in two workers."""
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_check_reports_the_scenarios_that_settle(tmp_scenario, tmp_path, capsys, monkeypatch, command, cpus):
+    """One numerical failure among several scenarios: the others are still printed and written, exit 2, in this process or in two workers.
+
+    The failing scenario is the second: under `check` it does not settle in time, under `run` its step is past RK4's stability bound.
+    """
     pin_cpus(monkeypatch, cpus)
-    paths = [str(scenario_path("three_bus_smooth")), str(scenario_path("two_bus_box"))]
-    report = tmp_path / "report.json"
-    assert main(["check", *paths, "--t-max", "5", "--out", str(report)]) == 2
+    out = tmp_path / "out"
+    if command == "check":
+        paths = [str(scenario_path("three_bus_smooth")), str(scenario_path("two_bus_box"))]
+        assert main(["check", *paths, "--t-max", "5", "--out", str(out)]) == 2
+    else:
+        paths = [str(scenario_path("three_bus_smooth")), tmp_scenario("diverging.json", t_end=120.0, dt=0.5)]
+        assert main(["run", *paths, "--out", str(out)]) == 2
     captured, errs = read_stderr_json(capsys)
-    assert f"scenario: {paths[0]}" in captured.out and f"scenario: {paths[1]}" not in captured.out
     assert [(e["error"], e["scenario"]) for e in errs] == [("numerical", paths[1])]
-    assert paths[1] in errs[0]["message"]
-    assert [doc["scenario"] for doc in json.loads(report.read_text())] == [paths[0]]
+    if command == "check":
+        assert f"scenario: {paths[0]}" in captured.out and f"scenario: {paths[1]}" not in captured.out
+        assert paths[1] in errs[0]["message"]
+        assert [doc["scenario"] for doc in json.loads(out.read_text())] == [paths[0]]
+    else:
+        assert errs[0]["message"].startswith("non-finite state at t=")
+        assert captured.out == f"wrote {out / 'three_bus_smooth.csv'} (4001 records, t_end = 40 s)\n"
+        assert [p.name for p in out.iterdir()] == ["three_bus_smooth.csv"]
 
 
 def test_check_loads_each_network_once(tmp_scenario, monkeypatch, capsys):

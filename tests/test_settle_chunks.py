@@ -243,7 +243,7 @@ def diverging_settle(tmp_path):
 def test_a_diverging_settle_exits_2(diverging_settle, capsys):
     """`olfc settle` past RK4's stability bound fails as numerical, naming the model time."""
     assert main(diverging_settle) == 2
-    err = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")][-1]
+    err = [json.loads(line) for line in capsys.readouterr().err.splitlines()][-1]
     assert err["error"] == "numerical"
     assert re.search(r"at t=\S+s", err["message"]), err["message"]
 
