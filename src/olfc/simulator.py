@@ -67,13 +67,31 @@ powers R^(2^i), taking a step only while all four of its stages are strictly
 inside the piece. Every other block is plain `rk4` steps, up to 256. `run`
 cuts each block at the next event step, since c depends on p_m, and logs its
 states straight into its record. `settle` stops at the first y that rests,
-max|Phi_dt(y) - y| / dt < tol with Phi_dt the RK4 step (on a kink, where rhs
-never vanishes, the stages straddle it and cancel: the Filippov rest). The
-stepper reads it off the step's own increment, `rk4`'s accumulator or a
-chunk's map y -> G y + r, and ends each block at its first resting row. A
-chunk's states agree with textbook RK4 to about 1e-13 relative, not bit for
-bit, since R^j y sums in another order; plain steps, and so every step where
-K is CSR, are textbook RK4 bit for bit.
+max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there. The stepper
+reads it off the step's own increment, `rk4`'s accumulator or a chunk's map
+y -> G y + r, and ends each block at its first resting row.
+
+A bus whose price lies strictly inside the Clarke interval at a cost kink
+slides on it: Filippov's solution holds d at the kink, with g the
+equivalent control g_eq that makes d' = 0. Textbook RK4 chatters across the
+kink there instead, its stages straddling it, at about dt |d'| per step.
+The sliding motion is affine too: `affine_piece` returns it for a bus
+inside its box exactly on a kink whose g_eq lies strictly inside the
+interval, with p_l held at the kink, d's row of J and c zeroed, and the
+region row g- < g_eq < g+ in place of d's bounds, so a chunk slides while
+g_eq stays strictly inside at every stage. The stepper enters the slide at
+a chunk attempt (never where K is CSR): it moves d onto a kink within one
+step's reach (dt |d'|, or the largest step of d in the plain block before)
+where the sliding piece holds there. It leaves by no rule of its own: when
+g_eq reaches an end of the interval no chunk step holds, and plain steps go
+on from d on the kink.
+
+This is the specification: off the sliding steps a chunk's states agree with
+textbook RK4 to about 1e-13 relative, not bit for bit, since R^j y sums in
+another order; on them, with Filippov's solution, RK4 of the sliding field,
+and so with textbook RK4 only to about the chatter amplitude (2e-4 on d on
+three_bus_congested). Plain steps, and so every step where K is CSR, are
+textbook RK4 bit for bit.
 
 A plant warm start must be physical: its theta_e must be C^T of bus angles
 (to within rounding), since the dynamics conserve any loop component.
@@ -270,12 +288,19 @@ def _packed_layout(n: int, g: int, m: int) -> dict[str, slice]:
 
 
 class AffinePiece(NamedTuple):
-    """dy/dt = J y + c on the open region lower < y[rows] < upper, rows = `ClosedLoop.region_rows`."""
+    """dy/dt = J y + c on the region y[held] = at, lower < W y + w < upper (open).
+
+    Off every kink W y + w is y[`ClosedLoop.region_rows`] and nothing is held.
+    """
 
     J: np.ndarray
     c: np.ndarray
+    W: np.ndarray
+    w: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    held: np.ndarray
+    at: np.ndarray
 
 
 def _unpack(y: np.ndarray, layout: dict[str, slice]) -> tuple[PlantState, ControllerState]:
@@ -502,23 +527,32 @@ class ClosedLoop:
         box bound, the rule's constant element there, so J and c are K's
         columns under 0/1 masks and 2a, and `aff` plus K times the constants.
         Both are read from K and aff as they are now, whatever edited them.
+
+        A bus inside its box and exactly on a kink kappa slides (Filippov's
+        solution): p_l is held at kappa, as at a box bound, and g is the
+        equivalent control g_eq that makes d' = 0. g enters K only on its own
+        d row, so that row of J and c is 0, and g_eq = d'/epsilon with g = 0,
+        an affine function of y. The bus's row of the region is then
+        g- < g_eq < g+, its Clarke interval at kappa, and its d is held at
+        kappa. Where g_eq is not strictly inside, y has no piece.
         """
-        d, varphi = y[self.sl_d], y[self.region_rows[self.n :]]
+        n = self.n
+        d, varphi = y[self.sl_d], y[self.region_rows[n:]]
         below, above = d < self.box_lower, d > self.box_upper
         inside = (self.box_lower < d) & (d < self.box_upper)
         p_l = np.clip(d, self.box_lower, self.box_upper)
         g, (lower, upper, slope, b) = self.batch.select_piece(p_l, self.config.selection)
-        on_kink = inside & ~((lower < p_l) & (p_l < upper))
-        if np.count_nonzero(below | above | inside) < self.n or on_kink.any() or not np.all(varphi != 0.0):
+        smooth = inside & (lower < p_l) & (p_l < upper)
+        if np.count_nonzero(below | above | inside) < n or not np.all(varphi != 0.0):
             return None
         active = varphi > 0.0
         K = self.K.toarray() if issparse(self.K) else self.K
         op = self.operand
         K_pl, K_g = K[:, op["p_l"]], K[:, op["g"]]
         J = K[:, op["y"]].copy()
-        J[:, self.sl_d] += K_pl * inside + K_g * np.where(inside, slope, 0.0)
-        J[:, self.region_rows[self.n :]] += K[:, op["eta_plus"].start : op["eta_minus"].stop] * active
-        c = aff + K_pl @ np.where(inside, 0.0, p_l) + K_g @ np.where(inside, b, g)
+        J[:, self.sl_d] += K_pl * smooth + K_g * np.where(smooth, slope, 0.0)
+        J[:, self.region_rows[n:]] += K[:, op["eta_plus"].start : op["eta_minus"].stop] * active
+        c = aff + K_pl @ np.where(smooth, 0.0, p_l) + K_g @ np.where(smooth, b, np.where(inside, 0.0, g))
         lo = np.concatenate([
             np.where(inside, np.maximum(self.box_lower, lower), np.where(below, -np.inf, self.box_upper)),
             np.where(active, 0.0, -np.inf),
@@ -527,7 +561,18 @@ class ClosedLoop:
             np.where(inside, np.minimum(self.box_upper, upper), np.where(below, self.box_lower, np.inf)),
             np.where(active, np.inf, 0.0),
         ])
-        return AffinePiece(J, c, lo, hi)
+        W, w = np.eye(self.dim)[self.region_rows], np.zeros(self.region_rows.size)
+        sliding = np.flatnonzero(inside & ~smooth)
+        held = self.sl_d.start + sliding
+        if sliding.size:
+            W[sliding], w[sliding] = J[held] / self.config.epsilon, c[held] / self.config.epsilon
+            J[held], c[held] = 0.0, 0.0
+            lo[sliding] = self.batch.select(p_l, "left")[sliding]
+            hi[sliding] = (slope * p_l + b)[sliding]
+            g_eq = (W @ y + w)[sliding]
+            if not np.all((lo[sliding] < g_eq) & (g_eq < hi[sliding])):
+                return None
+        return AffinePiece(J, c, W, w, lo, hi, held, d[sliding])
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
         """Packed derivative dy/dt."""
@@ -668,10 +713,12 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     """Integrate a scenario from t=0 to t_end, logging at the configured decimation.
 
     The steps are `_Stepper`'s, each block cut at the next event step:
-    verified affine chunks where K is dense, else plain `rk4` steps. The
-    records agree with textbook RK4 to about 1e-13 relative, and bit for bit
-    where every step is plain. A logged state that is not finite raises
-    `NumericalError` naming its model time.
+    verified affine chunks where K is dense, sliding ones while a bus slides
+    on a cost kink, else plain `rk4` steps. Off the slides the records agree
+    with textbook RK4 to about 1e-13 relative, and bit for bit where every
+    step is plain; on a slide they follow Filippov's solution, from the step
+    at which the stepper moved d onto the kink. A logged state that is not
+    finite raises `NumericalError` naming its model time.
     """
     if model is None:
         model = scenario.load_model()
@@ -741,7 +788,9 @@ class SettleResult:
     """Outcome of settling: final states, elapsed simulated time, convergence flag.
 
     `residual` is max|Phi_dt(y) - y| / dt at the returned state y, Phi_dt the
-    RK4 step. `rk4_steps` counts the plain `rk4` steps taken, not chunk steps.
+    step taken there: RK4 of the sliding field where a bus slides on a cost
+    kink, else textbook RK4; on a timeout, one textbook `rk4` step's.
+    `rk4_steps` counts the plain `rk4` steps taken, not chunk steps.
     """
 
     plant: PlantState
@@ -773,19 +822,20 @@ class _AffineSteps:
     the next is made: a step is taken only if its stages are strictly inside.
     """
 
-    def __init__(self, piece: AffinePiece, rows: np.ndarray, dt: float):
-        J, c = piece.J, piece.c
+    def __init__(self, piece: AffinePiece, dt: float):
+        J, c, W, w = piece.J, piece.c, piece.W, piece.w
         eye = np.eye(c.size)
-        self.rows, self.lower, self.upper = rows, piece.lower, piece.upper
+        self.piece = piece
         # Stage i is s_i = A_i y + a_i and its derivative k_i = J s_i + c;
-        # s_2 = y + (dt/2) k_1, s_3 = y + (dt/2) k_2, s_4 = y + dt k_3.
-        A, a = eye, np.zeros(c.size)
-        stages = [(A[rows], a[rows])]
+        # s_2 = y + (dt/2) k_1, s_3 = y + (dt/2) k_2, s_4 = y + dt k_3. The
+        # region reads W s_i + w. A held row of J and c is 0, so every stage
+        # and step keeps it exactly: only the first state need be checked.
+        stages = [(W, w)]
         kA, ka = J, c
         sum_A, sum_a = J.copy(), c.copy()
         for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
             A, a = eye + h * kA, h * ka
-            stages.append((A[rows], a[rows]))
+            stages.append((W @ A, W @ a + w))
             kA, ka = J @ A, J @ a + c
             sum_A += weight * kA
             sum_a += weight * ka
@@ -798,9 +848,10 @@ class _AffineSteps:
         self.powers = [(self.G_T + eye, self.r)]
 
     def holds(self, y: np.ndarray) -> bool:
-        """Whether y is strictly inside the region."""
-        x = y[self.rows]
-        return bool(np.all((self.lower < x) & (x < self.upper)))
+        """Whether y is in the region: on every held row's value, and strictly inside the bounds."""
+        p = self.piece
+        x = p.W @ y + p.w
+        return bool(np.all((p.lower < x) & (x < p.upper))) and np.array_equal(y[p.held], p.at)
 
     def _power(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         while len(self.powers) <= i:
@@ -845,9 +896,10 @@ class _Stepper:
     """The steps of `run` and `settle`, as blocks of states: a chunk of `_AffineSteps` where one holds, else plain `rk4` steps.
 
     The chunk maps belong to the piece around the state that last found one,
-    and to the feedthrough: `feed` sets a new one and drops them. After a
-    chunk that takes no step, the next is tried only after 1, 2, 4, ... 256
-    plain steps.
+    and to the feedthrough: `feed` sets a new one and drops them. A chunk
+    attempt first moves each bus within one step's reach of a kink onto it,
+    where a sliding piece holds there (`_slide`). After a chunk that takes no
+    step, the next is tried only after 1, 2, 4, ... 256 plain steps.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray):
@@ -860,6 +912,10 @@ class _Stepper:
         # Plain steps are written here, each block over the one before: a new block per call would keep two
         # alive while the next is made, which cost the 68-bus `check` benchmark 2.4 MiB of peak memory.
         self.rows = np.empty((_CHUNK_STEPS + 1, loop.dim))
+        # The rows of the last block, when it was plain steps, else 0; and whether it was a chunk that took every
+        # step it could. A chunk that runs to its length stopped at no boundary, so the next attempt skips `_slide`:
+        # a bus that nears a kink stops a chunk short first.
+        self.plain, self.whole = 0, False
         self.feed(p_m, aff)
 
     def feed(self, p_m: np.ndarray, aff: np.ndarray) -> None:
@@ -870,20 +926,23 @@ class _Stepper:
         """The states at steps k .. k + t from y at step k, for some 0 <= t <= n, as rows, and a rest residual or None.
 
         The rows are one verified chunk, else plain `rk4` steps up to the next
-        step a chunk may start at (at most 256). Given tol, the rows end at the
+        step a chunk may start at (at most 256). At a chunk attempt the first
+        row is y with any move onto a kink (`_slide`). Given tol, the rows end at the
         first whose rest residual (the increment of the step from it, over dt)
         is below tol or not finite, returned with them; else, and without tol,
         t >= 1, the last row is untested and None is returned. The rows are
         valid until the next call, which may write over them once it has read y.
         """
         if k >= self.next_chunk:
+            if not self.whole:
+                y = self._slide(y)
             if self.chunk is None or not self.chunk.holds(y):
                 piece = self.loop.affine_piece(y, self.aff)
-                self.chunk = None if piece is None else _AffineSteps(piece, self.loop.region_rows, self.dt)
+                self.chunk = None if piece is None else _AffineSteps(piece, self.dt)
             if self.chunk is not None:
                 Y = self.chunk.states(y, min(_CHUNK_STEPS, n))
                 if len(Y) > 1:
-                    self.wait = 1
+                    self.wait, self.plain, self.whole = 1, 0, len(Y) > min(_CHUNK_STEPS, n)
                     if tol is not None:
                         r = _rest_residual(Y[:-1] @ self.chunk.G_T + self.chunk.r, self.dt)
                         rest = np.flatnonzero((r < tol) | ~np.isfinite(r))
@@ -900,7 +959,36 @@ class _Stepper:
                 if r < tol or not math.isfinite(r):
                     return Y[:j], r
             self.rk4_steps += 1
+        self.plain, self.whole = len(Y), False
         return Y, None
+
+    def _slide(self, y: np.ndarray) -> np.ndarray:
+        """y with each bus within one step's reach of a kink moved onto it, where a sliding piece holds there; else y.
+
+        One step's reach is dt |d'| at y, or the largest motion of d in one
+        step of the block before, when that was plain steps: a bus chattering
+        across its kink moves about that far per step. The piece found on the
+        kinks becomes the chunk's.
+        """
+        loop, sl = self.loop, self.loop.sl_d
+        d = y[sl]
+        reach = self.dt * np.abs(loop.rhs(y, self.p_m, self.aff)[sl])
+        if self.plain > 1:
+            np.maximum(reach, np.max(np.abs(np.diff(self.rows[: self.plain, sl], axis=0)), axis=0), out=reach)
+        # The kink nearest to d is an end of the bracket of its cost piece.
+        lower, upper = loop.batch.select_piece(np.clip(d, loop.box_lower, loop.box_upper), loop.config.selection)[1][:2]
+        kink = np.where(np.abs(lower - d) <= np.abs(upper - d), lower, upper)
+        # Inside the box and within reach; a bus already on its kink is no move.
+        near = (loop.box_lower < kink) & (kink < loop.box_upper) & (np.abs(kink - d) <= reach) & (kink != d)
+        if not near.any():
+            return y
+        z = y.copy()
+        z[sl][near] = kink[near]
+        piece = loop.affine_piece(z, self.aff)
+        if piece is None:
+            return y
+        self.chunk = _AffineSteps(piece, self.dt)
+        return z
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -916,12 +1004,15 @@ def settle(
 ) -> SettleResult:
     """Integrate under constant p_m until the state rests: max|Phi_dt(y) - y| / dt < tol, Phi_dt the RK4 step.
 
-    The result is that of the textbook loop: at each step k, stop if the RK4
-    increment from y_k over dt is below tol (or k is the last step), else
+    The result is that of the loop: at each step k, stop if the increment of
+    the step from y_k over dt is below tol (or k is the last step), else
     take that step. The steps and the rest test are `_Stepper`'s, as in
-    `run`; the states agree with the textbook loop's to about 1e-13 relative,
-    and bit for bit where every step is plain. On a timeout `residual` is
-    that of one `rk4` step from the returned state.
+    `run`: textbook RK4, or RK4 of Filippov's sliding field while a bus
+    slides on a cost kink, entered where the stepper moves d onto it. A bus
+    that rests there rests on the kink, with its price strictly inside the
+    Clarke interval. Off the slides the states agree with textbook RK4 to
+    about 1e-13 relative, and bit for bit where every step is plain. On a
+    timeout `residual` is that of one `rk4` step from the returned state.
 
     A timeout is reported via converged=False, not an exception: slow
     convergence is a finding, not a crash.

@@ -8,9 +8,10 @@ Criteria, in test order:
 
  1. frequency restoration on the 3-bus and 9-bus step scenarios, settled
     |omega|_inf < 1e-4, and under 30 s of wall time each at dt = 1 ms
- 2. settled dispatch matches the independent oracle in three regimes of the
-    nonsmooth cost (interior of a smooth piece, exactly at the kink, at a
-    box bound): load gap < 1e-3, objective gap < 1e-5
+ 2. settled dispatch matches the independent oracle in four regimes of the
+    nonsmooth cost (interior of a smooth piece, exactly at the kink, strictly
+    inside a Clarke interval, at a box bound): load gap < 1e-3, objective
+    gap < 1e-5
  3. congested scenario: flow on the saturated line within 1e-3 of its limit,
     physical angle differences equal to the controller's virtual ones
     within 1e-4 on all lines
@@ -49,7 +50,14 @@ from conftest import network_path
 from test_costs import reference_cost
 
 TOL = 1e-4
-UNCONGESTED = ("two_bus_box", "three_bus_smooth", "three_bus_kink", "nine_bus_steps")
+UNCONGESTED = ("two_bus_box", "three_bus_smooth", "three_bus_kink", "three_bus_interior_kink", "nine_bus_steps")
+# The scenarios of criterion 2, one per regime of the nonsmooth cost.
+REGIMES = {
+    "three_bus_smooth": "interior of smooth piece",
+    "three_bus_kink": "at the cost kink",
+    "three_bus_interior_kink": "strictly inside a Clarke interval",
+    "two_bus_box": "at the box bound",
+}
 ALL_STEP = UNCONGESTED + ("three_bus_congested",)
 
 # Per-scenario constant for the energy-decay bound dV <= c * dt^2 per step.
@@ -60,6 +68,7 @@ LYAPUNOV_C = {
     "two_bus_box": 1.0,
     "three_bus_smooth": 1.0,
     "three_bus_kink": 1.0,
+    "three_bus_interior_kink": 1.0,
     "three_bus_congested": 1.0,
     "nine_bus_steps": 1.0,
     "sixty_eight_bus_steps": 1.0,
@@ -90,7 +99,7 @@ def claim_frequency(pls):
 
 
 def claim_optimal_dispatch(pls):
-    for name in ("three_bus_smooth", "three_bus_kink", "two_bus_box"):
+    for name in REGIMES:
         pl = pls[name]
         p_l = settled_load(pl)
         gap = float(np.max(np.abs(p_l - pl.oracle.p_l_star)))
@@ -143,19 +152,14 @@ def test_01_frequency_restoration(pipeline):
               f"wall = {pl.wall_seconds:.1f} s (budget 30 s)")
 
 
-def test_02_optimal_dispatch_three_regimes(pipeline):
-    pls = {n: pipeline(n) for n in ("three_bus_smooth", "three_bus_kink", "two_bus_box")}
+def test_02_optimal_dispatch_in_every_regime(pipeline):
+    pls = {n: pipeline(n) for n in REGIMES}
     claim_optimal_dispatch(pls)
-    regimes = {
-        "three_bus_smooth": "interior of smooth piece",
-        "three_bus_kink": "at the cost kink",
-        "two_bus_box": "at the box bound",
-    }
     for name, pl in pls.items():
         p_l = settled_load(pl)
         gap = float(np.max(np.abs(p_l - pl.oracle.p_l_star)))
         obj_gap = abs(objective_of(pl, p_l) - pl.oracle.objective)
-        print(f"[2] {name} ({regimes[name]}): load gap = {gap:.2e} (tol 1e-3), "
+        print(f"[2] {name} ({REGIMES[name]}): load gap = {gap:.2e} (tol 1e-3), "
               f"objective gap = {obj_gap:.2e} (tol 1e-5)")
 
 

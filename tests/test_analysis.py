@@ -241,3 +241,24 @@ def test_check_theorem1_fails_on_unsettled(model, smooth_solution):
     cold = FullState(PlantState.zero(model), init_controller(model))
     rep = check_theorem1(model, cold, smooth_solution, p_m=np.array([0.3, 0.0, 0.0]))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("mismatch", ["model", "estimate"])
+@pytest.mark.parametrize("selection", ["minnorm", "left", "right", "midpoint"])
+def test_the_interior_kink_rest_passes_and_a_shifted_one_fails(pipeline, selection, mismatch):
+    """three_bus_interior_kink rests with bus 0 on its kink at 0.2, its price strictly inside the Clarke interval [0.2, 0.4].
+
+    That rest passes every check. Moved 2 tol off it, on the kink bus (either
+    way) or on a bus with a smooth cost, the state must fail both `kkt` and
+    `p_l_matches_oracle`: a state more than tol from the optimum is no rest.
+    """
+    pl = pipeline("three_bus_interior_kink", selection, mismatch)
+    tol = 1e-4
+    assert pl.settled.ctrl.d[0] == 0.2
+    assert 0.2 < -pl.settled.ctrl.mu[0] < 0.4
+    assert check_theorem1(pl.model, FullState(pl.settled.plant, pl.settled.ctrl), pl.oracle, pl.p_m, tol).passed
+    for bus, shift in ((0, 2 * tol), (0, -2 * tol), (1, 2 * tol), (2, -2 * tol)):
+        ctrl = dataclasses.replace(pl.settled.ctrl, d=pl.settled.ctrl.d.copy())
+        ctrl.d[bus] += shift
+        rep = check_theorem1(pl.model, FullState(pl.settled.plant, ctrl), pl.oracle, pl.p_m, tol)
+        assert not rep.checks["kkt"] and not rep.checks["p_l_matches_oracle"], (bus, shift, rep.checks)

@@ -21,18 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olfc.controller import (
-    ControllerState,
-    controller_rhs,
-    estimate_mismatch,
-    outputs,
-    subgradient_selection,
-)
-from olfc.costs import SELECTION_RULES, project_box
-from olfc.dynamics import PlantState, plant_rhs
+from olfc.controller import ControllerState
+from olfc.costs import SELECTION_RULES
+from olfc.dynamics import PlantState
 from olfc.simulator import ClosedLoop, ControllerConfig
 
-from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network, on_kinks
+from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network, on_kinks, readable_rhs
 
 pytestmark = pytest.mark.hot
 
@@ -42,19 +36,6 @@ RTOL = 1e-12
 @functools.cache
 def _loop(name: str, config: ControllerConfig) -> ClosedLoop:
     return ClosedLoop(degenerate_network(name) if name in DEGENERATE_NETWORKS else bundled_network(name), config)
-
-
-def reference_rhs(model, plant: PlantState, ctrl: ControllerState, p_m, config: ControllerConfig) -> np.ndarray:
-    """dy/dt from the readable module functions, in the packed layout."""
-    p_l = project_box(ctrl.d, model.load_box)
-    dtheta, domega_g, omega = plant_rhs(model, plant, p_m, p_l)
-    mismatch = None
-    if config.mismatch == "estimate":
-        mismatch = estimate_mismatch(model, omega, domega_g, model.susceptances * plant.theta_e)
-    out = outputs(model, ctrl, p_m, mismatch)
-    g_sel = subgradient_selection(model, out.p_l, config.selection)
-    dctrl = controller_rhs(model, ctrl, out, omega, g_sel, config.epsilon)
-    return np.concatenate([dtheta, domega_g, dctrl.pack()])
 
 
 def _values(rng: np.random.Generator, share: float, points: list[list[float]]) -> np.ndarray:
@@ -70,7 +51,7 @@ def _values(rng: np.random.Generator, share: float, points: list[list[float]]) -
 
 
 def assert_matches(loop: ClosedLoop, plant: PlantState, ctrl: ControllerState, p_m: np.ndarray) -> None:
-    expected = reference_rhs(loop.model, plant, ctrl, p_m, loop.config)
+    expected = readable_rhs(loop.model, plant, ctrl, p_m, loop.config)[0]
     packed = loop.rhs(loop.pack(plant, ctrl), p_m)
     scale = max(1.0, float(np.max(np.abs(expected))))
     err = float(np.max(np.abs(packed - expected)))

@@ -1,16 +1,21 @@
-"""`run`'s affine path against the textbook loop.
+"""`run`'s affine path against the loop it specifies.
 
 Where `ClosedLoop.K` is dense, `run` takes its steps through the stepper
 that `settle` uses (`simulator._Stepper`): chunks of the exact affine RK4 map
 of the piece around the state, each cut at the next event step, else plain
-`rk4` steps. The reference is the loop `run` specifies, textbook RK4 over the
-exact selection (`conftest.textbook_run`). Over a horizon that covers every
-event of every dense bundled scenario, logged at every step and at the
-scenario's own decimation, the chunked run must log the same times and the
-same p_m segments, bit for bit, and every state within 1e-12 relative; no
-chunk may span an event step. A diverging run must fail where the textbook
-loop does, on a dense K and on the 68-bus CSR K, and a chunk must never
-hand back a state that an overflowing power of R made.
+`rk4` steps. On a bus that slides on a cost kink the piece is Filippov's
+sliding motion, entered by moving d onto the kink. The reference is the loop
+`run` specifies (`conftest.reference_run`): textbook RK4 over the exact
+selection, and RK4 of the readable equations with the sliding bus held on
+its kink at the equivalent control while that slides for a whole step, with
+the stepper's moves onto a kink made in its own state once each is checked
+to be within one step's reach. Over a horizon that covers every event of
+every dense bundled scenario, logged at every step and at the scenario's own
+decimation, the chunked run must log the same times and the same p_m
+segments, bit for bit, and every state within 1e-12 relative; no chunk may
+span an event step. A diverging run must fail where the textbook loop does,
+on a dense K and on the 68-bus CSR K, and a chunk must never hand back a
+state that an overflowing power of R made.
 """
 
 import dataclasses
@@ -30,6 +35,7 @@ from conftest import (
     dense,
     diverging_start,
     network_path,
+    reference_run,
     rows_within,
     same_bits,
     scenario_path,
@@ -59,19 +65,26 @@ def observed(monkeypatch):
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 @pytest.mark.parametrize("selection", SELECTION_RULES)
 @pytest.mark.parametrize("name", DENSE_SCENARIOS)
-def test_chunked_run_is_the_textbook_loop(chunks, observed, name, selection, mismatch):
-    """Same times and p_m segments bit for bit, states within 1e-12, no chunk across an event; at decimation 1 and the scenario's."""
+def test_chunked_run_is_the_textbook_loop(chunks, snaps, observed, name, selection, mismatch):
+    """Same times and p_m segments bit for bit, states within 1e-12, no chunk across an event; at decimation 1 and the scenario's.
+
+    The reference is textbook RK4 off the sliding steps (`conftest.reference_run`).
+    """
     base = load_scenario(scenario_path(name))
     config = dataclasses.replace(base.config, selection=selection, mismatch=mismatch)
     base = dataclasses.replace(base, t_end=HORIZON, config=config)
     assert all(ev.time < HORIZON for ev in base.events)
     model = base.load_model()
-    states, segments, first_steps = textbook_run(dataclasses.replace(base, log_decimation=1), model)
+    run(dataclasses.replace(base, log_decimation=1), model)
+    moves = dict(snaps)
+    states, segments, first_steps = reference_run(dataclasses.replace(base, log_decimation=1), model, moves)
     n_steps = base.step_count()
     for dec in sorted({1, base.log_decimation}):
         chunks.clear()
         observed.clear()
+        snaps.clear()
         log = run(dataclasses.replace(base, log_decimation=dec), model)
+        assert snaps == moves, dec
         steps = np.r_[np.arange(0, n_steps, dec), n_steps]
         assert same_bits(log.times, steps * base.dt), dec
         assert same_bits(log.p_m_final, segments[-1]), dec
@@ -118,8 +131,17 @@ def test_a_diverging_chunked_run_names_the_textbook_time(tmp_path, chunks, name)
 def test_a_chunk_stops_short_of_an_overflowing_power():
     """At a fixed point the states stay 0 while R^(2^i) overflows; the chunk hands back only the rows before it."""
     dim = 3
-    piece = AffinePiece(J=1e3 * np.eye(dim), c=np.zeros(dim), lower=np.array([-1.0]), upper=np.array([1.0]))
-    steps = _AffineSteps(piece, np.array([0]), dt=1.0)
+    piece = AffinePiece(
+        J=1e3 * np.eye(dim),
+        c=np.zeros(dim),
+        W=np.eye(dim)[:1],
+        w=np.zeros(1),
+        lower=np.array([-1.0]),
+        upper=np.array([1.0]),
+        held=np.empty(0, dtype=int),
+        at=np.empty(0),
+    )
+    steps = _AffineSteps(piece, dt=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         Y = steps.states(np.zeros(dim), 256)
     overflows = next(i for i in range(9) if not np.all(np.isfinite(steps.powers[i][0])))

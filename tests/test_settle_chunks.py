@@ -1,24 +1,32 @@
-"""`settle`'s affine path against the textbook loop, and the affine piece it steps on.
+"""`settle`'s affine path against the loop it specifies, and the affine piece it steps on.
 
 Where `ClosedLoop.K` is dense, `settle` takes most steps in chunks of the
-exact affine RK4 map of the piece around the state (`ClosedLoop.affine_piece`).
-The reference here is the loop `settle` specifies, written out: at each step
-k, stop if the increment of the textbook RK4 step from y_k, over dt, is below
-tol or k is the last step, else take that step. The chunked result must stop
-at the same step, agree with it to 1e-12 relative, and report the residual at
-the state it returns to within 1e-6 relative of one textbook step from there
-(it is read off the chunk's increment map, not four right-hand sides). Off
-the kinks that rest is as tight as max|rhs| < tol was: max|rhs| there is
-below 1.01 tol. A settle that rests in the middle of a block of plain steps,
-on the 68-bus CSR K or where a dense K's chunks fail, must stop there with
-the textbook residual, bit for bit. A chunk must never
-take a step with a stage outside its piece, so start states just short of a
-cost kink, a box bound and a varphi sign change are stepped across each.
+exact affine RK4 map of the piece around the state (`ClosedLoop.affine_piece`),
+a sliding piece where a bus slides on a cost kink. The reference here is the
+loop `settle` specifies, written out: at each step k, stop if the increment
+of the step from y_k, over dt, is below tol or k is the last step, else take
+that step. The step is textbook RK4, or Filippov's sliding step while a bus
+slides on its kink for the whole step (`conftest.reference_stages`), and the
+stepper's moves onto a kink are made in the reference's own state once each
+is checked. The chunked result must stop at the same step, agree with it to
+1e-12 relative, and report the residual at the state it returns to within
+1e-6 relative of one reference step from there (it is read off the chunk's
+increment map, not four right-hand sides). That rest is as tight as
+max|f| < tol: max|f| there is below 1.01 tol, f the field the loop follows,
+`rhs` off the kinks and the sliding field on one. A settle that rests in the
+middle of a block of plain steps, on the 68-bus CSR K or where a dense K's
+chunks fail, must stop there with the textbook residual, bit for bit. A
+chunk must never take a step with a stage outside its piece, so start states
+just short of a cost kink, a box bound and a varphi sign change are stepped
+across each.
 
 The piece itself is pinned apart from `settle`: J is the Jacobian of `rhs`
-inside it, and its region is exactly the set of states that share it.
+inside it, and its region is exactly the set of states that share it; on a
+kink, where a sliding piece holds exactly when the equivalent control lies
+strictly inside the Clarke interval.
 """
 
+import collections
 import dataclasses
 import json
 import re
@@ -44,10 +52,14 @@ from conftest import (
     dense,
     diverging_start,
     network_path,
+    readable_rhs,
+    reference_stages,
+    region_kinds,
     same_bits,
     scenario_path,
+    sliding_buses,
+    snapped,
     textbook_increment,
-    textbook_residual,
 )
 
 pytestmark = pytest.mark.hot
@@ -62,22 +74,35 @@ def network(name: str):
 DENSE_NETWORKS = [name for name in NETWORKS + DEGENERATE_NETWORKS if dense(network(name))]
 
 
-def textbook_settle(loop, y, p_m, tol, t_max, dt):
-    """(stop step, converged, state, residual) of the loop `settle` specifies, one textbook RK4 step at a time.
+def textbook_settle(loop, y, p_m, tol, t_max, dt, snaps=None):
+    """(stop step, converged, state, residual) of the loop `settle` specifies, one step at a time.
 
-    At each step k it stops if the step's increment over dt is below tol or k
-    is the last step, else it takes the step.
+    At each step k it makes the stepper's moves onto a kink there (`snaps`,
+    checked by `conftest.snapped`), then stops if the step's increment over dt
+    is below tol or k is the last step, else it takes the step. Without snaps
+    every step is textbook RK4; with them (even none), the step is
+    `conftest.reference_stages`.
     """
     aff = loop.feedthrough(p_m)
+
+    def f(x):
+        return loop.rhs(x, p_m, aff)
+
     n_steps = int(np.ceil(t_max / dt))
+    recent = collections.deque([y[loop.sl_d]], maxlen=257)
     for k in range(n_steps + 1):
-        increment = textbook_increment(lambda x: loop.rhs(x, p_m, aff), y, dt)
+        if snaps and k in snaps:
+            motion = np.max(np.abs(np.diff(np.array(recent), axis=0)), axis=0, initial=0.0)
+            y = snapped(loop, y, snaps[k], motion, dt, aff)
+            recent[-1] = y[loop.sl_d]
+        increment = textbook_increment(f, y, dt) if snaps is None else reference_stages(loop, y, aff, dt, f)[0]
         residual = float(np.max(np.abs(increment))) / dt
         if not np.isfinite(residual):
             raise NumericalError(f"non-finite state while settling at t={k * dt:g}s")
         if residual < tol or k == n_steps:
             return k, residual < tol, y, residual
         y = y + increment
+        recent.append(y[loop.sl_d])
 
 
 def assert_close(y, ref):
@@ -91,44 +116,52 @@ def assert_close(y, ref):
 def test_chunked_settle_is_the_textbook_loop(pipeline, name, selection, mismatch):
     """`check`'s settle from the run's end: same stop step, states within 1e-12, the residual within 1e-6, no rk4 step.
 
-    The residual is checked against one textbook step from the returned
-    state: the worst gap here was 1.9e-8 relative (against the textbook
-    loop's own residual, whose state differs by up to 1e-12, it was 5.8e-6).
-    Off the kinks the rest is as tight as the old test max|rhs| < tol: the
-    worst max|rhs| / tol over these settles and both 68-bus ones was 1.00012.
+    The reference is textbook RK4 off the sliding steps. The settles from
+    these starts move no bus onto a kink: a bus that slides there already
+    sits on it. The residual is checked against one reference step from the
+    returned state: the worst gap here was 1.9e-8 relative (against the
+    textbook loop's own residual, whose state differs by up to 1e-12, it was
+    5.8e-6). The rest is as tight as the old test max|rhs| < tol, with the
+    sliding field in place of rhs on the bus that rests on a kink: the worst
+    max|f| / tol over these settles and both 68-bus ones was 1.00012.
     """
     pl = pipeline(name, selection, mismatch)
     model, config, dt, p_m = pl.model, pl.scenario.config, pl.scenario.dt, pl.p_m
     loop = ClosedLoop(model, config)
     start = loop.pack(pl.log.final_plant(model), pl.log.final_controller())
-    k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=1e-8, t_max=600.0, dt=dt)
+    k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=1e-8, t_max=600.0, dt=dt, snaps={})
     sr = pl.settled
     y = loop.pack(sr.plant, sr.ctrl)
     assert (sr.t, sr.converged) == (k * dt, converged)
     assert_close(y, ref)
-    residual = textbook_residual(loop, y, p_m, dt)
+    increment, _, slid = reference_stages(loop, y, loop.feedthrough(p_m), dt)
+    residual = float(np.max(np.abs(increment))) / dt
     assert abs(sr.residual - residual) <= 1e-6 * residual
-    assert float(np.max(np.abs(ClosedLoop(model, config).rhs(y, p_m)))) < 1.01e-8
+    field, _ = readable_rhs(model, *loop.unpack(y), p_m, config, sliding_buses(loop, y) if slid else ())
+    assert float(np.max(np.abs(field))) < 1.01e-8
     assert sr.rk4_steps == 0
 
 
 @pytest.mark.parametrize("name, t0, rest", [("sixty_eight_bus_steps", 0.0, 100), ("three_bus_congested", 2.25, 5)])
-def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, name, t0, rest):
+def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, monkeypatch, name, t0, rest):
     """A settle from the scenario's state at t0 that rests at step `rest`, in the middle of a block of plain steps.
 
     The 68-bus K is CSR, so its blocks are 256 plain steps, and step 100 from
-    the zero state is inside the first. At 2.25 s of three_bus_congested bus 0
-    chatters on its cost kink, so no chunk takes a step and the blocks are the
-    1, 2, 4, ... plain steps of the backoff; step 5 is inside the block of
-    steps 4 .. 7. tol lies between the residual at `rest` and the least one
-    before it, so the textbook loop rests there. The settle must stop at the
-    same step with the same residual and state, bit for bit, having taken
-    every step with `rk4`.
+    the zero state is inside the first. On a dense K a chunk fails where no
+    piece holds: there the blocks are the 1, 2, 4, ... plain steps of the
+    backoff, and step 5 is inside the block of steps 3 .. 7. At 2.25 s of
+    three_bus_congested bus 0 slides on its cost kink, and the textbook loop
+    chatters there; no piece is found anywhere, so every chunk fails. tol
+    lies between the residual at `rest` and the least one before it, so the
+    textbook loop rests there. The settle must stop at the same step with the
+    same residual and state, bit for bit, having taken every step with `rk4`.
     """
     scenario = load_scenario(scenario_path(name))
     scenario = dataclasses.replace(scenario, t_end=t0, events=[ev for ev in scenario.events if ev.time <= t0])
     model = scenario.load_model()
     log = simulator.run(scenario, model)
+    if name == "three_bus_congested":
+        monkeypatch.setattr(ClosedLoop, "affine_piece", lambda self, y, aff: None)
     loop = ClosedLoop(model, scenario.config)
     dt, p_m, start = scenario.dt, log.p_m_final, log.states[-1]
     aff, y, residuals = loop.feedthrough(p_m), start, []
@@ -150,30 +183,23 @@ def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, name, t0, rest):
     assert sr.rk4_steps == rest and not chunks
 
 
-def region_kinds(model, loop, Y):
-    """Per state (row of Y): each bus's box side, each bus's cost piece, each varphi+- sign."""
-    d = Y[:, loop.sl_d]
-    box = model.load_box
-    p_l = np.clip(d, box.lower, box.upper)
-    pieces = np.stack([np.searchsorted(c.breakpoints, p_l[:, j]) for j, c in enumerate(model.costs)], axis=1)
-    return {
-        "box": np.sign(d - box.lower) + np.sign(d - box.upper),
-        "piece": pieces,
-        "varphi": np.sign(Y[:, loop.region_rows[model.n :]]),
-    }
-
-
 @pytest.mark.parametrize(
     "name, kind",
     [("three_bus_kink", "piece"), ("two_bus_box", "box"), ("three_bus_congested", "varphi")],
 )
-def test_no_chunk_step_crosses_a_boundary(chunks, name, kind):
-    """From 3 steps short of a run's first crossing, every stage of every chunk step stays inside its piece."""
+def test_no_chunk_step_crosses_a_boundary(chunks, snaps, name, kind):
+    """From 3 steps short of a run's first crossing, every stage of every chunk step stays inside its piece.
+
+    On three_bus_kink that crossing is bus 0 reaching its kink, where it
+    slides: the stages of a sliding chunk's steps are those of Filippov's
+    sliding step (`conftest.reference_stages`).
+    """
     scenario = load_scenario(scenario_path(name))
     scenario = dataclasses.replace(scenario, t_end=3.0, log_decimation=1)
     model = scenario.load_model()
     log = simulator.run(scenario, model)
     chunks.clear()  # the run's own
+    snaps.clear()
     loop = ClosedLoop(model, scenario.config)
     # From the step after the last event on, where p_m is final and varphi+- is no longer 0.
     first = max(round(ev.time / scenario.dt) for ev in scenario.events) + 1
@@ -185,7 +211,7 @@ def test_no_chunk_step_crosses_a_boundary(chunks, name, kind):
 
     plant, ctrl = loop.unpack(start)
     sr = settle(model, p_m, tol=1e-8, t_max=t_max, plant=plant, ctrl=ctrl, config=scenario.config, dt=dt)
-    k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=1e-8, t_max=t_max, dt=dt)
+    k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=1e-8, t_max=t_max, dt=dt, snaps=dict(snaps))
     assert (sr.t, sr.converged) == (k * dt, converged)
     assert_close(loop.pack(sr.plant, sr.ctrl), ref)
     # The loop does not rest within t_max, so a chunk cut short was cut by its piece's boundary.
@@ -195,12 +221,10 @@ def test_no_chunk_step_crosses_a_boundary(chunks, name, kind):
     aff = loop.feedthrough(p_m)
     for steps, y, _, _, taken in chunks:
         for _ in range(taken):
-            k1 = loop.rhs(y, p_m, aff)
-            k2 = loop.rhs(y + (0.5 * dt) * k1, p_m, aff)
-            k3 = loop.rhs(y + (0.5 * dt) * k2, p_m, aff)
-            for stage in (y, y + (0.5 * dt) * k1, y + (0.5 * dt) * k2, y + dt * k3):
+            increment, stages, _ = reference_stages(loop, y, aff, dt)
+            for stage in stages:
                 assert steps.holds(stage), "a chunk step has a stage outside its piece"
-            y = loop.rk4(y, p_m, dt, aff)
+            y = y + increment
 
 
 @pytest.mark.parametrize("name", DIVERGING_P_M)
@@ -292,11 +316,19 @@ def test_affine_piece_is_the_jacobian(name, selection, mismatch):
 
 @pytest.mark.parametrize("name", DENSE_NETWORKS)
 def test_affine_piece_region_is_the_whole_piece(name):
-    """Along each region row: the same J and c anywhere inside the bounds, None on a finite bound, another piece past it."""
+    """Along each region row: the same J and c anywhere inside the bounds, another piece past it, and on a finite bound None.
+
+    A bound that is a cost kink of a bus inside its box is the exception: there
+    the bus slides, and the piece holds its d at the kink, exactly when its
+    equivalent control, from the readable equations, lies strictly inside
+    the Clarke interval; its J y + c is then the sliding field.
+    """
     model = network(name)
     loop = ClosedLoop(model)
     rng = np.random.default_rng(8)
-    aff = loop.feedthrough(rng.uniform(-0.5, 0.5, model.n))
+    p_m = rng.uniform(-0.5, 0.5, model.n)
+    aff = loop.feedthrough(p_m)
+    box = model.load_box
 
     def moved(y, row, value):
         z = y.copy()
@@ -313,7 +345,20 @@ def test_affine_piece_region_is_the_whole_piece(name):
                     same = moved(y, row, value)
                     assert np.array_equal(same.J, piece.J) and np.array_equal(same.c, piece.c), (row, value)
                 if np.isfinite(bound):
-                    assert moved(y, row, bound) is None, (row, bound)
+                    on = moved(y, row, bound)
+                    j = row - loop.sl_d.start
+                    if 0 <= j < model.n and bound in model.costs[j].breakpoints and box.lower[j] < bound < box.upper[j]:
+                        z = y.copy()
+                        z[row] = bound
+                        field, (g_eq,) = readable_rhs(model, *loop.unpack(z), p_m, loop.config, [j])
+                        clarke = model.costs[j].clarke(bound)
+                        if clarke.lo < g_eq < clarke.hi:
+                            assert list(on.held) == [row] and list(on.at) == [bound], (row, bound)
+                            assert np.max(np.abs(on.J @ z + on.c - field)) <= 1e-12
+                        else:
+                            assert on is None, (row, bound)
+                    else:
+                        assert on is None, (row, bound)
                     past = moved(y, row, bound + 1e-6 * (bound - y[row]))
                     assert past is None or not (np.array_equal(past.J, piece.J) and np.array_equal(past.c, piece.c))
 

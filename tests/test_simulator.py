@@ -566,6 +566,7 @@ def test_packaged_scenarios_parse():
         "two_bus_box",
         "three_bus_smooth",
         "three_bus_kink",
+        "three_bus_interior_kink",
         "three_bus_congested",
         "nine_bus_steps",
         "zero_disturbance",
