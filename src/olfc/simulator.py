@@ -59,17 +59,25 @@ log's state signals are column blocks of it.
 
 `run` and `settle` take every step through one stepper (`_Stepper`), which
 hands back blocks of consecutive states. Off every kink, box bound and
-varphi+- sign change the loop is affine, dy/dt = J y + c, with J and c read
-off K and aff (`ClosedLoop.affine_piece`); then an RK4 step is the affine map
-y -> R y + r, and so is each of its stages. Where K is dense (the size rule),
-a block is a chunk where one holds: up to 256 states made by doubling with the
-powers R^(2^i), taking a step only while all four of its stages are strictly
-inside the piece. Every other block is plain `rk4` steps, up to 256. `run`
-cuts each block at the next event step, since c depends on p_m, and logs its
-states straight into its record. `settle` stops at the first y that rests,
-max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there. The stepper
-reads it off the step's own increment, `rk4`'s accumulator or a chunk's map
-y -> G y + r, and ends each block at its first resting row.
+varphi+- sign change the loop is affine, dy/dt = J y + c, with J = K T and
+c = K t + aff for the affine map u = T y + t that the operand follows there
+(`ClosedLoop.affine_piece`, sparse products); then an RK4 step is the affine
+map y -> R y + r, and so is each of its stages. A block is a chunk where one
+holds, up to 256 states, taking a step only while all four of its stages are
+strictly inside the piece. The size rule picks the chunk maker. Where K is
+dense, `_AffineSteps` makes the states by doubling with the powers
+R^(2^i). Where K is CSR (the 68-bus network), `_LaneSteps` runs 32 lanes of
+8 steps side by side: the lane starts come from the 8-step map P = R^8,
+one matrix-vector product each, and each stage of the 32 lanes is one CSR
+product with J. P is built with the same CSR products, and kept across
+events while J is unchanged; it is made only with 700 or more steps left,
+as many as repay it. Every other block is plain `rk4` steps, up to 256.
+`run` cuts each block at the next event step, since c depends on p_m, and
+logs its states straight into its record. `settle` stops at the first y
+that rests, max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there.
+The stepper reads it off the step's own increment, `rk4`'s accumulator, a
+doubling chunk's map y -> G y + r or a lane's step, and ends each block at
+its first resting row.
 
 A bus whose price lies strictly inside the Clarke interval at a cost kink
 slides on it: Filippov's solution holds d at the kink, with g the
@@ -80,18 +88,19 @@ inside its box exactly on a kink whose g_eq lies strictly inside the
 interval, with p_l held at the kink, d's row of J and c zeroed, and the
 region row g- < g_eq < g+ in place of d's bounds, so a chunk slides while
 g_eq stays strictly inside at every stage. The stepper enters the slide at
-a chunk attempt (never where K is CSR): it moves d onto a kink within one
-step's reach (dt |d'|, or the largest step of d in the plain block before)
-where the sliding piece holds there. It leaves by no rule of its own: when
-g_eq reaches an end of the interval no chunk step holds, and plain steps go
-on from d on the kink.
+a chunk attempt: it moves d onto a kink within one step's reach (dt |d'|, or
+the largest step of d in the plain block before) where the sliding piece
+holds there. It leaves by no rule of its own: when g_eq reaches an end of
+the interval no chunk step holds, and plain steps go on from d on the kink.
 
 This is the specification: off the sliding steps a chunk's states agree with
-textbook RK4 to about 1e-13 relative, not bit for bit, since R^j y sums in
-another order; on them, with Filippov's solution, RK4 of the sliding field,
-and so with textbook RK4 only to about the chatter amplitude (2e-4 on d on
-three_bus_congested). Plain steps, and so every step where K is CSR, are
-textbook RK4 bit for bit.
+textbook RK4 to about 1e-13 relative, not bit for bit, since R^j y and J X
+sum in other orders; on them, with Filippov's solution, RK4 of the sliding
+field, and so with textbook RK4 only to about the chatter amplitude (2e-4 on
+d on three_bus_congested). Plain steps are textbook RK4 bit for bit. Where K
+is CSR every product that makes a state is a CSR product or a matrix-vector
+product, whose sums run in an order that does not depend on the BLAS thread
+count.
 
 A plant warm start must be physical: its theta_e must be C^T of bus angles
 (to within rounding), since the dynamics conserve any loop component.
@@ -287,6 +296,15 @@ def _packed_layout(n: int, g: int, m: int) -> dict[str, slice]:
     return _slices({"theta_e": m, "omega_g": g, "d": n, "mu": n, "phi": n, "varphi_plus": m, "varphi_minus": m})
 
 
+def _entries(shape: tuple[int, int], i: np.ndarray, j: np.ndarray, v, dense: bool = False):
+    """The matrix of `shape` with entries v at (i, j), i ascending and j ascending within a row: dense, or canonical CSR."""
+    if dense:
+        A = np.zeros(shape)
+        A[i, j] = v
+        return A
+    return csr_matrix((np.full(i.shape, v, dtype=float), j, np.searchsorted(i, np.arange(shape[0] + 1))), shape=shape)
+
+
 class AffinePiece(NamedTuple):
     """dy/dt = J y + c on the region y[held] = at, lower < W y + w < upper (open).
 
@@ -390,15 +408,11 @@ class ClosedLoop:
         # and CSR from there on; the equations read the same either way. Every
         # product takes a CSR left operand, so its sums run in scipy's order
         # for both, not BLAS's.
-        dense = S * X < _CSR_MIN_ENTRIES
+        self._dense = dense = S * X < _CSR_MIN_ENTRIES
 
         def entries(k: int, i, j, v):
             """The map from x to k values with entries v at (i, j), in row-major order."""
-            if dense:
-                A = np.zeros((k, X))
-                A[i, j] = v
-                return A
-            return csr_matrix((np.full(i.shape, v), j, np.searchsorted(i, np.arange(k + 1))), shape=(k, X))
+            return _entries((k, X), i, j, v, dense)
 
         def x(name: str, w=1.0, rows=slice(None)):
             """The map x -> w * x[name][rows]."""
@@ -535,8 +549,12 @@ class ClosedLoop:
         an affine function of y. The bus's row of the region is then
         g- < g_eq < g+, its Clarke interval at kappa, and its d is held at
         kappa. Where g_eq is not strictly inside, y has no piece.
+
+        On the piece the operand is u = T y + t, so J = K T and c = K t + aff:
+        sparse products, with J and W held like K (dense below the size rule,
+        CSR from there on).
         """
-        n = self.n
+        n, S, op = self.n, self.dim, self.operand
         d, varphi = y[self.sl_d], y[self.region_rows[n:]]
         below, above = d < self.box_lower, d > self.box_upper
         inside = (self.box_lower < d) & (d < self.box_upper)
@@ -546,13 +564,19 @@ class ClosedLoop:
         if np.count_nonzero(below | above | inside) < n or not np.all(varphi != 0.0):
             return None
         active = varphi > 0.0
-        K = self.K.toarray() if issparse(self.K) else self.K
-        op = self.operand
-        K_pl, K_g = K[:, op["p_l"]], K[:, op["g"]]
-        J = K[:, op["y"]].copy()
-        J[:, self.sl_d] += K_pl * smooth + K_g * np.where(smooth, slope, 0.0)
-        J[:, self.region_rows[n:]] += K[:, op["eta_plus"].start : op["eta_minus"].stop] * active
-        c = aff + K_pl @ np.where(smooth, 0.0, p_l) + K_g @ np.where(smooth, b, np.where(inside, 0.0, g))
+        # u's y block is y; p_l is d on a smooth bus; eta is varphi where positive; g is 2a d + b on a smooth bus.
+        on, up = np.flatnonzero(smooth), np.flatnonzero(active)
+        d_on = self.sl_d.start + on
+        T = _entries(
+            (op["g"].stop, S),
+            np.concatenate([np.arange(S), op["p_l"].start + on, op["eta_plus"].start + up, op["g"].start + on]),
+            np.concatenate([np.arange(S), d_on, self.region_rows[n:][up], d_on]),
+            np.concatenate([np.ones(S + on.size + up.size), slope[on]]),
+        )
+        t = np.zeros(op["g"].stop)
+        t[op["p_l"]] = np.where(smooth, 0.0, p_l)
+        t[op["g"]] = np.where(smooth, b, np.where(inside, 0.0, g))
+        J, c = self.K @ T, self.K @ t + aff
         lo = np.concatenate([
             np.where(inside, np.maximum(self.box_lower, lower), np.where(below, -np.inf, self.box_upper)),
             np.where(active, 0.0, -np.inf),
@@ -561,17 +585,24 @@ class ClosedLoop:
             np.where(inside, np.minimum(self.box_upper, upper), np.where(below, self.box_lower, np.inf)),
             np.where(active, np.inf, 0.0),
         ])
-        W, w = np.eye(self.dim)[self.region_rows], np.zeros(self.region_rows.size)
+        # A region row reads its row of y; a sliding bus's reads g_eq = (J y + c)[held] / epsilon, before its d row
+        # of J and c is zeroed.
         sliding = np.flatnonzero(inside & ~smooth)
         held = self.sl_d.start + sliding
+        R, eps = self.region_rows.size, self.config.epsilon
+        reads = np.setdiff1d(np.arange(R), sliding)
+        W, w = _entries((R, S), reads, self.region_rows[reads], 1.0, self._dense), np.zeros(R)
         if sliding.size:
-            W[sliding], w[sliding] = J[held] / self.config.epsilon, c[held] / self.config.epsilon
-            J[held], c[held] = 0.0, 0.0
+            W = W + _entries((R, S), sliding, held, 1.0 / eps) @ J
+            w[sliding] = c[held] / eps
+            keep = np.setdiff1d(np.arange(S), held)
+            J = _entries((S, S), keep, keep, 1.0) @ J
+            c[held] = 0.0
             lo[sliding] = self.batch.select(p_l, "left")[sliding]
             hi[sliding] = (slope * p_l + b)[sliding]
-            g_eq = (W @ y + w)[sliding]
-            if not np.all((lo[sliding] < g_eq) & (g_eq < hi[sliding])):
-                return None
+        g_eq = (W @ y + w)[sliding]
+        if not np.all((lo[sliding] < g_eq) & (g_eq < hi[sliding])):
+            return None
         return AffinePiece(J, c, W, w, lo, hi, held, d[sliding])
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
@@ -713,12 +744,13 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
     """Integrate a scenario from t=0 to t_end, logging at the configured decimation.
 
     The steps are `_Stepper`'s, each block cut at the next event step:
-    verified affine chunks where K is dense, sliding ones while a bus slides
-    on a cost kink, else plain `rk4` steps. Off the slides the records agree
-    with textbook RK4 to about 1e-13 relative, and bit for bit where every
-    step is plain; on a slide they follow Filippov's solution, from the step
-    at which the stepper moved d onto the kink. A logged state that is not
-    finite raises `NumericalError` naming its model time.
+    verified affine chunks (doubling where K is dense, lanes where it is
+    CSR), sliding ones while a bus slides on a cost kink, else plain `rk4`
+    steps. Off the slides the records agree with textbook RK4 to about 1e-13
+    relative, and bit for bit where every step is plain; on a slide they
+    follow Filippov's solution, from the step at which the stepper moved d
+    onto the kink. A logged state that is not finite raises `NumericalError`
+    naming its model time.
     """
     if model is None:
         model = scenario.load_model()
@@ -806,26 +838,42 @@ def _rest_residual(increment: np.ndarray, dt: float):
     return np.max(np.abs(increment), axis=-1) / dt
 
 
-# Most steps in one chunk of the affine path. The chunk's states are made by
-# doubling, so 256 steps take 8 products with the powers R^(2^i) and one with R.
+# Most steps in one chunk, and in one block of plain steps.
 _CHUNK_STEPS = 256
 
 
-class _AffineSteps:
-    """RK4 steps of dy/dt = J y + c, many at a time, while every stage state stays inside the piece's region.
+class _Chunks:
+    """A chunk maker on one affine piece: `states` makes the steps, `residuals` reads their rest residuals."""
+
+    piece: AffinePiece
+
+    def holds(self, y: np.ndarray) -> bool:
+        """Whether y is in the region: on every held row's value, and strictly inside the bounds."""
+        p = self.piece
+        x = p.W @ y + p.w
+        return bool(np.all((p.lower < x) & (x < p.upper))) and np.array_equal(y[p.held], p.at)
+
+
+class _AffineSteps(_Chunks):
+    """RK4 steps of dy/dt = J y + c with a dense J, many at a time, while every stage state stays inside the piece's region.
 
     One step is the affine map y -> R y + r, R = I + G, with increment G y + r;
     each of its stage states is an affine map of y (the first is y). A chunk
     holds the states y_0 .. y_n as rows: y_0 is given, and rows 2^i ..
     2^(i+1) - 1 are R^(2^i) applied to rows 0 .. 2^i - 1 (row n, when n is a
-    power of 2, is R applied to row n - 1). Each new block is checked before
-    the next is made: a step is taken only if its stages are strictly inside.
+    power of 2, is R applied to row n - 1), so 256 steps take 8 products with
+    the powers and one with R. Each new block is checked before the next is
+    made: a step is taken only if its stages are strictly inside.
     """
 
-    def __init__(self, piece: AffinePiece, dt: float):
+    # Steps left from which a chunk is tried: at state dimensions up to 63 the maps cost less than a step saves.
+    min_steps = 1
+
+    def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
+        """The maps of `piece`; `last` is not read, since they cost less than a few plain steps to make."""
         J, c, W, w = piece.J, piece.c, piece.W, piece.w
         eye = np.eye(c.size)
-        self.piece = piece
+        self.piece, self.dt = piece, dt
         # Stage i is s_i = A_i y + a_i and its derivative k_i = J s_i + c;
         # s_2 = y + (dt/2) k_1, s_3 = y + (dt/2) k_2, s_4 = y + dt k_3. The
         # region reads W s_i + w. A held row of J and c is 0, so every stage
@@ -847,26 +895,21 @@ class _AffineSteps:
         # (R^(2^i))^T and the offset of 2^i steps, made as the chunks need them.
         self.powers = [(self.G_T + eye, self.r)]
 
-    def holds(self, y: np.ndarray) -> bool:
-        """Whether y is in the region: on every held row's value, and strictly inside the bounds."""
-        p = self.piece
-        x = p.W @ y + p.w
-        return bool(np.all((p.lower < x) & (x < p.upper))) and np.array_equal(y[p.held], p.at)
-
     def _power(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         while len(self.powers) <= i:
             P_T, p = self.powers[-1]
             self.powers.append((P_T @ P_T, p @ P_T + p))
         return self.powers[i]
 
-    def states(self, y: np.ndarray, n: int) -> np.ndarray:
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
         """y and the states of the steps from it, up to n, before the first one with a stage outside the region, as rows.
 
-        No row is handed back past one that is not finite: a power of R can
-        overflow before the states it would make do, so the steps that are
-        left go to `rk4`.
+        The rows are the first of `rows`, which y may be one of. No row is
+        handed back past one that is not finite: a power of R can overflow
+        before the states it would make do, so the steps that are left go to
+        `rk4`.
         """
-        Y = np.empty((n + 1, y.size))
+        Y = rows[: n + 1]
         Y[0] = y
         done, made = 0, 1  # rows checked, rows made
         while True:
@@ -891,36 +934,169 @@ class _AffineSteps:
             taken = int(np.argmax(bad))
         return Y[: taken + 1]
 
+    def residuals(self, Y: np.ndarray) -> np.ndarray:
+        """The rest residual of the step from each row of Y but the last, Y from `states`."""
+        return _rest_residual(Y[:-1] @ self.G_T + self.r, self.dt)
+
+
+# Lanes of a chunk where J is CSR, and steps per lane: 32 lanes of 8 steps make the 256 steps of a chunk. On the
+# 68-bus network (2-vCPU Xeon guest) a lane step took 15.5 us and P 23 ms, against 16.6 us and 45 ms with 16 lanes
+# of 16 steps.
+_LANES = 32
+_LANE_STEPS = _CHUNK_STEPS // _LANES
+# Columns of the identity stepped at a time while P is built: the temporaries of a block stay small.
+_POWER_COLUMNS = 32
+
+
+class _LaneSteps(_Chunks):
+    """RK4 steps of dy/dt = J y + c with a CSR J, in L lanes of M steps, while every stage state stays inside the piece's region.
+
+    M steps are the affine map y -> P y + p, P = R^M. Lane j starts at
+    y_{jM}, made from y_0 by j products with P, each a matrix-vector
+    product; then M block steps advance every lane at once, each stage one
+    CSR product J @ X of the dim x L block X. Every stage's region rows are
+    checked, and the chunk is cut at the first step with a stage outside:
+    lane j's steps count only if every lane before it stayed inside for all
+    its steps, since its start was made on that premise. P is built by
+    stepping the columns of the identity M steps, with the same CSR
+    products; it depends on J alone, so a maker whose J is the last maker's
+    takes its P. Every product that makes a state is a CSR product or a
+    matrix-vector one, so its sums run in an order that does not depend on
+    BLAS threads.
+    """
+
+    # A new P costs about 23 ms, and a lane step about 17 us against 51 us for `rk4` (68-bus network, 2-vCPU Xeon
+    # guest, numpy 2.4, scipy 1.17): about 700 steps repay it.
+    min_steps = 700
+
+    def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
+        self.piece, self.dt = piece, dt
+        # One product with [J; W] gives a stage's derivative (before c) and its region rows (before w).
+        self.JW = sparse_vstack([piece.J, piece.W], format="csr")
+        self.c, self.w, self.lower, self.upper = (v[:, np.newaxis] for v in (piece.c, piece.w, piece.lower, piece.upper))
+        self.P = last.P if last is not None and (last.piece.J != piece.J).nnz == 0 else self._power()
+        x, regions = np.zeros_like(self.c), np.empty((4, self.w.size, 1))
+        for _ in range(_LANE_STEPS):
+            x += self._increment(x, regions)
+        self.p = x[:, 0]
+
+    def _increment(self, X: np.ndarray, regions: np.ndarray | None = None) -> np.ndarray:
+        """The RK4 increment of each column of X under dy/dt = J y + c, or under dy/dt = J y without `regions`.
+
+        The region rows W s + w of the four stage states s go into `regions`
+        (4 x region rows x columns).
+        """
+        h, dim = self.dt, X.shape[0]
+
+        def rate(i, s):
+            if regions is None:
+                return self.piece.J @ s
+            out = self.JW @ s
+            np.add(out[dim:], self.w, out=regions[i])
+            return out[:dim] + self.c
+
+        # The textbook formula (h/6) (k1 + 2 (k2 + k3) + k4), summed in place to keep few blocks alive.
+        k1 = rate(0, X)
+        s = np.multiply(0.5 * h, k1)
+        k2 = rate(1, np.add(X, s, out=s))
+        k3 = rate(2, np.add(X, np.multiply(0.5 * h, k2, out=s), out=s))
+        np.add(X, np.multiply(h, k3, out=s), out=s)
+        k2 += k3
+        del k3
+        k4 = rate(3, s)
+        k2 *= 2.0
+        k1 += k2
+        k1 += k4
+        k1 *= h / 6.0
+        return k1
+
+    def _power(self) -> np.ndarray:
+        dim = self.c.size
+        P = np.empty((dim, dim))
+        for b in range(0, dim, _POWER_COLUMNS):
+            w = min(_POWER_COLUMNS, dim - b)
+            X = np.zeros((dim, w))
+            X[b + np.arange(w), np.arange(w)] = 1.0
+            for _ in range(_LANE_STEPS):
+                X += self._increment(X)
+            P[:, b : b + w] = X
+        return P
+
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+        """y and the states of the steps from it, up to n, before the first one with a stage outside the region, as rows.
+
+        As `_AffineSteps.states`; the residuals are kept for `residuals`.
+        """
+        M = _LANE_STEPS
+        L = min(_LANES, -(-n // M))
+        rows[0] = y
+        for j in range(1, L):
+            np.add(self.P @ rows[(j - 1) * M], self.p, out=rows[j * M])
+        X = rows[: L * M : M].T.copy()
+        regions = np.empty((4, self.w.size, L))
+        out = np.full(L, M)  # each lane's first step with a stage outside, M where none
+        res = np.empty((M, L))
+        for i in range(M):
+            increment = self._increment(X, regions)
+            inside = np.all((self.lower < regions) & (regions < self.upper), axis=(0, 1))
+            out[~inside & (out == M)] = i
+            if out[0] < M:
+                break
+            np.max(np.abs(increment), axis=0, out=res[i])
+            X += increment
+            if i + 1 < M:
+                rows[i + 1 : L * M : M] = X.T
+        rows[L * M] = X[:, -1]
+        cut = np.flatnonzero(out < M)
+        taken = min(n, cut[0] * M + out[cut[0]]) if cut.size else n
+        bad = ~np.isfinite(rows[1 : taken + 1]).all(axis=1)
+        if bad.any():
+            taken = int(np.argmax(bad))
+        self.res = res.T.reshape(-1) / self.dt
+        return rows[: taken + 1]
+
+    def residuals(self, Y: np.ndarray) -> np.ndarray:
+        """The rest residual of the step from each row of Y but the last, Y from the last `states`."""
+        return self.res[: len(Y) - 1]
+
 
 class _Stepper:
-    """The steps of `run` and `settle`, as blocks of states: a chunk of `_AffineSteps` where one holds, else plain `rk4` steps.
+    """The steps of `run` and `settle`, as blocks of states: a chunk where one holds, else plain `rk4` steps.
 
-    The chunk maps belong to the piece around the state that last found one,
-    and to the feedthrough: `feed` sets a new one and drops them. A chunk
-    attempt first moves each bus within one step's reach of a kink onto it,
-    where a sliding piece holds there (`_slide`). After a chunk that takes no
-    step, the next is tried only after 1, 2, 4, ... 256 plain steps.
+    The chunk maker follows the size rule: `_AffineSteps` where K is dense,
+    `_LaneSteps` where it is CSR. Its maps belong to the piece around the
+    state that last found one, and to the feedthrough: `feed` sets a new one
+    and drops them (a lane maker on the same J keeps its P). A chunk attempt
+    first moves each bus within one step's reach of a kink onto it, where a
+    sliding piece holds there (`_slide`). After a chunk that takes no step,
+    the next is tried only after 1, 2, 4, ... 256 plain steps. No maps are
+    made with fewer steps left than the maker's `min_steps`.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray):
         self.loop, self.dt = loop, dt
-        # The first step a chunk may start at, and the plain steps after a chunk that takes none. Chunks are
-        # tried only where the size rule holds K dense: on the 68-bus network their dense maps would raise
-        # a `check`'s peak memory by about a quarter.
-        self.next_chunk, self.wait = (math.inf if issparse(loop.K) else 0), 1
+        self.maker = _LaneSteps if issparse(loop.K) else _AffineSteps
+        # The first step a chunk may start at, and the plain steps after a chunk that takes none.
+        self.next_chunk, self.wait = 0, 1
         self.rk4_steps = 0
-        # Plain steps are written here, each block over the one before: a new block per call would keep two
-        # alive while the next is made, which cost the 68-bus `check` benchmark 2.4 MiB of peak memory.
+        # Every block is written here, over the one before: a new block per call would keep two alive while the
+        # next is made, which cost the 68-bus `check` benchmark 2.4 MiB of peak memory.
         self.rows = np.empty((_CHUNK_STEPS + 1, loop.dim))
         # The rows of the last block, when it was plain steps, else 0; and whether it was a chunk that took every
         # step it could. A chunk that runs to its length stopped at no boundary, so the next attempt skips `_slide`:
         # a bus that nears a kink stops a chunk short first.
         self.plain, self.whole = 0, False
+        # The last chunk maker made, kept across `feed`.
+        self.last = None
         self.feed(p_m, aff)
 
     def feed(self, p_m: np.ndarray, aff: np.ndarray) -> None:
         """Step under p_m, whose feedthrough is aff, from now on."""
         self.p_m, self.aff, self.chunk = p_m, aff, None
+
+    def _make(self, piece: AffinePiece) -> _Chunks:
+        self.chunk = self.last = self.maker(piece, self.dt, self.last)
+        return self.chunk
 
     def advance(self, y: np.ndarray, k: int, n: int, tol: float | None = None) -> tuple[np.ndarray, float | None]:
         """The states at steps k .. k + t from y at step k, for some 0 <= t <= n, as rows, and a rest residual or None.
@@ -934,33 +1110,48 @@ class _Stepper:
         valid until the next call, which may write over them once it has read y.
         """
         if k >= self.next_chunk:
-            if not self.whole:
-                y = self._slide(y)
-            if self.chunk is None or not self.chunk.holds(y):
-                piece = self.loop.affine_piece(y, self.aff)
-                self.chunk = None if piece is None else _AffineSteps(piece, self.dt)
-            if self.chunk is not None:
-                Y = self.chunk.states(y, min(_CHUNK_STEPS, n))
-                if len(Y) > 1:
-                    self.wait, self.plain, self.whole = 1, 0, len(Y) > min(_CHUNK_STEPS, n)
-                    if tol is not None:
-                        r = _rest_residual(Y[:-1] @ self.chunk.G_T + self.chunk.r, self.dt)
-                        rest = np.flatnonzero((r < tol) | ~np.isfinite(r))
-                        if rest.size:
-                            return Y[: rest[0] + 1], float(r[rest[0]])
-                    return Y, None
-            self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)
+            # A chunk writes its rows over the last block, whose last row y may be.
+            y = y.copy()
+            Y = self._chunk(y, k, n)
+            if Y is not None:
+                if tol is not None:
+                    r = self.chunk.residuals(Y)
+                    rest = np.flatnonzero((r < tol) | ~np.isfinite(r))
+                    if rest.size:
+                        return Y[: rest[0] + 1], float(r[rest[0]])
+                return Y, None
         Y = self.rows[: min(n, self.next_chunk - k, _CHUNK_STEPS) + 1]
         Y[0] = y
+        self.whole = False
         for j in range(1, len(Y)):
             Y[j] = self.loop.rk4(Y[j - 1], self.p_m, self.dt, self.aff)
             if tol is not None:
                 r = float(_rest_residual(self.loop._acc, self.dt))
                 if r < tol or not math.isfinite(r):
+                    self.plain = j
                     return Y[:j], r
             self.rk4_steps += 1
-        self.plain, self.whole = len(Y), False
+        self.plain = len(Y)
         return Y, None
+
+    def _chunk(self, y: np.ndarray, k: int, n: int) -> np.ndarray | None:
+        """The rows of a chunk from y at step k that takes from 1 to n steps, or None once the next attempt is set."""
+        if n < self.maker.min_steps and (self.chunk is None or not self.chunk.holds(y)):
+            # Too few steps are left to repay new maps: none are made before the next segment.
+            self.next_chunk = k + n
+            return None
+        if not self.whole:
+            y = self._slide(y)
+        if self.chunk is None or not self.chunk.holds(y):
+            piece = self.loop.affine_piece(y, self.aff)
+            self.chunk = None if piece is None else self._make(piece)
+        if self.chunk is not None:
+            Y = self.chunk.states(y, min(_CHUNK_STEPS, n), self.rows)
+            if len(Y) > 1:
+                self.wait, self.plain, self.whole = 1, 0, len(Y) > min(_CHUNK_STEPS, n)
+                return Y
+        self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)
+        return None
 
     def _slide(self, y: np.ndarray) -> np.ndarray:
         """y with each bus within one step's reach of a kink moved onto it, where a sliding piece holds there; else y.
@@ -987,7 +1178,7 @@ class _Stepper:
         piece = loop.affine_piece(z, self.aff)
         if piece is None:
             return y
-        self.chunk = _AffineSteps(piece, self.dt)
+        self._make(piece)
         return z
 
 
@@ -1007,12 +1198,13 @@ def settle(
     The result is that of the loop: at each step k, stop if the increment of
     the step from y_k over dt is below tol (or k is the last step), else
     take that step. The steps and the rest test are `_Stepper`'s, as in
-    `run`: textbook RK4, or RK4 of Filippov's sliding field while a bus
-    slides on a cost kink, entered where the stepper moves d onto it. A bus
-    that rests there rests on the kink, with its price strictly inside the
-    Clarke interval. Off the slides the states agree with textbook RK4 to
-    about 1e-13 relative, and bit for bit where every step is plain. On a
-    timeout `residual` is that of one `rk4` step from the returned state.
+    `run`, in chunks wherever one holds, dense K or CSR: textbook RK4, or RK4
+    of Filippov's sliding field while a bus slides on a cost kink, entered
+    where the stepper moves d onto it. A bus that rests there rests on the
+    kink, with its price strictly inside the Clarke interval. Off the slides
+    the states agree with textbook RK4 to about 1e-13 relative, and bit for
+    bit where every step is plain. On a timeout `residual` is that of one
+    `rk4` step from the returned state.
 
     A timeout is reported via converged=False, not an exception: slow
     convergence is a finding, not a crash.

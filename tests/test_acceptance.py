@@ -8,10 +8,10 @@ Criteria, in test order:
 
  1. frequency restoration on the 3-bus and 9-bus step scenarios, settled
     |omega|_inf < 1e-4, and under 30 s of wall time each at dt = 1 ms
- 2. settled dispatch matches the independent oracle in four regimes of the
+ 2. settled dispatch matches the independent oracle in five regimes of the
     nonsmooth cost (interior of a smooth piece, exactly at the kink, strictly
-    inside a Clarke interval, at a box bound): load gap < 1e-3, objective
-    gap < 1e-5
+    inside a Clarke interval, at a box bound, and at 68-bus scale on seven
+    kinks with a binding tie-line): load gap < 1e-3, objective gap < 1e-5
  3. congested scenario: flow on the saturated line within 1e-3 of its limit,
     physical angle differences equal to the controller's virtual ones
     within 1e-4 on all lines
@@ -30,6 +30,9 @@ Criteria, in test order:
  9. the 68-bus fixture passes criteria 1, 4, and 5 in under 10 minutes;
     quantities tied to nonlinear reference studies of similar systems are
     out of scope for this linearized synthetic fixture
+10. the paper's own regime at 68-bus scale: with +0.2 of p_m at every bus
+    and +1.5 at bus 20, seven buses rest on cost kinks, each price strictly
+    inside its Clarke interval, and tie-line 19 binds
 """
 
 import numpy as np
@@ -57,8 +60,9 @@ REGIMES = {
     "three_bus_kink": "at the cost kink",
     "three_bus_interior_kink": "strictly inside a Clarke interval",
     "two_bus_box": "at the box bound",
+    "sixty_eight_bus_kinks": "68-bus, kinks and a binding tie-line",
 }
-ALL_STEP = UNCONGESTED + ("three_bus_congested",)
+ALL_STEP = UNCONGESTED + ("three_bus_congested", "sixty_eight_bus_kinks")
 
 # Per-scenario constant for the energy-decay bound dV <= c * dt^2 per step.
 # Measured one-step increases are below 1e-11 everywhere (the discrete energy
@@ -72,7 +76,11 @@ LYAPUNOV_C = {
     "three_bus_congested": 1.0,
     "nine_bus_steps": 1.0,
     "sixty_eight_bus_steps": 1.0,
+    "sixty_eight_bus_kinks": 1.0,
 }
+# Criterion 10: the buses of sixty_eight_bus_kinks that rest on a cost kink, and its one binding line.
+KINK_BUSES = [20, 28, 33, 35, 43, 53, 57]
+BINDING_LINE = 19
 
 
 def report_for(pl):
@@ -282,3 +290,32 @@ def test_09_sixty_eight_bus_scale(pipeline):
     print(f"[9] sixty_eight_bus_steps: wall = {pl.wall_seconds:.0f} s (budget 600 s), "
           f"|omega|_inf = {rep.omega_inf:.2e}, mu spread = {rep.mu_spread:.2e}, "
           f"max dV per record = {worst:.2e} (bound {bound:.2e}), V at settle = {v_settle:.2e}")
+
+
+def test_10_sixty_eight_bus_kinks_and_a_binding_tie_line(pipeline):
+    pl = pipeline("sixty_eight_bus_kinks")
+    model, ctrl, plant = pl.model, pl.settled.ctrl, pl.settled.plant
+    rep = report_for(pl)
+    assert rep.passed, rep.checks
+    p_l = settled_load(pl)
+    on_kink = [j for j, cost in enumerate(model.costs) if p_l[j] in cost.breakpoints]
+    assert on_kink == KINK_BUSES
+    # The price at a bus is -mu; at rest on a kink it is the bus's g_eq, strictly inside the Clarke interval.
+    margins = []
+    for j in KINK_BUSES:
+        clarke = model.costs[j].clarke(p_l[j])
+        assert clarke.lo < -ctrl.mu[j] < clarke.hi, (j, clarke, -ctrl.mu[j])
+        margins.append(min(-ctrl.mu[j] - clarke.lo, clarke.hi + ctrl.mu[j]))
+    # Line 19 sits on its lower angle limit, the oracle's multiplier there is positive, and no other line binds.
+    at_limit = np.minimum(np.abs(plant.theta_e - model.angle_lower), np.abs(plant.theta_e - model.angle_upper)) < 1e-3
+    assert np.flatnonzero(at_limit).tolist() == [BINDING_LINE]
+    assert abs(plant.theta_e[BINDING_LINE] - model.angle_lower[BINDING_LINE]) < 1e-3
+    assert pl.oracle.eta_minus_star[BINDING_LINE] > 0.0
+    assert rep.mu_spread > 10 * TOL, f"mu spread {rep.mu_spread:.3e} did not split across the binding line"
+    worst, bound, v_settle, kkt = lyapunov_audit(pl)
+    assert worst <= bound
+    assert v_settle < 1e-6
+    assert kkt < TOL
+    print(f"[10] sixty_eight_bus_kinks: buses {KINK_BUSES} on kinks, least Clarke margin = {min(margins):.2e}, "
+          f"line {BINDING_LINE} at {plant.theta_e[BINDING_LINE]:.6f} (limit {model.angle_lower[BINDING_LINE]}), "
+          f"mu spread = {rep.mu_spread:.2e}, max dV per record = {worst:.2e} (bound {bound:.2e})")

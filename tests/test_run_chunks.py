@@ -1,9 +1,10 @@
 """`run`'s affine path against the loop it specifies.
 
-Where `ClosedLoop.K` is dense, `run` takes its steps through the stepper
-that `settle` uses (`simulator._Stepper`): chunks of the exact affine RK4 map
-of the piece around the state, each cut at the next event step, else plain
-`rk4` steps. On a bus that slides on a cost kink the piece is Filippov's
+`run` takes its steps through the stepper that `settle` uses
+(`simulator._Stepper`): chunks of the exact affine RK4 map of the piece
+around the state, each cut at the next event step, else plain `rk4` steps.
+The dense bundled scenarios are checked here; the 68-bus lane chunks (CSR K)
+in `tests/test_rk4.py`. On a bus that slides on a cost kink the piece is Filippov's
 sliding motion, entered by moving d onto the kink. The reference is the loop
 `run` specifies (`conftest.reference_run`): textbook RK4 over the exact
 selection, and RK4 of the readable equations with the sliding bus held on
@@ -14,8 +15,8 @@ every dense bundled scenario, logged at every step and at the scenario's own
 decimation, the chunked run must log the same times and the same p_m
 segments, bit for bit, and every state within 1e-12 relative; no chunk may
 span an event step. A diverging run must fail where the textbook loop does,
-on a dense K and on the 68-bus CSR K, and a chunk must never hand back a
-state that an overflowing power of R made.
+after chunks, on a dense K and on the 68-bus CSR K, and a chunk must never
+hand back a state that an overflowing power of R made.
 """
 
 import dataclasses
@@ -32,7 +33,6 @@ from conftest import (
     DENSE_SCENARIOS,
     DIVERGING_DT,
     DIVERGING_P_M,
-    dense,
     diverging_start,
     network_path,
     reference_run,
@@ -99,7 +99,7 @@ def test_chunked_run_is_the_textbook_loop(chunks, snaps, observed, name, selecti
 
 @pytest.mark.parametrize("name", DIVERGING_P_M)
 def test_a_diverging_chunked_run_names_the_textbook_time(tmp_path, chunks, name):
-    """At a step past RK4's stability bound the run fails at the textbook loop's logged step; on a dense K, after chunks.
+    """At a step past RK4's stability bound the run fails at the textbook loop's logged step, after chunks.
 
     A block of plain steps steps past a state that is not finite before `run`
     records it, so the time must still be that of the first logged one.
@@ -123,8 +123,7 @@ def test_a_diverging_chunked_run_names_the_textbook_time(tmp_path, chunks, name)
             run(scenario, model)
         with pytest.raises(NumericalError) as ref:
             textbook_run(scenario, model)
-    if dense(model):
-        assert sum(c.taken for c in chunks) > 0, "no chunk step was taken"
+    assert sum(c.taken for c in chunks) > 0, "no chunk step was taken"
     assert str(exc.value) == str(ref.value)
 
 
@@ -143,7 +142,7 @@ def test_a_chunk_stops_short_of_an_overflowing_power():
     )
     steps = _AffineSteps(piece, dt=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        Y = steps.states(np.zeros(dim), 256)
+        Y = steps.states(np.zeros(dim), 256, np.empty((257, dim)))
     overflows = next(i for i in range(9) if not np.all(np.isfinite(steps.powers[i][0])))
     assert len(Y) == 2**overflows
     assert np.all(Y == 0.0)

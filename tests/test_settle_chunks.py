@@ -1,8 +1,9 @@
 """`settle`'s affine path against the loop it specifies, and the affine piece it steps on.
 
-Where `ClosedLoop.K` is dense, `settle` takes most steps in chunks of the
-exact affine RK4 map of the piece around the state (`ClosedLoop.affine_piece`),
-a sliding piece where a bus slides on a cost kink. The reference here is the
+`settle` takes most steps in chunks of the exact affine RK4 map of the piece
+around the state (`ClosedLoop.affine_piece`), a sliding piece where a bus
+slides on a cost kink: doubling chunks where `ClosedLoop.K` is dense, lane
+chunks where it is CSR (the 68-bus network). The reference here is the
 loop `settle` specifies, written out: at each step k, stop if the increment
 of the step from y_k, over dt, is below tol or k is the last step, else take
 that step. The step is textbook RK4, or Filippov's sliding step while a bus
@@ -14,8 +15,9 @@ is checked. The chunked result must stop at the same step, agree with it to
 increment map, not four right-hand sides). That rest is as tight as
 max|f| < tol: max|f| there is below 1.01 tol, f the field the loop follows,
 `rhs` off the kinks and the sliding field on one. A settle that rests in the
-middle of a block of plain steps, on the 68-bus CSR K or where a dense K's
-chunks fail, must stop there with the textbook residual, bit for bit. A
+middle of a block of plain steps must stop there with the textbook residual,
+bit for bit; one that rests inside a 68-bus lane chunk, at the textbook
+loop's step. A
 chunk must never take a step with a stage outside its piece, so start states
 just short of a cost kink, a box bound and a varphi sign change are stepped
 across each.
@@ -142,26 +144,17 @@ def test_chunked_settle_is_the_textbook_loop(pipeline, name, selection, mismatch
     assert sr.rk4_steps == 0
 
 
-@pytest.mark.parametrize("name, t0, rest", [("sixty_eight_bus_steps", 0.0, 100), ("three_bus_congested", 2.25, 5)])
-def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, monkeypatch, name, t0, rest):
-    """A settle from the scenario's state at t0 that rests at step `rest`, in the middle of a block of plain steps.
+def resting_tol(name: str, t0: float, rest: int):
+    """The scenario's state at t0, and a tol at which the textbook loop from there rests at step `rest`.
 
-    The 68-bus K is CSR, so its blocks are 256 plain steps, and step 100 from
-    the zero state is inside the first. On a dense K a chunk fails where no
-    piece holds: there the blocks are the 1, 2, 4, ... plain steps of the
-    backoff, and step 5 is inside the block of steps 3 .. 7. At 2.25 s of
-    three_bus_congested bus 0 slides on its cost kink, and the textbook loop
-    chatters there; no piece is found anywhere, so every chunk fails. tol
-    lies between the residual at `rest` and the least one before it, so the
-    textbook loop rests there. The settle must stop at the same step with the
-    same residual and state, bit for bit, having taken every step with `rk4`.
+    tol lies between the residual at `rest` and the least one before it.
+    Returns the scenario, the loop, the start state, p_m, tol and the
+    residual at `rest`.
     """
     scenario = load_scenario(scenario_path(name))
     scenario = dataclasses.replace(scenario, t_end=t0, events=[ev for ev in scenario.events if ev.time <= t0])
     model = scenario.load_model()
     log = simulator.run(scenario, model)
-    if name == "three_bus_congested":
-        monkeypatch.setattr(ClosedLoop, "affine_piece", lambda self, y, aff: None)
     loop = ClosedLoop(model, scenario.config)
     dt, p_m, start = scenario.dt, log.p_m_final, log.states[-1]
     aff, y, residuals = loop.feedthrough(p_m), start, []
@@ -171,16 +164,59 @@ def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, monkeypatch, name,
         y = y + increment
     least = min(residuals[:rest])
     assert residuals[rest] < least
-    tol = 0.5 * (residuals[rest] + least)
+    return scenario, loop, start, p_m, 0.5 * (residuals[rest] + least), residuals[rest]
+
+
+@pytest.mark.parametrize("name, t0, rest", [("sixty_eight_bus_steps", 0.0, 100), ("three_bus_congested", 2.25, 5)])
+def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, monkeypatch, name, t0, rest):
+    """A settle from the scenario's state at t0 that rests at step `rest`, in the middle of a block of plain steps.
+
+    `affine_piece` is turned off after the scenario's run, so no chunk holds
+    anywhere. On a dense K the blocks are then the 1, 2, 4, ... plain steps of
+    the backoff, and step 5 is inside the block of steps 3 .. 7. The 68-bus
+    settle has 500 steps, too few to make a lane maker's maps, so its blocks
+    are 256 plain steps, and step 100 is inside the first. At 2.25 s of
+    three_bus_congested bus 0 slides on its cost kink, and the textbook loop
+    chatters there. The settle must stop at the textbook loop's step with the
+    same residual and state, bit for bit, having taken every step with `rk4`.
+    """
+    scenario, loop, start, p_m, tol, residual = resting_tol(name, t0, rest)
+    monkeypatch.setattr(ClosedLoop, "affine_piece", lambda self, y, aff: None)
     chunks.clear()  # the run's own
 
+    dt = scenario.dt
     plant, ctrl = loop.unpack(start)
-    sr = settle(model, p_m, tol=tol, t_max=1.0, plant=plant, ctrl=ctrl, config=scenario.config, dt=dt)
+    sr = settle(loop.model, p_m, tol=tol, t_max=1.0, plant=plant, ctrl=ctrl, config=scenario.config, dt=dt)
     k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=tol, t_max=1.0, dt=dt)
     assert (k, converged) == (rest, True)
-    assert (sr.t, sr.converged, sr.residual) == (k * dt, True, residuals[rest])
+    assert (sr.t, sr.converged, sr.residual) == (k * dt, True, residual)
     assert same_bits(loop.pack(sr.plant, sr.ctrl), ref)
     assert sr.rk4_steps == rest and not chunks
+
+
+def test_a_sixty_eight_bus_settle_rests_inside_a_lane_chunk(chunks):
+    """From 10 s of sixty_eight_bus_steps, past its last event, a settle that rests at step 100, inside its first lane chunk.
+
+    The residual falls by about 2e-4 relative a step there, far above the
+    chunk's rounding, so the settle must stop at the textbook loop's step,
+    with the state within 1e-12 relative and the residual within 1e-6
+    relative of the textbook loop's, and take no plain step.
+    """
+    rest = 100
+    scenario, loop, start, p_m, tol, residual = resting_tol("sixty_eight_bus_steps", 10.0, rest)
+    chunks.clear()  # the run's own
+
+    dt = scenario.dt
+    plant, ctrl = loop.unpack(start)
+    sr = settle(loop.model, p_m, tol=tol, t_max=2.0, plant=plant, ctrl=ctrl, config=scenario.config, dt=dt)
+    k, converged, ref, _ = textbook_settle(loop, start, p_m, tol=tol, t_max=2.0, dt=dt)
+    assert (k, converged) == (rest, True)
+    assert (sr.t, sr.converged) == (k * dt, True)
+    assert_close(loop.pack(sr.plant, sr.ctrl), ref)
+    assert abs(sr.residual - residual) <= 1e-6 * residual
+    last = chunks[-1]
+    assert isinstance(last.maps, simulator._LaneSteps) and last.k + last.taken == rest < last.k + last.n
+    assert sr.rk4_steps == 0
 
 
 @pytest.mark.parametrize(
@@ -229,7 +265,7 @@ def test_no_chunk_step_crosses_a_boundary(chunks, snaps, name, kind):
 
 @pytest.mark.parametrize("name", DIVERGING_P_M)
 def test_a_diverging_chunked_settle_names_the_model_time(chunks, name):
-    """Past RK4's stability bound the state overflows at the textbook loop's time; on a dense K, after chunks.
+    """Past RK4's stability bound the state overflows at the textbook loop's time, after chunks.
 
     A block ends at the first state whose RK4 increment is not finite, and
     `settle` names that state's time.
@@ -241,8 +277,7 @@ def test_a_diverging_chunked_settle_names_the_model_time(chunks, name):
             settle(model, p_m, tol=1e-12, t_max=200.0, plant=plant, ctrl=ctrl, dt=DIVERGING_DT)
         with pytest.raises(NumericalError) as ref:
             textbook_settle(loop, loop.pack(plant, ctrl), p_m, tol=1e-12, t_max=200.0, dt=DIVERGING_DT)
-    if dense(model):
-        assert sum(c.taken for c in chunks) > 0, "no chunk step was taken"
+    assert sum(c.taken for c in chunks) > 0, "no chunk step was taken"
     assert str(exc.value) == str(ref.value)
 
 
@@ -363,10 +398,17 @@ def test_affine_piece_region_is_the_whole_piece(name):
                     assert past is None or not (np.array_equal(past.J, piece.J) and np.array_equal(past.c, piece.c))
 
 
-def test_sixty_eight_bus_settle_steps_one_at_a_time():
-    """The 68-bus K is CSR under the size rule, so every settle step is a plain rk4 step."""
+@pytest.mark.parametrize("t_max, plain, chunked", [(0.02, 10, 0), (2.0, 1, 999)])
+def test_sixty_eight_bus_settle_step_counts(chunks, t_max, plain, chunked):
+    """From zero, a 68-bus settle takes lane chunks where a lane maker's `min_steps` are left, else plain steps.
+
+    The zero state's varphi+- = 0 lies on a piece boundary, so the first step
+    is plain. Of 1 000 steps the other 999 are then lane chunks; 10 steps are
+    too few to make a lane maker's maps, and all are plain.
+    """
     model = bundled_network("sixty_eight_bus")
     p_m = np.zeros(model.n)
     p_m[20] = 0.5
-    sr = settle(model, p_m, tol=1e-8, t_max=0.02, dt=2e-3)
-    assert sr.rk4_steps == 10 and not sr.converged
+    sr = settle(model, p_m, tol=1e-8, t_max=t_max, dt=2e-3)
+    assert not sr.converged
+    assert (sr.rk4_steps, sum(c.taken for c in chunks)) == (plain, chunked)

@@ -571,6 +571,7 @@ def test_packaged_scenarios_parse():
         "nine_bus_steps",
         "zero_disturbance",
         "sixty_eight_bus_steps",
+        "sixty_eight_bus_kinks",
     ):
         scn = load_scenario(scenario_path(name))
         model = scn.load_model()
