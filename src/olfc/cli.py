@@ -216,6 +216,9 @@ class ScenarioResult:
 def settle_scenario(scenario: Scenario, model: NetworkModel, tol: float, t_max: float) -> ScenarioResult:
     """Integrate a scenario on its network over its horizon, then settle it from the run's end state."""
     log = run(scenario, model)
+    # The settle goes on from the run's end under its p_m, so it takes the run's last chunk maker and its maps (the
+    # 68-bus P); the log lets go of it, so that it lives no longer than the settle.
+    last, log._last = log._last, None
     settled = settle(
         model,
         log.p_m_final,
@@ -225,6 +228,7 @@ def settle_scenario(scenario: Scenario, model: NetworkModel, tol: float, t_max: 
         ctrl=log.final_controller(),
         config=scenario.config,
         dt=scenario.dt,
+        _last=last,
     )
     return ScenarioResult(scenario, model, log, settled)
 

@@ -69,9 +69,12 @@ dense, `_AffineSteps` makes the states by doubling with the powers
 R^(2^i). Where K is CSR (the 68-bus network), `_LaneSteps` runs 32 lanes of
 8 steps side by side: the lane starts come from the 8-step map P = R^8,
 one matrix-vector product each, and each stage of the 32 lanes is one CSR
-product with J. P is built with the same CSR products, and kept across
-events while J is unchanged; it is made only with 700 or more steps left,
-as many as repay it. Every other block is plain `rk4` steps, up to 256.
+product of the augmented operator [[J, c], [W, w]] with the stage block
+over a row of ones, which gives the stage's derivatives and region rows.
+P is built with the same kernel, and kept across events while J is
+unchanged, and `settle` may take it from `run`'s last maker
+(`TrajectoryLog._last`); it is made only with 650 or more steps left, as
+many as repay it. Every other block is plain `rk4` steps, up to 256.
 `run` cuts each block at the next event step, since c depends on p_m, and
 logs its states straight into its record. `settle` stops at the first y
 that rests, max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there.
@@ -114,6 +117,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import bmat as sparse_bmat
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse import vstack as sparse_vstack
 
@@ -686,6 +690,9 @@ class TrajectoryLog:
     flows: np.ndarray
     cost: np.ndarray
     p_m_final: np.ndarray
+    # The run's last chunk maker, which a settle from the run's end takes (`settle`'s `_last`). Not a field, so no
+    # copy of the log keeps it.
+    _last = None
 
     @property
     def _layout(self) -> dict[str, slice]:
@@ -808,11 +815,15 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
             starts.append(rec)
             segments.append(p_m.copy())
     record(n_steps, y[np.newaxis])
-    # y and the last block are views of the stepper's buffers: free them before `observe` makes its temporaries.
+    # y and the last block are views of the stepper's buffers: free them before `observe` makes its temporaries. Only a
+    # lane maker lends its maps to a settle from here (`TrajectoryLog._last`).
+    last = stepper.last if isinstance(stepper.last, _LaneSteps) else None
     stepper = y = Y = None
 
     obs = loop.observe(states, np.array(segments), tuple(starts))
-    return TrajectoryLog(times=times, states=states, p_m_final=p_m, **obs)
+    log = TrajectoryLog(times=times, states=states, p_m_final=p_m, **obs)
+    log._last = last
+    return log
 
 
 @dataclass
@@ -940,86 +951,98 @@ class _AffineSteps(_Chunks):
 
 
 # Lanes of a chunk where J is CSR, and steps per lane: 32 lanes of 8 steps make the 256 steps of a chunk. On the
-# 68-bus network (2-vCPU Xeon guest) a lane step took 15.5 us and P 23 ms, against 16.6 us and 45 ms with 16 lanes
-# of 16 steps.
+# 68-bus network (2-vCPU Xeon guest, best of 6) a lane step took 14.1 us and P 22.3 ms, against 14.1 us and 45.4 ms
+# with 16 lanes of 16 steps.
 _LANES = 32
 _LANE_STEPS = _CHUNK_STEPS // _LANES
-# Columns of the identity stepped at a time while P is built: the temporaries of a block stay small.
+# Columns of the identity stepped at a time while P is built. On the 68-bus network P took 23 ms and a traced peak of
+# 2.45 MiB (P itself 1.74 MiB), against 21 ms and 3.15 MiB with 64 columns, and 32 ms and 2.10 MiB with 16.
 _POWER_COLUMNS = 32
 
 
 class _LaneSteps(_Chunks):
     """RK4 steps of dy/dt = J y + c with a CSR J, in L lanes of M steps, while every stage state stays inside the piece's region.
 
-    M steps are the affine map y -> P y + p, P = R^M. Lane j starts at
-    y_{jM}, made from y_0 by j products with P, each a matrix-vector
-    product; then M block steps advance every lane at once, each stage one
-    CSR product J @ X of the dim x L block X. Every stage's region rows are
+    The lanes are the columns of a block [X; 1], whose last row is all ones.
+    Each RK4 stage is one CSR product of the augmented operator
+    A = [[J, c], [W, w]] with the stage block [S; 1], which gives the
+    stage's derivative J S + c and its region rows W S + w at once. M steps
+    are the affine map y -> P y + p, P = R^M. Lane j starts at y_{jM}, made
+    from y_0 by j products with P, each a matrix-vector product; then M
+    block steps advance every lane at once. Every stage's region rows are
     checked, and the chunk is cut at the first step with a stage outside:
     lane j's steps count only if every lane before it stayed inside for all
-    its steps, since its start was made on that premise. P is built by
-    stepping the columns of the identity M steps, with the same CSR
-    products; it depends on J alone, so a maker whose J is the last maker's
-    takes its P. Every product that makes a state is a CSR product or a
-    matrix-vector one, so its sums run in an order that does not depend on
-    BLAS threads.
+    its steps, since its start was made on that premise. P and p are made by
+    the same kernel: P by M steps of the columns of the identity on J alone,
+    p by M steps of the block [0; 1] on A. P depends on J alone, so a maker
+    whose J is the last maker's takes its P. Every product that makes a state
+    is a CSR product or a matrix-vector one, so its sums run in an order that
+    does not depend on BLAS threads.
     """
 
-    # A new P costs about 23 ms, and a lane step about 17 us against 51 us for `rk4` (68-bus network, 2-vCPU Xeon
-    # guest, numpy 2.4, scipy 1.17): about 700 steps repay it.
-    min_steps = 700
+    # A new maker costs about 23 ms, nearly all of it P, and a lane step about 14 us against 50 us for `rk4` (68-bus
+    # network, 2-vCPU Xeon guest, numpy 2.4, scipy 1.17, best of 7): about 650 steps repay it.
+    min_steps = 650
 
     def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
         self.piece, self.dt = piece, dt
-        # One product with [J; W] gives a stage's derivative (before c) and its region rows (before w).
-        self.JW = sparse_vstack([piece.J, piece.W], format="csr")
-        self.c, self.w, self.lower, self.upper = (v[:, np.newaxis] for v in (piece.c, piece.w, piece.lower, piece.upper))
+        dim = piece.c.size
+        c, w = (csr_matrix(v[:, np.newaxis]) for v in (piece.c, piece.w))
+        self.A = sparse_bmat([[piece.J, c], [piece.W, w]], format="csr")
+        # The bounds tiled over the lanes, so that a lane step's region test is one contiguous pass over each stage.
+        self.lower, self.upper = (np.repeat(v[:, np.newaxis], _LANES, axis=1) for v in (piece.lower, piece.upper))
         self.P = last.P if last is not None and (last.piece.J != piece.J).nnz == 0 else self._power()
-        x, regions = np.zeros_like(self.c), np.empty((4, self.w.size, 1))
-        for _ in range(_LANE_STEPS):
-            x += self._increment(x, regions)
-        self.p = x[:, 0]
+        X = np.zeros((dim + 1, 1))
+        X[dim] = 1.0
+        self.p = self._lanes(self.A, X)[:, 0]
 
-    def _increment(self, X: np.ndarray, regions: np.ndarray | None = None) -> np.ndarray:
-        """The RK4 increment of each column of X under dy/dt = J y + c, or under dy/dt = J y without `regions`.
+    def _increment(self, A, X: np.ndarray, S: np.ndarray, regions: np.ndarray | None = None) -> np.ndarray:
+        """The RK4 increment of each lane x (column) of X = [x; 1] under A, or of X = x under J.
 
-        The region rows W s + w of the four stage states s go into `regions`
-        (4 x region rows x columns).
+        Each stage's derivative is the first rows of A (or J) times the stage
+        block, S = [s; 1] (or s); the other rows of the four stage products
+        with A, the region rows, go into `regions` (4 x region rows x lanes).
         """
-        h, dim = self.dt, X.shape[0]
+        h, dim = self.dt, self.piece.c.size
+        x, s = X[:dim], S[:dim]
 
-        def rate(i, s):
-            if regions is None:
-                return self.piece.J @ s
-            out = self.JW @ s
-            np.add(out[dim:], self.w, out=regions[i])
-            return out[:dim] + self.c
+        def rate(i, B):
+            out = A @ B
+            if regions is not None:
+                regions[i] = out[dim:]
+            return out[:dim]
 
-        # The textbook formula (h/6) (k1 + 2 (k2 + k3) + k4), summed in place to keep few blocks alive.
         k1 = rate(0, X)
-        s = np.multiply(0.5 * h, k1)
-        k2 = rate(1, np.add(X, s, out=s))
-        k3 = rate(2, np.add(X, np.multiply(0.5 * h, k2, out=s), out=s))
-        np.add(X, np.multiply(h, k3, out=s), out=s)
+        np.add(x, np.multiply(0.5 * h, k1, out=s), out=s)
+        k2 = rate(1, S)
+        np.add(x, np.multiply(0.5 * h, k2, out=s), out=s)
+        k3 = rate(2, S)
+        np.add(x, np.multiply(h, k3, out=s), out=s)
+        # The textbook formula (h/6) (k1 + 2 (k2 + k3) + k4), summed in place; k3's product is freed before k4's.
         k2 += k3
         del k3
-        k4 = rate(3, s)
+        k4 = rate(3, S)
         k2 *= 2.0
         k1 += k2
         k1 += k4
         k1 *= h / 6.0
         return k1
 
+    def _lanes(self, A, X: np.ndarray) -> np.ndarray:
+        """The lanes of X, as `_increment` reads them, after M steps, stepped in place."""
+        dim, S = self.piece.c.size, X.copy()
+        for _ in range(_LANE_STEPS):
+            X[:dim] += self._increment(A, X, S)
+        return X[:dim]
+
     def _power(self) -> np.ndarray:
-        dim = self.c.size
+        dim = self.piece.c.size
         P = np.empty((dim, dim))
         for b in range(0, dim, _POWER_COLUMNS):
             w = min(_POWER_COLUMNS, dim - b)
             X = np.zeros((dim, w))
             X[b + np.arange(w), np.arange(w)] = 1.0
-            for _ in range(_LANE_STEPS):
-                X += self._increment(X)
-            P[:, b : b + w] = X
+            P[:, b : b + w] = self._lanes(self.piece.J, X)
         return P
 
     def states(self, y: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
@@ -1027,28 +1050,31 @@ class _LaneSteps(_Chunks):
 
         As `_AffineSteps.states`; the residuals are kept for `residuals`.
         """
-        M = _LANE_STEPS
+        M, dim = _LANE_STEPS, y.size
         L = min(_LANES, -(-n // M))
         rows[0] = y
         for j in range(1, L):
             np.add(self.P @ rows[(j - 1) * M], self.p, out=rows[j * M])
-        X = rows[: L * M : M].T.copy()
-        regions = np.empty((4, self.w.size, L))
-        out = np.full(L, M)  # each lane's first step with a stage outside, M where none
+        X, S = np.vstack([rows[: L * M : M].T, np.ones((1, L))]), np.ones((dim + 1, L))
+        x = X[:dim]
+        regions = np.empty((4, self.lower.shape[0], L))
         res = np.empty((M, L))
+        # The lanes before `lanes` count in full, and lane `lanes` for its steps before `step`.
+        lanes, step = L, 0
         for i in range(M):
-            increment = self._increment(X, regions)
-            inside = np.all((self.lower < regions) & (regions < self.upper), axis=(0, 1))
-            out[~inside & (out == M)] = i
-            if out[0] < M:
-                break
+            increment = self._increment(self.A, X, S, regions)
+            r, lower, upper = regions[..., :lanes], self.lower[:, :lanes], self.upper[:, :lanes]
+            if not ((lower < r).all() and (r < upper).all()):
+                # The first lane with a stage outside: it and the lanes after it count no further.
+                lanes, step = int(np.argmin(np.all((lower < r) & (r < upper), axis=(0, 1)))), i
+                if lanes == 0:
+                    break
             np.max(np.abs(increment), axis=0, out=res[i])
-            X += increment
+            x += increment
             if i + 1 < M:
-                rows[i + 1 : L * M : M] = X.T
-        rows[L * M] = X[:, -1]
-        cut = np.flatnonzero(out < M)
-        taken = min(n, cut[0] * M + out[cut[0]]) if cut.size else n
+                rows[i + 1 : L * M : M] = x.T
+        rows[L * M] = x[:, -1]
+        taken = min(n, lanes * M + step)
         bad = ~np.isfinite(rows[1 : taken + 1]).all(axis=1)
         if bad.any():
             taken = int(np.argmax(bad))
@@ -1073,7 +1099,7 @@ class _Stepper:
     made with fewer steps left than the maker's `min_steps`.
     """
 
-    def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray):
+    def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray, last: _Chunks | None = None):
         self.loop, self.dt = loop, dt
         self.maker = _LaneSteps if issparse(loop.K) else _AffineSteps
         # The first step a chunk may start at, and the plain steps after a chunk that takes none.
@@ -1086,8 +1112,8 @@ class _Stepper:
         # step it could. A chunk that runs to its length stopped at no boundary, so the next attempt skips `_slide`:
         # a bus that nears a kink stops a chunk short first.
         self.plain, self.whole = 0, False
-        # The last chunk maker made, kept across `feed`.
-        self.last = None
+        # The last chunk maker made, kept across `feed`; at first, one handed over from another stepper on the network.
+        self.last = last
         self.feed(p_m, aff)
 
     def feed(self, p_m: np.ndarray, aff: np.ndarray) -> None:
@@ -1192,6 +1218,7 @@ def settle(
     ctrl: ControllerState | None = None,
     config: ControllerConfig | None = None,
     dt: float = 1e-3,
+    _last: _Chunks | None = None,
 ) -> SettleResult:
     """Integrate under constant p_m until the state rests: max|Phi_dt(y) - y| / dt < tol, Phi_dt the RK4 step.
 
@@ -1208,6 +1235,10 @@ def settle(
 
     A timeout is reported via converged=False, not an exception: slow
     convergence is a finding, not a crash.
+
+    `_last` is a chunk maker of an earlier stepper on the same network and
+    configuration, such as `run`'s last (`TrajectoryLog._last`): a lane
+    maker on its J lends its P instead of building it again.
     """
     require_finite("settle", tol=tol, t_max=t_max, dt=dt)
     if not tol > 0:
@@ -1225,7 +1256,7 @@ def settle(
     p_m = np.asarray(p_m, dtype=float)
     aff = loop.feedthrough(p_m)
     n_steps = int(np.ceil(t_max / dt))
-    stepper = _Stepper(loop, dt, p_m, aff)
+    stepper = _Stepper(loop, dt, p_m, aff, _last)
     k, residual = 0, None
     while residual is None and k < n_steps:
         Y, residual = stepper.advance(y, k, n_steps - k, tol)

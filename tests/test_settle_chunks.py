@@ -17,7 +17,8 @@ max|f| < tol: max|f| there is below 1.01 tol, f the field the loop follows,
 `rhs` off the kinks and the sliding field on one. A settle that rests in the
 middle of a block of plain steps must stop there with the textbook residual,
 bit for bit; one that rests inside a 68-bus lane chunk, at the textbook
-loop's step. A
+loop's step. `check` on the 68-bus network builds the lane map P once: its
+settle takes the run's. A
 chunk must never take a step with a stage outside its piece, so start states
 just short of a cost kink, a box bound and a varphi sign change are stepped
 across each.
@@ -38,7 +39,7 @@ import numpy as np
 import pytest
 
 from olfc import load_scenario, simulator
-from olfc.cli import main
+from olfc.cli import check_scenario, main
 from olfc.costs import SELECTION_RULES
 from olfc.errors import NumericalError
 from olfc.simulator import ClosedLoop, ControllerConfig, settle
@@ -217,6 +218,24 @@ def test_a_sixty_eight_bus_settle_rests_inside_a_lane_chunk(chunks):
     last = chunks[-1]
     assert isinstance(last.maps, simulator._LaneSteps) and last.k + last.taken == rest < last.k + last.n
     assert sr.rk4_steps == 0
+
+
+def test_a_sixty_eight_bus_check_builds_p_once(chunks, monkeypatch):
+    """`check` on sixty_eight_bus_steps builds P once: its settle takes the run's last lane maker, and with it its P."""
+    built = []
+    power = simulator._LaneSteps._power
+
+    def counted(self):
+        built.append(self)
+        return power(self)
+
+    monkeypatch.setattr(simulator._LaneSteps, "_power", counted)
+    scenario = load_scenario(scenario_path("sixty_eight_bus_steps"))
+    res = check_scenario(scenario, scenario.load_model(), "sixty_eight_bus_steps", tol=1e-4, t_max=600.0)
+    assert res.report.passed and len(built) == 1
+    # The settle's first chunk is the first whose step is below the one before: the settle counts from 0 again.
+    first = next(i for i in range(1, len(chunks)) if chunks[i].k < chunks[i - 1].k)
+    assert chunks[first].maps is not chunks[first - 1].maps and chunks[first].maps.P is built[0].P
 
 
 @pytest.mark.parametrize(

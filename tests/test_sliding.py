@@ -14,7 +14,11 @@ held at kappa, g = g_eq. This pins it against the readable equations:
   step is a plain `rk4` step that leaves the kink;
 - `three_bus_congested` under five drawn event delays and magnitudes takes
   at most 150 plain steps of its 60 000 (the textbook loop chatters across
-  the kink for about 2 700).
+  the kink for about 2 700);
+- on the 68-bus network (CSR K), the first 4 s of `sixty_eight_bus_kinks`,
+  where seven buses come to slide in lane chunks, is RK4 of the sliding
+  field (`conftest.reference_run`) to 1e-12 relative, with each sliding d
+  held at its kink exactly.
 """
 
 import dataclasses
@@ -33,6 +37,7 @@ from conftest import (
     degenerate_network,
     dense,
     readable_rhs,
+    reference_run,
     rows_within,
     same_bits,
     scenario_path,
@@ -241,3 +246,29 @@ def test_a_sliding_run_takes_few_plain_steps(monkeypatch):
         counts.append(len(plain))
     assert base.step_count() == 60_000
     assert max(counts) <= 150, counts
+
+
+def test_sixty_eight_bus_lanes_slide_as_filippovs_solution(chunks, snaps):
+    """The first 4 s of sixty_eight_bus_kinks: lane chunks slide on the kinks as Filippov's solution does.
+
+    Seven buses reach their kinks between 0.6 s and 1.7 s, and each new set of
+    sliding buses is a new J and so a new P. Every logged state must be
+    within 1e-12 relative of `conftest.reference_run`, RK4 of the readable
+    sliding field with the stepper's moves onto the kinks. Lane chunks take
+    at least a lane maker's `min_steps` sliding steps, and hold the d row of
+    each sliding bus at its kink exactly.
+    """
+    scenario = load_scenario(scenario_path("sixty_eight_bus_kinks"))
+    scenario = dataclasses.replace(scenario, t_end=4.0, log_decimation=1)
+    model = scenario.load_model()
+    log = simulator.run(scenario, model)
+    states, _, _ = reference_run(scenario, model, snaps)
+    assert rows_within(log.states, states)
+    sliding = [c for c in chunks if c.maps.piece.held.size]
+    assert all(isinstance(c.maps, simulator._LaneSteps) for c in sliding)
+    assert sum(c.taken for c in sliding) >= simulator._LaneSteps.min_steps
+    d0 = ClosedLoop(model, scenario.config).sl_d.start
+    for c in sliding:
+        held, at = c.maps.piece.held, c.maps.piece.at
+        assert all(kink in model.costs[row - d0].breakpoints for row, kink in zip(held, at))
+        assert np.all(log.states[c.k : c.k + c.taken + 1, held] == at)

@@ -2,7 +2,8 @@
 
 Every other test shows that the right controller passes. Here a wrong one
 must fail: each mutant edits `ClosedLoop.K`, `Kpm` or `k0` right after the
-build, by block name through `ClosedLoop.operand`, and `check_scenario` must
+build, by block name through `ClosedLoop.operand`, or the sliding piece that
+`ClosedLoop.affine_piece` returns, and `check_scenario` must
 reject it for its stated reason, a named check of `check_theorem1` that
 fails or a loop that never settles. A loop from a 20 s run does not rest
 within a short budget even unmutated, so a mutant that never settles must
@@ -74,6 +75,28 @@ def slow_d(loop):
     loop.k0[loop.sl_d] *= 0.1
 
 
+def left_subgradient_while_sliding(loop):
+    """A bus sliding on a cost kink takes g- in place of g_eq: its d' is epsilon (g_eq - g-), not 0, so d leaves the kink.
+
+    p_l stays at the kink while the piece holds, and the piece holds while
+    g_eq stays strictly inside the Clarke interval. J is dense here.
+    """
+    piece_at = loop.affine_piece
+
+    def affine_piece(y, aff):
+        piece = piece_at(y, aff)
+        if piece is None or not piece.held.size:
+            return piece
+        sliding, eps = piece.held - loop.sl_d.start, loop.config.epsilon
+        J, c = piece.J.copy(), piece.c.copy()
+        # The sliding bus's region row is g_eq: its d row becomes epsilon (g_eq - g-), g- the row's lower bound.
+        J[piece.held] = eps * piece.W[sliding]
+        c[piece.held] = eps * (piece.w[sliding] - piece.lower[sliding])
+        return piece._replace(J=J, c=c, held=piece.held[:0], at=piece.at[:0])
+
+    loop.affine_piece = affine_piece
+
+
 def check_mutant(monkeypatch, name: str, mutate, t_max: float):
     """`check_scenario` of a bundled scenario, cut to t_end 20 s, with every closed loop built mutated."""
     build = ClosedLoop.__init__
@@ -106,6 +129,9 @@ CASES = [
     # Its settle takes 73 s of model time from the 20 s run's end, more
     # than the 60 s budget of the cases above.
     ("three_bus_congested", loosen_upper_limits, 300.0, {"line_limits", "kkt", "p_l_matches_oracle"}),
+    # Bus 0 rests on its kink at 0.2, its price strictly inside the Clarke interval, so it slides there. The mutant
+    # rests about 56 s after the 20 s run's end, with d past the kink where g_eq reaches g-.
+    ("three_bus_interior_kink", left_subgradient_while_sliding, 120.0, {"kkt", "p_l_matches_oracle"}),
 ]
 
 
