@@ -193,10 +193,9 @@ class CostBatch:
     every rule: its column of a (4, n*K) table whose rows are the open
     bracket (lower, upper) between the breakpoints around the piece (-inf
     and +inf at the ends, NaN for padded pieces), 2a and b. Strictly inside
-    its bracket a bus is on no kink, so a caller that keeps the columns can
-    evaluate the selection from them until x leaves the bracket (see
-    `ClosedLoop`). A bus exactly on a kink is an end of either bracket, so
-    it never passes that check.
+    its bracket a bus is on no kink, so the loop is affine there in that
+    bus's p_l (`ClosedLoop.affine_piece`); a bus exactly on a kink is an end
+    of either bracket.
     """
 
     def __init__(self, costs: list[PiecewiseCost]):
@@ -272,16 +271,16 @@ class CostBatch:
         return (g_lo if rule == "left" else g_hi), idx
 
 
-def select_point(g: np.ndarray, rule: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The rule's element of each one-point interval {g_j}, bit for bit as `select_subgradient` gives it; `out` is None or g.
+def select_point(g: np.ndarray, rule: str) -> np.ndarray:
+    """The rule's element of each one-point interval {g_j}, bit for bit as `select_subgradient` gives it.
 
     `+ 0.0` maps -0.0 to +0.0, as minnorm's comparisons with 0 do; 0.5 * (g + g)
     equals g unless g + g overflows, so it is computed, not skipped.
     """
     if rule == "minnorm":
-        return np.add(g, 0.0, out=out)
+        return g + 0.0
     if rule == "midpoint":
-        return np.multiply(0.5, np.add(g, g, out=out), out=out)
+        return 0.5 * (g + g)
     return g
 
 

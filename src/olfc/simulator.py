@@ -42,14 +42,9 @@ this). `rhs` and `rk4` return new arrays on every call, so no caller ever
 holds a view of the buffer.
 
 A stage computes, in order: p_l = clip(d, box), eta = max(varphi, 0), the
-subgradient g, and dy = K @ u, to which aff is added in place. For g each
-bus's cost piece is kept across stages and steps, with the open bracket
-between the breakpoints around it: while every p_l is strictly inside its
-bracket, g is evaluated from the kept coefficients; otherwise the stage
-takes the exact lookup, `CostBatch.select_piece`, and keeps the pieces it
-returns. Either way g is `CostBatch.select` bit for bit (the argument is in
-`ClosedLoop._derivative`; `tests/test_piece_cache.py` checks it), so the
-result does not depend on which states a loop saw before.
+subgradient g = `CostBatch.select(p_l, rule)`, and dy = K @ u, to which aff
+is added in place. No stage carries anything to the next but the buffer it
+overwrites, so the result does not depend on which states a loop saw before.
 
 `run` records only the packed state (and the time) of each logged step, then
 observes the whole record once after integration: `observe` takes one state
@@ -71,10 +66,12 @@ R^(2^i). Where K is CSR (the 68-bus network), `_LaneSteps` runs 32 lanes of
 one matrix-vector product each, and each stage of the 32 lanes is one CSR
 product of the augmented operator [[J, c], [W, w]] with the stage block
 over a row of ones, which gives the stage's derivatives and region rows.
-P is built with the same kernel, and kept across events while J is
-unchanged, and `settle` may take it from `run`'s last maker
-(`TrajectoryLog._last`); it is made only with 650 or more steps left, as
-many as repay it. Every other block is plain `rk4` steps, up to 256.
+P is built with the same kernel the first time a maker has 650 or more
+steps left in its segment, as many as repay it; with fewer left and no P,
+a chunk is one lane of up to 256 steps, which needs neither P nor p. P is
+kept across events while J is unchanged, and `settle` may take it from
+`run`'s last maker (`TrajectoryLog._last`). Every other block is plain
+`rk4` steps, up to 256.
 `run` cuts each block at the next event step, since c depends on p_m, and
 logs its states straight into its record. `settle` stops at the first y
 that rests, max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there.
@@ -122,7 +119,7 @@ from scipy.sparse import csr_matrix, issparse
 from scipy.sparse import vstack as sparse_vstack
 
 from .controller import MISMATCH_SOURCES, ControllerState, init_controller
-from .costs import CostBatch, normalize_selection_rule, select_point
+from .costs import CostBatch, normalize_selection_rule
 from .dynamics import PlantState
 from .errors import NumericalError, ValidationError, naming, read_json, require_fields, require_finite
 from .network import NetworkModel, load_network
@@ -477,10 +474,6 @@ class ClosedLoop:
         self._y_varphi = self._u_y[self.sl_vp.start : self.sl_vm.stop]
         self._u_pl, self._u_g = self._u[operand["p_l"]], self._u[operand["g"]]
         self._u_eta = self._u[operand["eta_plus"].start : operand["eta_minus"].stop]
-        # The cost piece of each bus as (lower, upper, 2a, b) rows, kept
-        # across stages and steps; NaN brackets send the first stage to the
-        # exact lookup.
-        self._piece = tuple(np.full((4, n), np.nan))
         # Accumulator of the final RK4 combination.
         self._acc = np.empty(S)
 
@@ -506,30 +499,12 @@ class ClosedLoop:
 
         Only the projections and the subgradient selection are written into
         the operand buffer; everything linear, z included, is in K and aff.
-
-        The selection keeps each bus's cost piece from the stage before.
-        While every p_l lies strictly inside its piece's bracket (lower,
-        upper), g = 2a * p_l + b is written straight into the buffer and the
-        rule's element of {g} taken there by `costs.select_point`. That is
-        `CostBatch.select` bit for bit: strictly inside a bracket no bus is on
-        a kink, so `select` takes `select_point` of 2a * x + b on the same
-        piece. Otherwise the stage takes the exact lookup,
-        `CostBatch.select_piece`, and keeps the pieces it returns. A bus
-        exactly on a kink is an end of the bracket it gets, so it takes the
-        exact lookup, where the rules differ, while it stays there.
         """
         p_l = self._u_pl
         # minimum(maximum(.)) is np.clip bit for bit, without clip's wrapper cost.
         np.minimum(np.maximum(self._y_d, self.box_lower, out=p_l), self.box_upper, out=p_l)
         np.maximum(self._y_varphi, 0.0, out=self._u_eta)
-        lower, upper, slope, b = self._piece
-        # count_nonzero is a plain C call, unlike ndarray.all's Python wrapper.
-        if np.count_nonzero((lower < p_l) & (p_l < upper)) == self.n:
-            g = np.add(np.multiply(slope, p_l, out=self._u_g), b, out=self._u_g)
-            select_point(g, self.config.selection, out=g)
-        else:
-            self._u_g[...], piece = self.batch.select_piece(p_l, self.config.selection)
-            self._piece = tuple(piece)
+        self._u_g[...] = self.batch.select(p_l, self.config.selection)
         dy = self.K @ self._u
         dy += aff
         return dy
@@ -877,9 +852,6 @@ class _AffineSteps(_Chunks):
     made: a step is taken only if its stages are strictly inside.
     """
 
-    # Steps left from which a chunk is tried: at state dimensions up to 63 the maps cost less than a step saves.
-    min_steps = 1
-
     def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
         """The maps of `piece`; `last` is not read, since they cost less than a few plain steps to make."""
         J, c, W, w = piece.J, piece.c, piece.W, piece.w
@@ -912,14 +884,15 @@ class _AffineSteps(_Chunks):
             self.powers.append((P_T @ P_T, p @ P_T + p))
         return self.powers[i]
 
-    def states(self, y: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
-        """y and the states of the steps from it, up to n, before the first one with a stage outside the region, as rows.
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> np.ndarray:
+        """y and the states of the steps from it, up to n and 256, before the first one with a stage outside the region, as rows.
 
         The rows are the first of `rows`, which y may be one of. No row is
         handed back past one that is not finite: a power of R can overflow
         before the states it would make do, so the steps that are left go to
-        `rk4`.
+        `rk4`. `rest`, whether `residuals` will be read, is not needed here.
         """
+        n = min(n, _CHUNK_STEPS)
         Y = rows[: n + 1]
         Y[0] = y
         done, made = 0, 1  # rows checked, rows made
@@ -973,28 +946,28 @@ class _LaneSteps(_Chunks):
     checked, and the chunk is cut at the first step with a stage outside:
     lane j's steps count only if every lane before it stayed inside for all
     its steps, since its start was made on that premise. P and p are made by
-    the same kernel: P by M steps of the columns of the identity on J alone,
-    p by M steps of the block [0; 1] on A. P depends on J alone, so a maker
+    the same kernel, the first time `states` has `min_steps` or more steps
+    left: P by M steps of the columns of the identity on J alone, p by M
+    steps of the block [0; 1] on A. Until then a chunk is one lane of up to
+    256 steps from y, which needs neither. P depends on J alone, so a maker
     whose J is the last maker's takes its P. Every product that makes a state
     is a CSR product or a matrix-vector one, so its sums run in an order that
     does not depend on BLAS threads.
     """
 
-    # A new maker costs about 23 ms, nearly all of it P, and a lane step about 14 us against 50 us for `rk4` (68-bus
-    # network, 2-vCPU Xeon guest, numpy 2.4, scipy 1.17, best of 7): about 650 steps repay it.
+    # P costs about 23 ms, and a step 14-15 us in 32 lanes against 44-47 us in one, without and with the rest residual
+    # (68-bus network, 2-vCPU Xeon guest, numpy 2.4, scipy 1.17, best of 7): 650-770 steps repay it.
     min_steps = 650
 
     def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
         self.piece, self.dt = piece, dt
-        dim = piece.c.size
         c, w = (csr_matrix(v[:, np.newaxis]) for v in (piece.c, piece.w))
         self.A = sparse_bmat([[piece.J, c], [piece.W, w]], format="csr")
         # The bounds tiled over the lanes, so that a lane step's region test is one contiguous pass over each stage.
         self.lower, self.upper = (np.repeat(v[:, np.newaxis], _LANES, axis=1) for v in (piece.lower, piece.upper))
-        self.P = last.P if last is not None and (last.piece.J != piece.J).nnz == 0 else self._power()
-        X = np.zeros((dim + 1, 1))
-        X[dim] = 1.0
-        self.p = self._lanes(self.A, X)[:, 0]
+        # P and p, made by `states`; a last maker's P where J is the same.
+        self.P = last.P if last is not None and (last.piece.J != piece.J).nnz == 0 else None
+        self.p = None
 
     def _increment(self, A, X: np.ndarray, S: np.ndarray, regions: np.ndarray | None = None) -> np.ndarray:
         """The RK4 increment of each lane x (column) of X = [x; 1] under A, or of X = x under J.
@@ -1045,13 +1018,20 @@ class _LaneSteps(_Chunks):
             P[:, b : b + w] = self._lanes(self.piece.J, X)
         return P
 
-    def states(self, y: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
-        """y and the states of the steps from it, up to n, before the first one with a stage outside the region, as rows.
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> np.ndarray:
+        """y and the states of the steps from it, up to n and 256, before the first one with a stage outside the region, as rows.
 
-        As `_AffineSteps.states`; the residuals are kept for `residuals`.
+        As `_AffineSteps.states`; given `rest`, the residuals are kept for
+        `residuals`.
         """
-        M, dim = _LANE_STEPS, y.size
-        L = min(_LANES, -(-n // M))
+        dim = y.size
+        if self.p is None and (self.P is not None or n >= self.min_steps):
+            if self.P is None:
+                self.P = self._power()
+            self.p = self._lanes(self.A, np.eye(dim + 1, 1, -dim))[:, 0]
+        n = min(n, _CHUNK_STEPS)
+        # Lanes of M steps from P, else one lane of n steps.
+        M, L = (_LANE_STEPS, min(_LANES, -(-n // _LANE_STEPS))) if self.p is not None else (n, 1)
         rows[0] = y
         for j in range(1, L):
             np.add(self.P @ rows[(j - 1) * M], self.p, out=rows[j * M])
@@ -1069,7 +1049,8 @@ class _LaneSteps(_Chunks):
                 lanes, step = int(np.argmin(np.all((lower < r) & (r < upper), axis=(0, 1)))), i
                 if lanes == 0:
                     break
-            np.max(np.abs(increment), axis=0, out=res[i])
+            if rest:
+                np.max(np.abs(increment), axis=0, out=res[i])
             x += increment
             if i + 1 < M:
                 rows[i + 1 : L * M : M] = x.T
@@ -1078,7 +1059,8 @@ class _LaneSteps(_Chunks):
         bad = ~np.isfinite(rows[1 : taken + 1]).all(axis=1)
         if bad.any():
             taken = int(np.argmax(bad))
-        self.res = res.T.reshape(-1) / self.dt
+        if rest:
+            self.res = res.T.reshape(-1) / self.dt
         return rows[: taken + 1]
 
     def residuals(self, Y: np.ndarray) -> np.ndarray:
@@ -1095,8 +1077,8 @@ class _Stepper:
     and drops them (a lane maker on the same J keeps its P). A chunk attempt
     first moves each bus within one step's reach of a kink onto it, where a
     sliding piece holds there (`_slide`). After a chunk that takes no step,
-    the next is tried only after 1, 2, 4, ... 256 plain steps. No maps are
-    made with fewer steps left than the maker's `min_steps`.
+    the next is tried only after 1, 2, 4, ... 256 plain steps. A chunk is
+    given every step left in the segment, and its maker caps them at 256.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray, last: _Chunks | None = None):
@@ -1138,7 +1120,7 @@ class _Stepper:
         if k >= self.next_chunk:
             # A chunk writes its rows over the last block, whose last row y may be.
             y = y.copy()
-            Y = self._chunk(y, k, n)
+            Y = self._chunk(y, k, n, tol is not None)
             if Y is not None:
                 if tol is not None:
                     r = self.chunk.residuals(Y)
@@ -1160,19 +1142,18 @@ class _Stepper:
         self.plain = len(Y)
         return Y, None
 
-    def _chunk(self, y: np.ndarray, k: int, n: int) -> np.ndarray | None:
-        """The rows of a chunk from y at step k that takes from 1 to n steps, or None once the next attempt is set."""
-        if n < self.maker.min_steps and (self.chunk is None or not self.chunk.holds(y)):
-            # Too few steps are left to repay new maps: none are made before the next segment.
-            self.next_chunk = k + n
-            return None
+    def _chunk(self, y: np.ndarray, k: int, n: int, rest: bool) -> np.ndarray | None:
+        """The rows of a chunk from y at step k that takes from 1 to n steps, or None once the next attempt is set.
+
+        `rest` says whether the chunk's `residuals` will be read.
+        """
         if not self.whole:
             y = self._slide(y)
         if self.chunk is None or not self.chunk.holds(y):
             piece = self.loop.affine_piece(y, self.aff)
             self.chunk = None if piece is None else self._make(piece)
         if self.chunk is not None:
-            Y = self.chunk.states(y, min(_CHUNK_STEPS, n), self.rows)
+            Y = self.chunk.states(y, n, self.rows, rest)
             if len(Y) > 1:
                 self.wait, self.plain, self.whole = 1, 0, len(Y) > min(_CHUNK_STEPS, n)
                 return Y

@@ -242,7 +242,7 @@ def reference_stages(loop, y: np.ndarray, aff: np.ndarray, dt: float, f=None):
 
     It is `filippov_stages` where the buses on a kink slide for the whole
     step, else the textbook RK4 step of f, by default `reference_derivative`
-    (`rhs` gives the same bits, see `tests/test_piece_cache.py`).
+    (`rhs` gives the same bits, see `tests/test_rk4.py`).
     """
     slide = filippov_stages(loop, y, aff, dt)
     if slide is not None:

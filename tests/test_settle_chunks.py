@@ -173,10 +173,9 @@ def test_a_settle_rests_inside_a_block_of_plain_steps(chunks, monkeypatch, name,
     """A settle from the scenario's state at t0 that rests at step `rest`, in the middle of a block of plain steps.
 
     `affine_piece` is turned off after the scenario's run, so no chunk holds
-    anywhere. On a dense K the blocks are then the 1, 2, 4, ... plain steps of
-    the backoff, and step 5 is inside the block of steps 3 .. 7. The 68-bus
-    settle has 500 steps, too few to make a lane maker's maps, so its blocks
-    are 256 plain steps, and step 100 is inside the first. At 2.25 s of
+    anywhere. The blocks are then the 1, 2, 4, ... plain steps of the
+    backoff: step 5 is inside the block of steps 3 .. 7, and step 100 inside
+    that of steps 63 .. 127. At 2.25 s of
     three_bus_congested bus 0 slides on its cost kink, and the textbook loop
     chatters there. The settle must stop at the textbook loop's step with the
     same residual and state, bit for bit, having taken every step with `rk4`.
@@ -417,13 +416,14 @@ def test_affine_piece_region_is_the_whole_piece(name):
                     assert past is None or not (np.array_equal(past.J, piece.J) and np.array_equal(past.c, piece.c))
 
 
-@pytest.mark.parametrize("t_max, plain, chunked", [(0.02, 10, 0), (2.0, 1, 999)])
+@pytest.mark.parametrize("t_max, plain, chunked", [(0.02, 1, 9), (2.0, 1, 999)])
 def test_sixty_eight_bus_settle_step_counts(chunks, t_max, plain, chunked):
-    """From zero, a 68-bus settle takes lane chunks where a lane maker's `min_steps` are left, else plain steps.
+    """From zero, a 68-bus settle takes lane chunks after its first step, however few steps are left.
 
     The zero state's varphi+- = 0 lies on a piece boundary, so the first step
-    is plain. Of 1 000 steps the other 999 are then lane chunks; 10 steps are
-    too few to make a lane maker's maps, and all are plain.
+    is plain. The other steps are then lane chunks: 999 of 1 000, in lanes
+    started from P, and 9 of 10, in one lane, since 9 steps are too few to
+    repay P.
     """
     model = bundled_network("sixty_eight_bus")
     p_m = np.zeros(model.n)
