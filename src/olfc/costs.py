@@ -181,9 +181,10 @@ class CostBatch:
     with `ndarray.take`. A further flat table holds the breakpoint just below
     each piece (NaN for piece 0 and for padded pieces, so it never compares
     equal). `_select` looks the Clarke interval up once: the right-sided
-    piece, and the left-sided one only for the buses whose lower breakpoint
-    equals x. Off every kink it is the point f'(x), whose element
-    under each rule is `select_point`. The results equal the scalar
+    piece, and the piece before it as the left-sided one for the buses whose
+    lower breakpoint equals x. Every other bus's left-sided piece is its
+    right-sided one, so its interval is the point f'(x), and each rule's
+    formula gives that point's element. The results equal the scalar
     PiecewiseCost methods (and `select_subgradient`) bit for bit, which the
     tests check. Only the simulator uses it: the claim check (`analysis`)
     reads each bus's Clarke interval off its own cost, so it certifies the
@@ -261,27 +262,12 @@ class CostBatch:
         idx = self._pieces(x)
         g_hi = self._slope_at(x, idx)
         kink = self._left_bp.take(idx) == x
-        if not kink.any():
-            return select_point(g_hi, rule), idx
         g_lo = self._slope_at(x, idx - kink)
         if rule == "minnorm":
             return np.where(g_lo > 0.0, g_lo, np.where(g_hi < 0.0, g_hi, 0.0)), idx
         if rule == "midpoint":
             return 0.5 * (g_lo + g_hi), idx
         return (g_lo if rule == "left" else g_hi), idx
-
-
-def select_point(g: np.ndarray, rule: str) -> np.ndarray:
-    """The rule's element of each one-point interval {g_j}, bit for bit as `select_subgradient` gives it.
-
-    `+ 0.0` maps -0.0 to +0.0, as minnorm's comparisons with 0 do; 0.5 * (g + g)
-    equals g unless g + g overflows, so it is computed, not skipped.
-    """
-    if rule == "minnorm":
-        return g + 0.0
-    if rule == "midpoint":
-        return 0.5 * (g + g)
-    return g
 
 
 def normalize_selection_rule(rule: str) -> str:

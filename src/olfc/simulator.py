@@ -30,27 +30,16 @@ the block selectors, the maps and the operator are canonical CSR, so a large
 operator is never held dense; below that they are dense arrays. Products with
 C, C^T and L take a CSR left operand, so their sums run in one order for both.
 
-The operand stack (y, p_l, eta+, eta-, g) lives in one buffer that every
-right-hand-side evaluation overwrites in place: the projections are written
-straight into their blocks with `out=` ufuncs, read from views of its y
-block made once (eta+ | eta- is one block, projected from varphi+ | varphi-
-in one call). `rhs` copies y into that block; `rk4` writes each
-stage state there directly and sums the stages in a preallocated
-accumulator, with the operations of the textbook formula in their order, so
-a step is bit-identical to RK4 built from four `rhs` calls (a test checks
-this). `rhs` and `rk4` return new arrays on every call, so no caller ever
-holds a view of the buffer.
-
-A stage computes, in order: p_l = clip(d, box), eta = max(varphi, 0), the
-subgradient g = `CostBatch.select(p_l, rule)`, and dy = K @ u, to which aff
-is added in place. No stage carries anything to the next but the buffer it
-overwrites, so the result does not depend on which states a loop saw before.
+`rhs` is the formula dy = K @ u + aff with the operand built anew from y,
+u = [y | clip(d, box) | max(varphi, 0) | `CostBatch.select(p_l, rule)`], and
+`rk4` is the textbook step over four `rhs` calls, so nothing a loop computed
+before shows in what it computes next.
 
 `run` records only the packed state (and the time) of each logged step, then
 observes the whole record once after integration: `observe` takes one state
-or a stack of them and never touches the operand buffer. The record is kept
-in Fortran order, so the sparse frequency map reads it without a copy; the
-log's state signals are column blocks of it.
+or a stack of them. The record is kept in Fortran order, so the sparse
+frequency map reads it without a copy; the log's state signals are column
+blocks of it.
 
 `run` and `settle` take every step through one stepper (`_Stepper`), which
 hands back blocks of consecutive states. Off every kink, box bound and
@@ -75,9 +64,9 @@ kept across events while J is unchanged, and `settle` may take it from
 `run` cuts each block at the next event step, since c depends on p_m, and
 logs its states straight into its record. `settle` stops at the first y
 that rests, max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there.
-The stepper reads it off the step's own increment, `rk4`'s accumulator, a
-doubling chunk's map y -> G y + r or a lane's step, and ends each block at
-its first resting row.
+The stepper reads it off the step's increment: a plain step's
+(`ClosedLoop.increment`), a doubling chunk's map y -> G y + r or a lane's
+step, and ends each block at its first resting row.
 
 A bus whose price lies strictly inside the Clarke interval at a cost kink
 slides on it: Filippov's solution holds d at the kink, with g the
@@ -275,11 +264,15 @@ def load_scenario(path: str | Path) -> Scenario:
         )
 
 
-# A dense matvec costs ~2 us of call overhead plus 0.2-0.4 ns per stored
-# entry; a CSR matvec costs ~5-7 us at the sparsity of these operators (well
-# under 1 % nonzero on large networks). Measured on a 2-vCPU Xeon guest with
-# numpy 2.4 and scipy 1.17, the two meet near 2**15 entries (68-bus frequency
-# map, 68 x 478: 8.2 us dense vs 7.8 us CSR).
+# The size rule: an operator K of this many entries or more is stored CSR, and
+# so are its selectors and maps and each affine piece's J and W; a smaller one
+# is dense. With the storage it picks the chunk maker: doubling
+# (`_AffineSteps`) where K is dense, lanes (`_LaneSteps`) where it is CSR.
+# Each is the cheaper on its side (2-vCPU Xeon guest, numpy 2.4, scipy 1.17):
+# lanes made an in-process `check` of a 3- or 9-bus scenario 1.4-2.5x slower
+# (three_bus_congested 99 -> 204 ms), and dense doubling chunks on the 68-bus
+# network (478 x 854) raised the large_grid benchmark's peak RSS from 95.5 to
+# 121.6 MiB.
 _CSR_MIN_ENTRIES = 2**15
 
 
@@ -465,17 +458,8 @@ class ClosedLoop:
         # product instead of a dense BLAS gemm, whose worker threads take
         # memory and time.
         self._obs_Wp = csr_matrix(Wp)
-        # Operand buffer of K; its blocks are written in place on every call.
-        # varphi+ | varphi- ends y and eta+ | eta- follows p_l, so each pair
-        # is one contiguous block.
-        self._u = np.empty(split)
-        self._u_y = self._u[operand["y"]]
-        self._y_d = self._u_y[self.sl_d]
-        self._y_varphi = self._u_y[self.sl_vp.start : self.sl_vm.stop]
-        self._u_pl, self._u_g = self._u[operand["p_l"]], self._u[operand["g"]]
-        self._u_eta = self._u[operand["eta_plus"].start : operand["eta_minus"].stop]
-        # Accumulator of the final RK4 combination.
-        self._acc = np.empty(S)
+        # The increment Phi_dt(y) - y of the last `rk4` step.
+        self.increment: np.ndarray | None = None
 
     # -- state packing ------------------------------------------------------
 
@@ -493,21 +477,6 @@ class ClosedLoop:
     def feedthrough(self, p_m: np.ndarray) -> np.ndarray:
         """Constant part of the RHS for a fixed p_m segment."""
         return self.Kpm @ p_m + self.k0
-
-    def _derivative(self, aff: np.ndarray) -> np.ndarray:
-        """dy/dt at the state held in the buffer's y block, as a new array.
-
-        Only the projections and the subgradient selection are written into
-        the operand buffer; everything linear, z included, is in K and aff.
-        """
-        p_l = self._u_pl
-        # minimum(maximum(.)) is np.clip bit for bit, without clip's wrapper cost.
-        np.minimum(np.maximum(self._y_d, self.box_lower, out=p_l), self.box_upper, out=p_l)
-        np.maximum(self._y_varphi, 0.0, out=self._u_eta)
-        self._u_g[...] = self.batch.select(p_l, self.config.selection)
-        dy = self.K @ self._u
-        dy += aff
-        return dy
 
     def affine_piece(self, y: np.ndarray, aff: np.ndarray) -> AffinePiece | None:
         """The piece dy/dt = J y + c of the right-hand side around y, or None when y lies on a piece's boundary.
@@ -585,34 +554,31 @@ class ClosedLoop:
         return AffinePiece(J, c, W, w, lo, hi, held, d[sliding])
 
     def rhs(self, y: np.ndarray, p_m: np.ndarray, aff: np.ndarray | None = None) -> np.ndarray:
-        """Packed derivative dy/dt."""
+        """Packed derivative dy/dt = K @ u + aff, as a new array.
+
+        The operand u = [y | p_l | eta+ | eta- | g] is built from y: p_l =
+        clip(d, box), eta = max(varphi, 0) and g = `CostBatch.select(p_l,
+        rule)`. Only these projections and the selection are computed here;
+        everything linear, z included, is in K and aff.
+        """
         if aff is None:
             aff = self.feedthrough(p_m)
-        self._u_y[...] = y
-        return self._derivative(aff)
+        p_l = np.clip(y[self.sl_d], self.box_lower, self.box_upper)
+        u = np.concatenate([y, p_l, np.maximum(y[self.sl_vp.start :], 0.0), self.batch.select(p_l, self.config.selection)])
+        return self.K @ u + aff
 
     def rk4(self, y: np.ndarray, p_m: np.ndarray, dt: float, aff: np.ndarray) -> np.ndarray:
-        """One RK4 step, y + (dt / 6) * (k1 + 2 * (k2 + k3) + k4), as a new array.
+        """One RK4 step over four `rhs` calls, y + (dt / 6) * (k1 + 2 * (k2 + k3) + k4), as a new array.
 
-        Each stage state is written straight into the buffer's y block; the
-        operations and their order are those of the textbook formula, so the
-        result is the same bit for bit. y is not written to. `_acc` holds the
-        step's increment Phi_dt(y) - y until the next call.
+        `increment` keeps the step's (dt / 6) * (k1 + 2 * (k2 + k3) + k4),
+        Phi_dt(y) - y, until the next call.
         """
         k1 = self.rhs(y, p_m, aff)
-        stage, acc = self._u_y, self._acc
-        np.add(y, np.multiply(0.5 * dt, k1, out=stage), out=stage)
-        k2 = self._derivative(aff)
-        np.add(y, np.multiply(0.5 * dt, k2, out=stage), out=stage)
-        k3 = self._derivative(aff)
-        np.add(y, np.multiply(dt, k3, out=stage), out=stage)
-        k4 = self._derivative(aff)
-        np.add(k2, k3, out=acc)
-        np.multiply(2.0, acc, out=acc)
-        np.add(k1, acc, out=acc)
-        np.add(acc, k4, out=acc)
-        np.multiply(dt / 6.0, acc, out=acc)
-        return y + acc
+        k2 = self.rhs(y + (0.5 * dt) * k1, p_m, aff)
+        k3 = self.rhs(y + (0.5 * dt) * k2, p_m, aff)
+        k4 = self.rhs(y + dt * k3, p_m, aff)
+        self.increment = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        return y + self.increment
 
     # -- observation --------------------------------------------------------
 
@@ -963,8 +929,9 @@ class _LaneSteps(_Chunks):
         self.piece, self.dt = piece, dt
         c, w = (csr_matrix(v[:, np.newaxis]) for v in (piece.c, piece.w))
         self.A = sparse_bmat([[piece.J, c], [piece.W, w]], format="csr")
-        # The bounds tiled over the lanes, so that a lane step's region test is one contiguous pass over each stage.
-        self.lower, self.upper = (np.repeat(v[:, np.newaxis], _LANES, axis=1) for v in (piece.lower, piece.upper))
+        # The bounds as (R, 1) columns, for one lane; `states` tiles them over the lanes once it has P and p, so that a
+        # lane step's region test is one contiguous pass over each stage.
+        self.lower, self.upper = piece.lower[:, np.newaxis], piece.upper[:, np.newaxis]
         # P and p, made by `states`; a last maker's P where J is the same.
         self.P = last.P if last is not None and (last.piece.J != piece.J).nnz == 0 else None
         self.p = None
@@ -1029,6 +996,7 @@ class _LaneSteps(_Chunks):
             if self.P is None:
                 self.P = self._power()
             self.p = self._lanes(self.A, np.eye(dim + 1, 1, -dim))[:, 0]
+            self.lower, self.upper = (np.repeat(v, _LANES, axis=1) for v in (self.lower, self.upper))
         n = min(n, _CHUNK_STEPS)
         # Lanes of M steps from P, else one lane of n steps.
         M, L = (_LANE_STEPS, min(_LANES, -(-n // _LANE_STEPS))) if self.p is not None else (n, 1)
@@ -1071,10 +1039,13 @@ class _LaneSteps(_Chunks):
 class _Stepper:
     """The steps of `run` and `settle`, as blocks of states: a chunk where one holds, else plain `rk4` steps.
 
-    The chunk maker follows the size rule: `_AffineSteps` where K is dense,
-    `_LaneSteps` where it is CSR. Its maps belong to the piece around the
-    state that last found one, and to the feedthrough: `feed` sets a new one
-    and drops them (a lane maker on the same J keeps its P). A chunk attempt
+    The size rule (`_CSR_MIN_ENTRIES`) stores K dense or CSR, and the chunk
+    maker follows the storage, as the cheaper on its side: `_AffineSteps`
+    doubles where K is dense (the bundled 2-, 3- and 9-bus networks),
+    `_LaneSteps` runs lanes where it is CSR (the 68-bus one). The maker's
+    maps belong to the piece around the state that last found one, and to
+    the feedthrough: `feed` sets a new one and drops them (a lane maker on
+    the same J keeps its P). A chunk attempt
     first moves each bus within one step's reach of a kink onto it, where a
     sliding piece holds there (`_slide`). After a chunk that takes no step,
     the next is tried only after 1, 2, 4, ... 256 plain steps. A chunk is
@@ -1134,7 +1105,7 @@ class _Stepper:
         for j in range(1, len(Y)):
             Y[j] = self.loop.rk4(Y[j - 1], self.p_m, self.dt, self.aff)
             if tol is not None:
-                r = float(_rest_residual(self.loop._acc, self.dt))
+                r = float(_rest_residual(self.loop.increment, self.dt))
                 if r < tol or not math.isfinite(r):
                     self.plain = j
                     return Y[:j], r
@@ -1244,7 +1215,7 @@ def settle(
         y, k = Y[-1], k + len(Y) - 1
     if residual is None:
         loop.rk4(y, p_m, dt, aff)
-        residual = float(_rest_residual(loop._acc, dt))
+        residual = float(_rest_residual(loop.increment, dt))
     if not math.isfinite(residual):
         raise NumericalError(f"non-finite state while settling at t={k * dt:g}s")
     converged = residual < tol

@@ -220,13 +220,16 @@ SELECT_CASES = {
     "one_on_kink": ([reference_cost(), one_piece(0.5, -0.1), reference_cost()], [0.05, -0.4, 0.2], 1),
     "padded_beside_3_piece": ([one_piece(1.0, 0.3), reference_cost(), one_piece(2.0, -0.2)], [5.0, -0.2, -5.0], 1),
     "negative_zero": ([one_piece(0.5, -0.0), reference_cost()], [-0.0, 0.1], 0),
+    # g = 1.2e308: `midpoint`'s 0.5 * (g + g) is inf, not g.
+    "g_plus_g_overflows": ([one_piece(4e307, 0.0)], [1.5], 0),
 }
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("rule", SELECTION_RULES)
 @pytest.mark.parametrize("case", SELECT_CASES)
 def test_select_branches_match_scalar_bits(case, rule):
-    """Off-kink fast path and kink path of CostBatch.select, pinned by bit pattern."""
+    """CostBatch.select off and on kinks, signed zero and overflow included, pinned by bit pattern."""
     costs, x, on_kink = SELECT_CASES[case]
     x = np.array(x)
     intervals = [cost.clarke(float(xj)) for cost, xj in zip(costs, x)]

@@ -1,20 +1,18 @@
 """`ClosedLoop.rhs` and `ClosedLoop.rk4` against the exact selection and the textbook RK4 formula, and `run` against its loop.
 
-`rk4` evaluates its stages in place in the operand buffer; this checks that
-the result is the textbook y + (dt / 6) * (k1 + 2 * (k2 + k3) + k4) of four
-`rhs` calls bit for bit, that its accumulator then holds the textbook
-increment (dt / 6) * (k1 + 2 * (k2 + k3) + k4) bit for bit (`settle`'s rest
-test reads it there), that y is not written to, and that the result owns its
-memory. The state with every bus on a kink covers
-the kink branch of `CostBatch.select` inside a step.
+`rhs` is K @ u + aff over the operand u built from the state with
+`CostBatch.select` (`conftest.reference_derivative`), and `rk4` the textbook
+y + (dt / 6) * (k1 + 2 * (k2 + k3) + k4) of four `rhs` calls. This checks
+both bit for bit; that `rk4` keeps the textbook increment
+(dt / 6) * (k1 + 2 * (k2 + k3) + k4) bit for bit as `increment` (`settle`'s
+rest test reads it there), that y is not written to, and that the result
+shares no memory with the increment. The state with every bus on a kink
+covers the kink branch of `CostBatch.select` inside a step.
 
-Every call overwrites the one operand buffer, so `rhs` and `rk4` are also
-checked over sequences of states that stay in a cost piece, sit on kinks and
-box bounds, step to either side of a kink, and change piece on every call.
-The specification is the stage that fills the operand with
-`CostBatch.select` (`conftest.reference_derivative`), then K @ u + aff, and
-textbook RK4 over it, bit for bit; what a loop computed before must never
-show in what it computes next.
+`rhs` and `rk4` are also checked over sequences of states that stay in a
+cost piece, sit on kinks and box bounds, step to either side of a kink, and
+change piece on every call: what a loop computed before must never show in
+what it computes next.
 
 The specification of a whole run is textbook RK4 over
 `conftest.reference_derivative` (`conftest.textbook_run`) and, while a bus
@@ -152,7 +150,7 @@ def test_rhs_matches_the_exact_selection_over_a_sequence(name, selection, mismat
         for i, y in enumerate(states):
             got = loop.rhs(y, p_m, aff)
             assert same_bits(got, reference_derivative(loop, y, aff)), (block, i)
-            # Again at the same state, over the buffer this call left.
+            # Again at the same state, with the feedthrough made from p_m.
             assert same_bits(loop.rhs(y, p_m), got), (block, i)
 
 
@@ -226,7 +224,7 @@ EDGE_CASES = {
 @pytest.mark.parametrize("selection", SELECTION_RULES)
 @pytest.mark.parametrize("case", EDGE_CASES)
 def test_rhs_gives_select_bits_at_the_edges(case, selection):
-    """After a call at another state, `rhs` writes `select`'s bits into the operand, sign and overflow included."""
+    """After a call at another state, `rhs` is the reference derivative over `select`'s bits, sign and overflow included."""
     cost, d, negative = EDGE_CASES[case]
     loop = two_bus_loop(selection, **cost)
     p_m = np.zeros(loop.n)
@@ -238,7 +236,6 @@ def test_rhs_gives_select_bits_at_the_edges(case, selection):
     g = loop.batch.select(y[loop.sl_d], selection)
     assert np.all(np.signbit(g)) == negative(selection)
     assert np.all(np.isinf(g)) == (case == "g_plus_g_overflows" and selection == "midpoint")
-    assert same_bits(loop._u[-loop.n :], g)
     assert same_bits(got, reference_derivative(loop, y, aff))
 
 
@@ -259,9 +256,9 @@ def test_rk4_is_textbook_rk4_bit_for_bit(name, selection, mismatch, epsilon, sta
     y_before = y.copy()
     got = loop.rk4(y, p_m, DT, aff)
     assert same_bits(got, expected)
-    assert same_bits(loop._acc, increment)
+    assert same_bits(loop.increment, increment)
     assert same_bits(y, y_before)
-    assert not np.shares_memory(got, loop._u) and not np.shares_memory(got, loop._acc)
+    assert not np.shares_memory(got, loop.increment)
 
 
 @pytest.mark.parametrize("name", NETWORKS)
@@ -320,9 +317,9 @@ def test_csr_run_is_the_reference_loop(chunks, snaps):
 def test_a_short_csr_run_steps_one_lane_chunks_without_p(chunks, snaps, monkeypatch):
     """0.5 s of sixty_eight_bus_steps with one event at 0.12 s: segments of 60 and 190 steps, too few to repay P.
 
-    Each chunk is then one lane, which needs no P: none is built, at most a
-    few steps are plain, and every logged state is within 1e-12 relative of
-    the reference loop.
+    Each chunk is then one lane, which needs no P: none is built, no maker
+    tiles its region bounds over the lanes, at most a few steps are plain,
+    and every logged state is within 1e-12 relative of the reference loop.
     """
     built, plain = [], []
     power, rk4 = simulator._LaneSteps._power, ClosedLoop.rk4
@@ -334,6 +331,7 @@ def test_a_short_csr_run_steps_one_lane_chunks_without_p(chunks, snaps, monkeypa
     log = run(scenario, model)
     assert not built and len(plain) <= 3
     assert chunks and all(c.maps.P is None for c in chunks)
+    assert all(c.maps.lower.shape[1] == 1 and c.maps.upper.shape[1] == 1 for c in chunks)
     assert sum(c.taken for c in chunks) == 250 - len(plain)
     states, _, _ = reference_run(scenario, model, snaps)
     assert log.times.size == 251

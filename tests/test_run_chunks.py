@@ -65,10 +65,11 @@ def observed(monkeypatch):
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 @pytest.mark.parametrize("selection", SELECTION_RULES)
 @pytest.mark.parametrize("name", DENSE_SCENARIOS)
-def test_chunked_run_is_the_textbook_loop(chunks, snaps, observed, name, selection, mismatch):
+def test_chunked_run_is_the_textbook_loop(chunks, snaps, observed, monkeypatch, name, selection, mismatch):
     """Same times and p_m segments bit for bit, states within 1e-12, no chunk across an event; at decimation 1 and the scenario's.
 
     The reference is textbook RK4 off the sliding steps (`conftest.reference_run`).
+    Every step that is no chunk step is one `ClosedLoop.rk4` call.
     """
     base = load_scenario(scenario_path(name))
     config = dataclasses.replace(base.config, selection=selection, mismatch=mismatch)
@@ -79,11 +80,15 @@ def test_chunked_run_is_the_textbook_loop(chunks, snaps, observed, name, selecti
     moves = dict(snaps)
     states, segments, first_steps = reference_run(dataclasses.replace(base, log_decimation=1), model, moves)
     n_steps = base.step_count()
+    plain, rk4 = [], ClosedLoop.rk4
+    monkeypatch.setattr(ClosedLoop, "rk4", lambda self, *args: plain.append(1) or rk4(self, *args))
     for dec in sorted({1, base.log_decimation}):
         chunks.clear()
         observed.clear()
         snaps.clear()
+        plain.clear()
         log = run(dataclasses.replace(base, log_decimation=dec), model)
+        assert sum(c.taken for c in chunks) + len(plain) == n_steps, dec
         assert snaps == moves, dec
         steps = np.r_[np.arange(0, n_steps, dec), n_steps]
         assert same_bits(log.times, steps * base.dt), dec

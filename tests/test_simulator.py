@@ -285,7 +285,7 @@ def test_log_matches_readable_observation(name, t_end, mismatch, decimation):
 
 @pytest.mark.parametrize("mismatch", ["model", "estimate"])
 def test_rhs_and_observe_return_independent_arrays(mismatch):
-    """The operand buffer is reused in place; nothing handed out may alias it."""
+    """`rhs` and `observe` hand out new arrays: no later call changes what an earlier one returned."""
     net = load_network(network_path("nine_bus"))
     loop = ClosedLoop(net, ControllerConfig(mismatch=mismatch))
     rng = np.random.default_rng(11)
