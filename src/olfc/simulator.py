@@ -47,20 +47,21 @@ varphi+- sign change the loop is affine, dy/dt = J y + c, with J = K T and
 c = K t + aff for the affine map u = T y + t that the operand follows there
 (`ClosedLoop.affine_piece`, sparse products); then an RK4 step is the affine
 map y -> R y + r, and so is each of its stages. A block is a chunk where one
-holds, up to 256 states, taking a step only while all four of its stages are
-strictly inside the piece. The size rule picks the chunk maker. Where K is
-dense, `_AffineSteps` makes the states by doubling with the powers
-R^(2^i). Where K is CSR (the 68-bus network), `_LaneSteps` runs 32 lanes of
-8 steps side by side: the lane starts come from the 8-step map P = R^8,
-one matrix-vector product each, and each stage of the 32 lanes is one CSR
-product of the augmented operator [[J, c], [W, w]] with the stage block
-over a row of ones, which gives the stage's derivatives and region rows.
-P is built with the same kernel the first time a maker has 650 or more
-steps left in its segment, as many as repay it; with fewer left and no P,
-a chunk is one lane of up to 256 steps, which needs neither P nor p. P is
-kept across events while J is unchanged, and `settle` may take it from
-`run`'s last maker (`TrajectoryLog._last`). Every other block is plain
-`rk4` steps, up to 256.
+holds, taking a step only while all four of its stages are strictly inside
+the piece. The size rule picks the chunk maker. Where K is dense,
+`_AffineSteps` makes the states by doubling with the powers R^(2^i), up to
+256 steps. Where K is CSR (the 68-bus network), `_LaneSteps` runs 32 lanes
+of 16 steps side by side, a chunk of up to 512 states: the lane starts come
+from the 16-step map P = R^16, one matrix-vector product each, and each
+stage of the 32 lanes is one CSR product of the augmented operator
+[[J, c], [W, w]] with the stage block over a row of ones, which gives the
+stage's derivatives and region rows. P is built with the same kernel the
+first time a maker has 700 or more steps left in its segment; with fewer
+left and no P, a chunk is one lane of up to 512 steps, which needs neither P
+nor p. P is kept across events while J is unchanged, and `settle` takes
+`run`'s last maker (`TrajectoryLog._last`) whole where it starts on its
+piece, else its P where J is the same. Every other block is plain `rk4`
+steps, up to 256.
 `run` cuts each block at the next event step, since c depends on p_m, and
 logs its states straight into its record. `settle` stops at the first y
 that rests, max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there.
@@ -785,6 +786,11 @@ class SettleResult:
     rk4_steps: int
 
 
+def _same(a, b) -> bool:
+    """Whether two arrays or matrices, dense or CSR, are equal entry for entry."""
+    return (a != b).nnz == 0 if issparse(a) else np.array_equal(a, b)
+
+
 def _rest_residual(increment: np.ndarray, dt: float):
     """max|Phi_dt(y) - y| / dt from the increment Phi_dt(y) - y of an RK4 step, or one per row of a stack of them."""
     return np.max(np.abs(increment), axis=-1) / dt
@@ -795,9 +801,10 @@ _CHUNK_STEPS = 256
 
 
 class _Chunks:
-    """A chunk maker on one affine piece: `states` makes the steps, `residuals` reads their rest residuals."""
+    """A chunk maker on one affine piece: `states` makes up to `steps` steps, `residuals` reads their rest residuals."""
 
     piece: AffinePiece
+    steps = _CHUNK_STEPS
 
     def holds(self, y: np.ndarray) -> bool:
         """Whether y is in the region: on every held row's value, and strictly inside the bounds."""
@@ -851,14 +858,14 @@ class _AffineSteps(_Chunks):
         return self.powers[i]
 
     def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> np.ndarray:
-        """y and the states of the steps from it, up to n and 256, before the first one with a stage outside the region, as rows.
+        """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
 
         The rows are the first of `rows`, which y may be one of. No row is
         handed back past one that is not finite: a power of R can overflow
         before the states it would make do, so the steps that are left go to
         `rk4`. `rest`, whether `residuals` will be read, is not needed here.
         """
-        n = min(n, _CHUNK_STEPS)
+        n = min(n, self.steps)
         Y = rows[: n + 1]
         Y[0] = y
         done, made = 0, 1  # rows checked, rows made
@@ -889,25 +896,27 @@ class _AffineSteps(_Chunks):
         return _rest_residual(Y[:-1] @ self.G_T + self.r, self.dt)
 
 
-# Lanes of a chunk where J is CSR, and steps per lane: 32 lanes of 8 steps make the 256 steps of a chunk. On the
-# 68-bus network (2-vCPU Xeon guest, best of 6) a lane step took 14.1 us and P 22.3 ms, against 14.1 us and 45.4 ms
-# with 16 lanes of 16 steps.
+# Lanes of a chunk where J is CSR, and steps per lane: 32 lanes of 16 steps make a chunk of 512 steps, whose lane
+# starts take 31 products with P = R^16, one per 16 steps. On the 68-bus network (2-vCPU Xeon guest, best of 7) a
+# chunk step took 14.5, 12.6, 11.5 and 11.7 us with lanes of 8, 12, 16 and 24 steps; a block step cost 6.5 us a lane
+# with 32 lanes against 8.0 us with 16 lanes of 32 steps, which is why a longer chunk keeps 32 lanes.
 _LANES = 32
-_LANE_STEPS = _CHUNK_STEPS // _LANES
-# Columns of the identity stepped at a time while P is built. On the 68-bus network P took 23 ms and a traced peak of
-# 2.45 MiB (P itself 1.74 MiB), against 21 ms and 3.15 MiB with 64 columns, and 32 ms and 2.10 MiB with 16.
+_LANE_STEPS = 16
+# Columns of the identity stepped at a time while P is built. On the 68-bus network P = R^8 took 23 ms and a traced
+# peak of 2.45 MiB (P itself 1.74 MiB), against 21 ms and 3.15 MiB with 64 columns, and 32 ms and 2.10 MiB with 16;
+# P = R^16 takes 43 ms, twice the steps.
 _POWER_COLUMNS = 32
 
 
 class _LaneSteps(_Chunks):
-    """RK4 steps of dy/dt = J y + c with a CSR J, in L lanes of M steps, while every stage state stays inside the piece's region.
+    """RK4 steps of dy/dt = J y + c with a CSR J, in 32 lanes of 16 steps, while every stage state stays inside the piece's region.
 
     The lanes are the columns of a block [X; 1], whose last row is all ones.
     Each RK4 stage is one CSR product of the augmented operator
     A = [[J, c], [W, w]] with the stage block [S; 1], which gives the
-    stage's derivative J S + c and its region rows W S + w at once. M steps
-    are the affine map y -> P y + p, P = R^M. Lane j starts at y_{jM}, made
-    from y_0 by j products with P, each a matrix-vector product; then M
+    stage's derivative J S + c and its region rows W S + w at once. M = 16
+    steps are the affine map y -> P y + p, P = R^M. Lane j starts at y_{jM},
+    made from y_0 by j products with P, each a matrix-vector product; then M
     block steps advance every lane at once. Every stage's region rows are
     checked, and the chunk is cut at the first step with a stage outside:
     lane j's steps count only if every lane before it stayed inside for all
@@ -915,15 +924,19 @@ class _LaneSteps(_Chunks):
     the same kernel, the first time `states` has `min_steps` or more steps
     left: P by M steps of the columns of the identity on J alone, p by M
     steps of the block [0; 1] on A. Until then a chunk is one lane of up to
-    256 steps from y, which needs neither. P depends on J alone, so a maker
+    512 steps from y, which needs neither. P depends on J alone, so a maker
     whose J is the last maker's takes its P. Every product that makes a state
     is a CSR product or a matrix-vector one, so its sums run in an order that
     does not depend on BLAS threads.
     """
 
-    # P costs about 23 ms, and a step 14-15 us in 32 lanes against 44-47 us in one, without and with the rest residual
-    # (68-bus network, 2-vCPU Xeon guest, numpy 2.4, scipy 1.17, best of 7): 650-770 steps repay it.
-    min_steps = 650
+    # P costs about 43 ms, and a step 11.5-12.7 us in 32 lanes against 40-43 us in one, without and with the rest
+    # residual (68-bus network, 2-vCPU Xeon guest, numpy 2.4, scipy 1.17, best of 7): 1 400-1 500 steps repay it in
+    # one segment, and 700-750 in each of two segments on the same J, which keeps P. An event leaves J as it is, so
+    # the larger bound would put large_grid's first segments (875-1 125 steps) on one lane before the P that the rest
+    # of its `check` takes.
+    min_steps = 700
+    steps = _LANES * _LANE_STEPS
 
     def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
         self.piece, self.dt = piece, dt
@@ -933,7 +946,7 @@ class _LaneSteps(_Chunks):
         # lane step's region test is one contiguous pass over each stage.
         self.lower, self.upper = piece.lower[:, np.newaxis], piece.upper[:, np.newaxis]
         # P and p, made by `states`; a last maker's P where J is the same.
-        self.P = last.P if last is not None and (last.piece.J != piece.J).nnz == 0 else None
+        self.P = last.P if last is not None and _same(last.piece.J, piece.J) else None
         self.p = None
 
     def _increment(self, A, X: np.ndarray, S: np.ndarray, regions: np.ndarray | None = None) -> np.ndarray:
@@ -986,7 +999,7 @@ class _LaneSteps(_Chunks):
         return P
 
     def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> np.ndarray:
-        """y and the states of the steps from it, up to n and 256, before the first one with a stage outside the region, as rows.
+        """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
 
         As `_AffineSteps.states`; given `rest`, the residuals are kept for
         `residuals`.
@@ -997,7 +1010,7 @@ class _LaneSteps(_Chunks):
                 self.P = self._power()
             self.p = self._lanes(self.A, np.eye(dim + 1, 1, -dim))[:, 0]
             self.lower, self.upper = (np.repeat(v, _LANES, axis=1) for v in (self.lower, self.upper))
-        n = min(n, _CHUNK_STEPS)
+        n = min(n, self.steps)
         # Lanes of M steps from P, else one lane of n steps.
         M, L = (_LANE_STEPS, min(_LANES, -(-n // _LANE_STEPS))) if self.p is not None else (n, 1)
         rows[0] = y
@@ -1049,7 +1062,9 @@ class _Stepper:
     first moves each bus within one step's reach of a kink onto it, where a
     sliding piece holds there (`_slide`). After a chunk that takes no step,
     the next is tried only after 1, 2, 4, ... 256 plain steps. A chunk is
-    given every step left in the segment, and its maker caps them at 256.
+    given every step left in the segment, and its maker caps them at its
+    `steps`: 256 for doubling, 512 for lanes. Where a new piece is the last
+    maker's piece, that maker is taken again, P, p and tiled bounds included.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray, last: _Chunks | None = None):
@@ -1060,13 +1075,14 @@ class _Stepper:
         self.rk4_steps = 0
         # Every block is written here, over the one before: a new block per call would keep two alive while the
         # next is made, which cost the 68-bus `check` benchmark 2.4 MiB of peak memory.
-        self.rows = np.empty((_CHUNK_STEPS + 1, loop.dim))
+        self.rows = np.empty((self.maker.steps + 1, loop.dim))
         # The rows of the last block, when it was plain steps, else 0; and whether it was a chunk that took every
         # step it could. A chunk that runs to its length stopped at no boundary, so the next attempt skips `_slide`:
         # a bus that nears a kink stops a chunk short first.
         self.plain, self.whole = 0, False
-        # The last chunk maker made, kept across `feed`; at first, one handed over from another stepper on the network.
-        self.last = last
+        # The last chunk maker made, kept across `feed`; at first, one handed over from another stepper on the network
+        # at the same dt.
+        self.last = last if last is not None and last.dt == dt else None
         self.feed(p_m, aff)
 
     def feed(self, p_m: np.ndarray, aff: np.ndarray) -> None:
@@ -1074,7 +1090,10 @@ class _Stepper:
         self.p_m, self.aff, self.chunk = p_m, aff, None
 
     def _make(self, piece: AffinePiece) -> _Chunks:
-        self.chunk = self.last = self.maker(piece, self.dt, self.last)
+        """The chunk maker on `piece`: the last one where its piece is this one (a run's, handed to a settle under its p_m)."""
+        if self.last is None or not all(_same(a, b) for a, b in zip(self.last.piece, piece)):
+            self.last = self.maker(piece, self.dt, self.last)
+        self.chunk = self.last
         return self.chunk
 
     def advance(self, y: np.ndarray, k: int, n: int, tol: float | None = None) -> tuple[np.ndarray, float | None]:
@@ -1126,7 +1145,7 @@ class _Stepper:
         if self.chunk is not None:
             Y = self.chunk.states(y, n, self.rows, rest)
             if len(Y) > 1:
-                self.wait, self.plain, self.whole = 1, 0, len(Y) > min(_CHUNK_STEPS, n)
+                self.wait, self.plain, self.whole = 1, 0, len(Y) > min(self.chunk.steps, n)
                 return Y
         self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)
         return None
@@ -1190,7 +1209,8 @@ def settle(
 
     `_last` is a chunk maker of an earlier stepper on the same network and
     configuration, such as `run`'s last (`TrajectoryLog._last`): a lane
-    maker on its J lends its P instead of building it again.
+    maker on its J lends its P instead of building it again, and a maker on
+    the piece the settle starts on (the run's, under its p_m) is taken whole.
     """
     require_finite("settle", tol=tol, t_max=t_max, dt=dt)
     if not tol > 0:

@@ -384,7 +384,7 @@ def chunks(monkeypatch):
     def spy(self, y, k, n, tol=None):
         Y, residual = advance(self, y, k, n, tol)
         if self.plain == 0:
-            seen.append(Chunk(self.chunk, Y[0].copy(), k, min(n, simulator._CHUNK_STEPS), len(Y) - 1))
+            seen.append(Chunk(self.chunk, Y[0].copy(), k, min(n, self.chunk.steps), len(Y) - 1))
         return Y, residual
 
     monkeypatch.setattr(simulator._Stepper, "advance", spy)

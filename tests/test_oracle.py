@@ -8,9 +8,9 @@ import pytest
 from olfc.costs import PiecewiseCost
 from olfc.errors import InfeasibleProblemError, NumericalError, ValidationError
 from olfc.network import NetworkModel, load_network
-from olfc.oracle import _assert_solution_invariants, check_feasibility, lattice_search, solve_olc
+from olfc.oracle import _assert_solution_invariants, _grounded_inverse, check_feasibility, lattice_search, solve_olc
 
-from conftest import network_path
+from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network, network_path
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +187,13 @@ def test_solution_is_kkt_point(three_bus):
     sol = solve_olc(three_bus, p_m=p_m, tol=1e-8)
     report = kkt_residuals(three_bus, p_m, sol)
     assert report.max_residual < 1e-6
+
+
+@pytest.mark.parametrize("name", NETWORKS + DEGENERATE_NETWORKS)
+def test_the_grounded_inverse_is_the_pseudo_inverse(name):
+    """inv(A + 11^T/n) - 11^T/n is pinv(A) within 1e-12 relative for L and L L + C C^T, whose null space is span(1)."""
+    net = bundled_network(name) if name in NETWORKS else degenerate_network(name)
+    L, C = net.laplacian, net.incidence
+    for A in (L, L @ L + C @ C.T):
+        ref = np.linalg.pinv(A)
+        assert np.max(np.abs(_grounded_inverse(A) - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)

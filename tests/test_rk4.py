@@ -341,19 +341,52 @@ def test_a_short_csr_run_steps_one_lane_chunks_without_p(chunks, snaps, monkeypa
 def test_a_lane_maker_builds_p_once_it_has_min_steps_left(chunks):
     """A lane maker made with fewer than `min_steps` steps left steps one lane; given `min_steps` or more, it builds P, once.
 
-    The 256 steps from one state agree within 1e-12 relative in one lane
-    and in 32 lanes started from P.
+    The chunk's steps (`steps`, 512) from one state agree within 1e-12
+    relative in one lane and in 32 lanes started from P.
     """
     scenario = load_scenario(scenario_path("sixty_eight_bus_steps"))
     scenario = dataclasses.replace(scenario, t_end=0.5, log_decimation=1, events=scenario.events[:1])
     run(scenario, scenario.load_model())
     first = chunks[0]
     maker = simulator._LaneSteps(first.maps.piece, scenario.dt)
-    rows = np.empty((simulator._CHUNK_STEPS + 1, first.y.size))
+    rows = np.empty((maker.steps + 1, first.y.size))
     one_lane = maker.states(first.y, simulator._LaneSteps.min_steps - 1, rows).copy()
-    assert maker.P is None and len(one_lane) == simulator._CHUNK_STEPS + 1
+    assert maker.P is None and len(one_lane) == maker.steps + 1
     lanes = maker.states(first.y, simulator._LaneSteps.min_steps, rows)
     P = maker.P
     assert P is not None and rows_within(lanes, one_lane)
     maker.states(first.y, simulator._LaneSteps.min_steps, rows)
     assert maker.P is P
+
+
+def test_a_lane_chunk_of_512_steps_starts_its_lanes_with_31_products_with_p(chunks):
+    """512 steps from one state in 32 lanes of 16 take 31 matrix-vector products with P = R^16, one per lane after the first.
+
+    They agree within 1e-12 relative with the same 512 steps in one lane.
+    """
+    scenario = load_scenario(scenario_path("sixty_eight_bus_steps"))
+    scenario = dataclasses.replace(scenario, t_end=0.5, log_decimation=1, events=scenario.events[:1])
+    run(scenario, scenario.load_model())
+    piece, y = chunks[0].maps.piece, chunks[0].y
+    products = []
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other.shape)
+            return np.asarray(self) @ other
+
+    def steps(maker, n=512):
+        """The states of n steps from y, in as many chunks as the maker takes."""
+        rows, out = np.empty((n + 1, y.size)), [y[np.newaxis]]
+        while sum(len(b) for b in out) <= n:
+            Y = maker.states(out[-1][-1].copy(), n + 1 - sum(len(b) for b in out), rows)
+            assert len(Y) > 1, "a chunk took no step"
+            out.append(Y[1:].copy())
+        return np.vstack(out)
+
+    one_lane = steps(simulator._LaneSteps(piece, scenario.dt))
+    maker = simulator._LaneSteps(piece, scenario.dt)
+    maker.P = maker._power().view(Spy)
+    lanes = steps(maker)
+    assert products == [(y.size,)] * 31
+    assert lanes.shape == (513, y.size) and rows_within(lanes, one_lane)

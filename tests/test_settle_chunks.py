@@ -220,7 +220,7 @@ def test_a_sixty_eight_bus_settle_rests_inside_a_lane_chunk(chunks):
 
 
 def test_a_sixty_eight_bus_check_builds_p_once(chunks, monkeypatch):
-    """`check` on sixty_eight_bus_steps builds P once: its settle takes the run's last lane maker, and with it its P."""
+    """`check` on sixty_eight_bus_steps builds P once: its settle starts on the run's last piece, so it takes that maker whole."""
     built = []
     power = simulator._LaneSteps._power
 
@@ -234,7 +234,7 @@ def test_a_sixty_eight_bus_check_builds_p_once(chunks, monkeypatch):
     assert res.report.passed and len(built) == 1
     # The settle's first chunk is the first whose step is below the one before: the settle counts from 0 again.
     first = next(i for i in range(1, len(chunks)) if chunks[i].k < chunks[i - 1].k)
-    assert chunks[first].maps is not chunks[first - 1].maps and chunks[first].maps.P is built[0].P
+    assert chunks[first].maps is chunks[first - 1].maps and chunks[first].maps.P is built[0].P
 
 
 @pytest.mark.parametrize(
