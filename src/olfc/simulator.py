@@ -48,26 +48,30 @@ c = K t + aff for the affine map u = T y + t that the operand follows there
 (`ClosedLoop.affine_piece`, sparse products); then an RK4 step is the affine
 map y -> R y + r, and so is each of its stages. A block is a chunk where one
 holds, taking a step only while all four of its stages are strictly inside
-the piece. The size rule picks the chunk maker. Where K is dense,
-`_AffineSteps` makes the states by doubling with the powers R^(2^i), up to
-256 steps. Where K is CSR (the 68-bus network), `_LaneSteps` runs 32 lanes
-of 16 steps side by side, a chunk of up to 512 states: the lane starts come
-from the 16-step map P = R^16, one matrix-vector product each, and each
-stage of the 32 lanes is one CSR product of the augmented operator
-[[J, c], [W, w]] with the stage block over a row of ones, which gives the
-stage's derivatives and region rows. P is built with the same kernel the
-first time a maker has 700 or more steps left in its segment; with fewer
-left and no P, a chunk is one lane of up to 512 steps, which needs neither P
-nor p. P is kept across events while J is unchanged, and `settle` takes
-`run`'s last maker (`TrajectoryLog._last`) whole where it starts on its
-piece, else its P where J is the same. Every other block is plain `rk4`
-steps, up to 256.
+the piece. Both chunk makers take RK4's stages from one kernel
+(`_Chunks._increment`): each stage is one product of the augmented operator
+A = [[J, c], [W, w]], held like J, with a block of columns over a last row,
+which gives the stage's derivatives and region rows at once. The size rule
+picks the chunk maker. Where K is dense, `_AffineSteps` takes R y + r and
+each stage's region map from one kernel step of the columns of the identity
+of size dim + 1, and makes the states by doubling with the powers R^(2^i),
+up to 256 steps. Where K is CSR (the 68-bus network), `_LaneSteps` runs 32
+lanes of 16 steps side by side, a chunk of up to 512 states: the lane starts
+come from the 16-step map P = R^16, one matrix-vector product each, and
+each stage of the 32 lanes is one CSR product of A with the stage block over
+a row of ones. P is built with the same kernel the first time a maker has
+700 or more steps left in its segment; with fewer left and no P, a chunk is
+one lane of up to 512 steps, which needs neither P nor p. P is kept across
+events while J is unchanged, and `settle` takes `run`'s last maker
+(`TrajectoryLog._last`) whole where it starts on its piece, else its P where
+J is the same. Every other block is plain `rk4` steps, up to 256.
 `run` cuts each block at the next event step, since c depends on p_m, and
 logs its states straight into its record. `settle` stops at the first y
 that rests, max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there.
 The stepper reads it off the step's increment: a plain step's
-(`ClosedLoop.increment`), a doubling chunk's map y -> G y + r or a lane's
-step, and ends each block at its first resting row.
+(`ClosedLoop.increment`), else a chunk's, which the maker's `states` hands
+back with the rows (a doubling chunk's G y + r, a lane's step), and ends
+each block at its first resting row.
 
 A bus whose price lies strictly inside the Clarke interval at a cost kink
 slides on it: Filippov's solution holds d at the kink, with g the
@@ -270,8 +274,9 @@ def load_scenario(path: str | Path) -> Scenario:
 # is dense. With the storage it picks the chunk maker: doubling
 # (`_AffineSteps`) where K is dense, lanes (`_LaneSteps`) where it is CSR.
 # Each is the cheaper on its side (2-vCPU Xeon guest, numpy 2.4, scipy 1.17):
-# lanes made an in-process `check` of a 3- or 9-bus scenario 1.4-2.5x slower
-# (three_bus_congested 99 -> 204 ms), and dense doubling chunks on the 68-bus
+# lanes made an in-process `check` of each dense bundled scenario 1.4-2.7x
+# slower (best of 5, one BLAS thread: three_bus_congested 100 -> 236 ms,
+# nine_bus_steps 110 -> 264 ms), and dense doubling chunks on the 68-bus
 # network (478 x 854) raised the large_grid benchmark's peak RSS from 95.5 to
 # 121.6 MiB.
 _CSR_MIN_ENTRIES = 2**15
@@ -796,15 +801,40 @@ def _rest_residual(increment: np.ndarray, dt: float):
     return np.max(np.abs(increment), axis=-1) / dt
 
 
+def _finite_rows(rows: np.ndarray, taken: int) -> np.ndarray:
+    """rows[: taken + 1], cut before the first row that is not finite."""
+    bad = ~np.isfinite(rows[1 : taken + 1]).all(axis=1)
+    if bad.any():
+        taken = int(np.argmax(bad))
+    return rows[: taken + 1]
+
+
 # Most steps in one chunk, and in one block of plain steps.
 _CHUNK_STEPS = 256
 
 
 class _Chunks:
-    """A chunk maker on one affine piece: `states` makes up to `steps` steps, `residuals` reads their rest residuals."""
+    """A chunk maker on one affine piece: `states` makes up to `steps` steps, with their rest residuals on request.
+
+    Both makers step with one kernel, `_increment`: RK4's four stages as
+    products of the augmented operator A = [[J, c], [W, w]] with a block of
+    columns [x; e], each column a state x over a last entry e. A column with
+    e = 1 is a state, and its stage products give the stage's derivative
+    J s + c and region rows W s + w at once; a column with e = 0 is a
+    direction, stepped by J alone. A is held like J: dense, or CSR.
+    """
 
     piece: AffinePiece
     steps = _CHUNK_STEPS
+
+    def __init__(self, piece: AffinePiece, dt: float):
+        """The augmented operator of `piece`."""
+        self.piece, self.dt = piece, dt
+        c, w = piece.c[:, np.newaxis], piece.w[:, np.newaxis]
+        if issparse(piece.J):
+            self.A = sparse_bmat([[piece.J, csr_matrix(c)], [piece.W, csr_matrix(w)]], format="csr")
+        else:
+            self.A = np.block([[piece.J, c], [piece.W, w]])
 
     def holds(self, y: np.ndarray) -> bool:
         """Whether y is in the region: on every held row's value, and strictly inside the bounds."""
@@ -812,149 +842,13 @@ class _Chunks:
         x = p.W @ y + p.w
         return bool(np.all((p.lower < x) & (x < p.upper))) and np.array_equal(y[p.held], p.at)
 
-
-class _AffineSteps(_Chunks):
-    """RK4 steps of dy/dt = J y + c with a dense J, many at a time, while every stage state stays inside the piece's region.
-
-    One step is the affine map y -> R y + r, R = I + G, with increment G y + r;
-    each of its stage states is an affine map of y (the first is y). A chunk
-    holds the states y_0 .. y_n as rows: y_0 is given, and rows 2^i ..
-    2^(i+1) - 1 are R^(2^i) applied to rows 0 .. 2^i - 1 (row n, when n is a
-    power of 2, is R applied to row n - 1), so 256 steps take 8 products with
-    the powers and one with R. Each new block is checked before the next is
-    made: a step is taken only if its stages are strictly inside.
-    """
-
-    def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
-        """The maps of `piece`; `last` is not read, since they cost less than a few plain steps to make."""
-        J, c, W, w = piece.J, piece.c, piece.W, piece.w
-        eye = np.eye(c.size)
-        self.piece, self.dt = piece, dt
-        # Stage i is s_i = A_i y + a_i and its derivative k_i = J s_i + c;
-        # s_2 = y + (dt/2) k_1, s_3 = y + (dt/2) k_2, s_4 = y + dt k_3. The
-        # region reads W s_i + w. A held row of J and c is 0, so every stage
-        # and step keeps it exactly: only the first state need be checked.
-        stages = [(W, w)]
-        kA, ka = J, c
-        sum_A, sum_a = J.copy(), c.copy()
-        for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
-            A, a = eye + h * kA, h * ka
-            stages.append((W @ A, W @ a + w))
-            kA, ka = J @ A, J @ a + c
-            sum_A += weight * kA
-            sum_a += weight * ka
-        # Row blocks hold the states, so every map is applied from the right.
-        self.stage_T = np.ascontiguousarray(np.vstack([A for A, _ in stages]).T)
-        self.stage_a = np.concatenate([a for _, a in stages])
-        self.stage_lower, self.stage_upper = np.tile(piece.lower, 4), np.tile(piece.upper, 4)
-        self.G_T, self.r = np.ascontiguousarray(((dt / 6.0) * sum_A).T), (dt / 6.0) * sum_a
-        # (R^(2^i))^T and the offset of 2^i steps, made as the chunks need them.
-        self.powers = [(self.G_T + eye, self.r)]
-
-    def _power(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        while len(self.powers) <= i:
-            P_T, p = self.powers[-1]
-            self.powers.append((P_T @ P_T, p @ P_T + p))
-        return self.powers[i]
-
-    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> np.ndarray:
-        """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
-
-        The rows are the first of `rows`, which y may be one of. No row is
-        handed back past one that is not finite: a power of R can overflow
-        before the states it would make do, so the steps that are left go to
-        `rk4`. `rest`, whether `residuals` will be read, is not needed here.
-        """
-        n = min(n, self.steps)
-        Y = rows[: n + 1]
-        Y[0] = y
-        done, made = 0, 1  # rows checked, rows made
-        while True:
-            S = Y[done : min(made, n)] @ self.stage_T
-            S += self.stage_a
-            inside = np.all((self.stage_lower < S) & (S < self.stage_upper), axis=1)
-            if not inside.all():
-                taken = done + int(np.argmin(inside))
-                break
-            if made > n:
-                taken = n
-                break
-            # The next rows are `span` steps past rows made - span, ...
-            span = made if made < n else 1
-            k = min(span, n + 1 - made)
-            P_T, p = self._power(span.bit_length() - 1)
-            new = np.matmul(Y[made - span : made - span + k], P_T, out=Y[made : made + k])
-            new += p
-            done, made = made, made + k
-        bad = ~np.isfinite(Y[1 : taken + 1]).all(axis=1)
-        if bad.any():
-            taken = int(np.argmax(bad))
-        return Y[: taken + 1]
-
-    def residuals(self, Y: np.ndarray) -> np.ndarray:
-        """The rest residual of the step from each row of Y but the last, Y from `states`."""
-        return _rest_residual(Y[:-1] @ self.G_T + self.r, self.dt)
-
-
-# Lanes of a chunk where J is CSR, and steps per lane: 32 lanes of 16 steps make a chunk of 512 steps, whose lane
-# starts take 31 products with P = R^16, one per 16 steps. On the 68-bus network (2-vCPU Xeon guest, best of 7) a
-# chunk step took 14.5, 12.6, 11.5 and 11.7 us with lanes of 8, 12, 16 and 24 steps; a block step cost 6.5 us a lane
-# with 32 lanes against 8.0 us with 16 lanes of 32 steps, which is why a longer chunk keeps 32 lanes.
-_LANES = 32
-_LANE_STEPS = 16
-# Columns of the identity stepped at a time while P is built. On the 68-bus network P = R^8 took 23 ms and a traced
-# peak of 2.45 MiB (P itself 1.74 MiB), against 21 ms and 3.15 MiB with 64 columns, and 32 ms and 2.10 MiB with 16;
-# P = R^16 takes 43 ms, twice the steps.
-_POWER_COLUMNS = 32
-
-
-class _LaneSteps(_Chunks):
-    """RK4 steps of dy/dt = J y + c with a CSR J, in 32 lanes of 16 steps, while every stage state stays inside the piece's region.
-
-    The lanes are the columns of a block [X; 1], whose last row is all ones.
-    Each RK4 stage is one CSR product of the augmented operator
-    A = [[J, c], [W, w]] with the stage block [S; 1], which gives the
-    stage's derivative J S + c and its region rows W S + w at once. M = 16
-    steps are the affine map y -> P y + p, P = R^M. Lane j starts at y_{jM},
-    made from y_0 by j products with P, each a matrix-vector product; then M
-    block steps advance every lane at once. Every stage's region rows are
-    checked, and the chunk is cut at the first step with a stage outside:
-    lane j's steps count only if every lane before it stayed inside for all
-    its steps, since its start was made on that premise. P and p are made by
-    the same kernel, the first time `states` has `min_steps` or more steps
-    left: P by M steps of the columns of the identity on J alone, p by M
-    steps of the block [0; 1] on A. Until then a chunk is one lane of up to
-    512 steps from y, which needs neither. P depends on J alone, so a maker
-    whose J is the last maker's takes its P. Every product that makes a state
-    is a CSR product or a matrix-vector one, so its sums run in an order that
-    does not depend on BLAS threads.
-    """
-
-    # P costs about 43 ms, and a step 11.5-12.7 us in 32 lanes against 40-43 us in one, without and with the rest
-    # residual (68-bus network, 2-vCPU Xeon guest, numpy 2.4, scipy 1.17, best of 7): 1 400-1 500 steps repay it in
-    # one segment, and 700-750 in each of two segments on the same J, which keeps P. An event leaves J as it is, so
-    # the larger bound would put large_grid's first segments (875-1 125 steps) on one lane before the P that the rest
-    # of its `check` takes.
-    min_steps = 700
-    steps = _LANES * _LANE_STEPS
-
-    def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
-        self.piece, self.dt = piece, dt
-        c, w = (csr_matrix(v[:, np.newaxis]) for v in (piece.c, piece.w))
-        self.A = sparse_bmat([[piece.J, c], [piece.W, w]], format="csr")
-        # The bounds as (R, 1) columns, for one lane; `states` tiles them over the lanes once it has P and p, so that a
-        # lane step's region test is one contiguous pass over each stage.
-        self.lower, self.upper = piece.lower[:, np.newaxis], piece.upper[:, np.newaxis]
-        # P and p, made by `states`; a last maker's P where J is the same.
-        self.P = last.P if last is not None and _same(last.piece.J, piece.J) else None
-        self.p = None
-
     def _increment(self, A, X: np.ndarray, S: np.ndarray, regions: np.ndarray | None = None) -> np.ndarray:
-        """The RK4 increment of each lane x (column) of X = [x; 1] under A, or of X = x under J.
+        """The RK4 increment of each column x of X = [x; e] under A, or of X = x under J.
 
         Each stage's derivative is the first rows of A (or J) times the stage
-        block, S = [s; 1] (or s); the other rows of the four stage products
-        with A, the region rows, go into `regions` (4 x region rows x lanes).
+        block, S = [s; e] (or s), whose last row is X's; the other rows of the
+        four stage products with A, the region rows, go into `regions` (4 x
+        region rows x columns).
         """
         h, dim = self.dt, self.piece.c.size
         x, s = X[:dim], S[:dim]
@@ -981,6 +875,129 @@ class _LaneSteps(_Chunks):
         k1 *= h / 6.0
         return k1
 
+
+class _AffineSteps(_Chunks):
+    """RK4 steps of dy/dt = J y + c with a dense J, many at a time, while every stage state stays inside the piece's region.
+
+    One step is the affine map y -> R y + r, R = I + G, with increment G y + r;
+    each of its stage states is an affine map of y (the first is y). Both are
+    one `_increment` of the columns of [[I, 0], [0, 1]] under A: its first
+    columns are G and its last is r, and stage i's region rows are the map
+    [W A_i | W a_i + w] of its state A_i y + a_i. A chunk holds the states
+    y_0 .. y_n as rows: y_0 is given, and rows 2^i .. 2^(i+1) - 1 are
+    R^(2^i) applied to rows 0 .. 2^i - 1 (row n, when n is a power of 2, is R
+    applied to row n - 1), so 256 steps take 8 products with the powers and
+    one with R. Each new block is checked before the next is made: a step is
+    taken only if its stages are strictly inside.
+    """
+
+    def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
+        """The maps of `piece`; `last` is not read, since they cost less than a few plain steps to make."""
+        super().__init__(piece, dt)
+        dim = piece.c.size
+        # A held row of J and c is 0, so every stage and step keeps it exactly: only the first state need be checked. The
+        # stage block starts as the identity too, since its last row must be the columns' last entries.
+        regions = np.empty((4, piece.w.size, dim + 1))
+        increment = self._increment(self.A, np.eye(dim + 1), np.eye(dim + 1), regions)
+        # Row blocks hold the states, so every map is applied from the right. Each is a contiguous copy: with a strided
+        # stage_a, a 256-step chunk on the 9-bus network ran 2-4 % slower (best of 300).
+        self.stage_T = np.ascontiguousarray(regions[..., :dim].reshape(-1, dim).T)
+        self.stage_a = regions[..., dim].flatten()
+        self.stage_lower, self.stage_upper = np.tile(piece.lower, 4), np.tile(piece.upper, 4)
+        self.G_T, self.r = np.ascontiguousarray(increment[:, :dim].T), increment[:, dim].copy()
+        # (R^(2^i))^T and the offset of 2^i steps, made as the chunks need them.
+        self.powers = [(self.G_T + np.eye(dim), self.r)]
+
+    def _power(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        while len(self.powers) <= i:
+            P_T, p = self.powers[-1]
+            self.powers.append((P_T @ P_T, p @ P_T + p))
+        return self.powers[i]
+
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
+
+        The rows are the first of `rows`, which y may be one of. No row is
+        handed back past one that is not finite: a power of R can overflow
+        before the states it would make do, so the steps that are left go to
+        `rk4`. Returned with the rows: given `rest`, the rest residual of the
+        step from each row but the last, G y + r over dt; else None.
+        """
+        n = min(n, self.steps)
+        Y = rows[: n + 1]
+        Y[0] = y
+        done, made = 0, 1  # rows checked, rows made
+        while True:
+            S = Y[done : min(made, n)] @ self.stage_T
+            S += self.stage_a
+            inside = np.all((self.stage_lower < S) & (S < self.stage_upper), axis=1)
+            if not inside.all():
+                taken = done + int(np.argmin(inside))
+                break
+            if made > n:
+                taken = n
+                break
+            # The next rows are `span` steps past rows made - span, ...
+            span = made if made < n else 1
+            k = min(span, n + 1 - made)
+            P_T, p = self._power(span.bit_length() - 1)
+            new = np.matmul(Y[made - span : made - span + k], P_T, out=Y[made : made + k])
+            new += p
+            done, made = made, made + k
+        Y = _finite_rows(Y, taken)
+        return Y, _rest_residual(Y[:-1] @ self.G_T + self.r, self.dt) if rest else None
+
+
+# Lanes of a chunk where J is CSR, and steps per lane: 32 lanes of 16 steps make a chunk of 512 steps, whose lane
+# starts take 31 products with P = R^16, one per 16 steps. On the 68-bus network (2-vCPU Xeon guest, best of 7) a
+# chunk step took 14.5, 12.6, 11.5 and 11.7 us with lanes of 8, 12, 16 and 24 steps; a block step cost 6.5 us a lane
+# with 32 lanes against 8.0 us with 16 lanes of 32 steps, which is why a longer chunk keeps 32 lanes.
+_LANES = 32
+_LANE_STEPS = 16
+# Columns of the identity stepped at a time while P is built. On the 68-bus network P = R^8 took 23 ms and a traced
+# peak of 2.45 MiB (P itself 1.74 MiB), against 21 ms and 3.15 MiB with 64 columns, and 32 ms and 2.10 MiB with 16;
+# P = R^16 takes 43 ms, twice the steps.
+_POWER_COLUMNS = 32
+
+
+class _LaneSteps(_Chunks):
+    """RK4 steps of dy/dt = J y + c with a CSR J, in 32 lanes of 16 steps, while every stage state stays inside the piece's region.
+
+    The lanes are the columns of a block [X; 1], whose last row is all ones,
+    stepped by `_increment` under the CSR A: each RK4 stage is one CSR
+    product, which gives the lanes' derivatives and region rows. M = 16
+    steps are the affine map y -> P y + p, P = R^M. Lane j starts at y_{jM},
+    made from y_0 by j products with P, each a matrix-vector product; then M
+    block steps advance every lane at once. Every stage's region rows are
+    checked, and the chunk is cut at the first step with a stage outside:
+    lane j's steps count only if every lane before it stayed inside for all
+    its steps, since its start was made on that premise. P and p are made by
+    the same kernel, the first time `states` has `min_steps` or more steps
+    left: P by M steps of the columns of the identity on J alone, p by M
+    steps of the block [0; 1] on A. Until then a chunk is one lane of up to
+    512 steps from y, which needs neither. P depends on J alone, so a maker
+    whose J is the last maker's takes its P. Every product that makes a state
+    is a CSR product or a matrix-vector one, so its sums run in an order that
+    does not depend on BLAS threads.
+    """
+
+    # P costs about 43 ms, and a step 11.5-12.7 us in 32 lanes against 40-43 us in one, without and with the rest
+    # residual (68-bus network, 2-vCPU Xeon guest, numpy 2.4, scipy 1.17, best of 7): 1 400-1 500 steps repay it in
+    # one segment, and 700-750 in each of two segments on the same J, which keeps P. An event leaves J as it is, so
+    # the larger bound would put large_grid's first segments (875-1 125 steps) on one lane before the P that the rest
+    # of its `check` takes.
+    min_steps = 700
+    steps = _LANES * _LANE_STEPS
+
+    def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
+        super().__init__(piece, dt)
+        # The bounds as (R, 1) columns, for one lane; `states` tiles them over the lanes once it has P and p, so that a
+        # lane step's region test is one contiguous pass over each stage.
+        self.lower, self.upper = piece.lower[:, np.newaxis], piece.upper[:, np.newaxis]
+        # P and p, made by `states`; a last maker's P where J is the same.
+        self.P = last.P if last is not None and _same(last.piece.J, piece.J) else None
+        self.p = None
+
     def _lanes(self, A, X: np.ndarray) -> np.ndarray:
         """The lanes of X, as `_increment` reads them, after M steps, stepped in place."""
         dim, S = self.piece.c.size, X.copy()
@@ -998,11 +1015,11 @@ class _LaneSteps(_Chunks):
             P[:, b : b + w] = self._lanes(self.piece.J, X)
         return P
 
-    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> np.ndarray:
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
 
-        As `_AffineSteps.states`; given `rest`, the residuals are kept for
-        `residuals`.
+        As `_AffineSteps.states`; given `rest`, each residual is the lane
+        step's max|increment| over dt.
         """
         dim = y.size
         if self.p is None and (self.P is not None or n >= self.min_steps):
@@ -1036,17 +1053,8 @@ class _LaneSteps(_Chunks):
             if i + 1 < M:
                 rows[i + 1 : L * M : M] = x.T
         rows[L * M] = x[:, -1]
-        taken = min(n, lanes * M + step)
-        bad = ~np.isfinite(rows[1 : taken + 1]).all(axis=1)
-        if bad.any():
-            taken = int(np.argmax(bad))
-        if rest:
-            self.res = res.T.reshape(-1) / self.dt
-        return rows[: taken + 1]
-
-    def residuals(self, Y: np.ndarray) -> np.ndarray:
-        """The rest residual of the step from each row of Y but the last, Y from the last `states`."""
-        return self.res[: len(Y) - 1]
+        Y = _finite_rows(rows, min(n, lanes * M + step))
+        return Y, res.T.reshape(-1)[: len(Y) - 1] / self.dt if rest else None
 
 
 class _Stepper:
@@ -1063,8 +1071,10 @@ class _Stepper:
     sliding piece holds there (`_slide`). After a chunk that takes no step,
     the next is tried only after 1, 2, 4, ... 256 plain steps. A chunk is
     given every step left in the segment, and its maker caps them at its
-    `steps`: 256 for doubling, 512 for lanes. Where a new piece is the last
-    maker's piece, that maker is taken again, P, p and tiled bounds included.
+    `steps`: 256 for doubling, 512 for lanes. Its `states` hands back the
+    rows with, when a settle asks, the rest residual of the step from each
+    row but the last (else None). Where a new piece is the last maker's
+    piece, that maker is taken again, P, p and tiled bounds included.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray, last: _Chunks | None = None):
@@ -1110,10 +1120,9 @@ class _Stepper:
         if k >= self.next_chunk:
             # A chunk writes its rows over the last block, whose last row y may be.
             y = y.copy()
-            Y = self._chunk(y, k, n, tol is not None)
+            Y, r = self._chunk(y, k, n, tol is not None)
             if Y is not None:
-                if tol is not None:
-                    r = self.chunk.residuals(Y)
+                if r is not None:
                     rest = np.flatnonzero((r < tol) | ~np.isfinite(r))
                     if rest.size:
                         return Y[: rest[0] + 1], float(r[rest[0]])
@@ -1132,10 +1141,10 @@ class _Stepper:
         self.plain = len(Y)
         return Y, None
 
-    def _chunk(self, y: np.ndarray, k: int, n: int, rest: bool) -> np.ndarray | None:
-        """The rows of a chunk from y at step k that takes from 1 to n steps, or None once the next attempt is set.
+    def _chunk(self, y: np.ndarray, k: int, n: int, rest: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The maker's (rows, residuals or None) of a chunk from y at step k that takes from 1 to n steps.
 
-        `rest` says whether the chunk's `residuals` will be read.
+        (None, None) when it takes no step, once the next attempt is set.
         """
         if not self.whole:
             y = self._slide(y)
@@ -1143,12 +1152,12 @@ class _Stepper:
             piece = self.loop.affine_piece(y, self.aff)
             self.chunk = None if piece is None else self._make(piece)
         if self.chunk is not None:
-            Y = self.chunk.states(y, n, self.rows, rest)
+            Y, r = self.chunk.states(y, n, self.rows, rest)
             if len(Y) > 1:
                 self.wait, self.plain, self.whole = 1, 0, len(Y) > min(self.chunk.steps, n)
-                return Y
+                return Y, r
         self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)
-        return None
+        return None, None
 
     def _slide(self, y: np.ndarray) -> np.ndarray:
         """y with each bus within one step's reach of a kink moved onto it, where a sliding piece holds there; else y.

@@ -1,6 +1,7 @@
 """Shared fixtures: bundled and degenerate networks, the uncached closed-loop derivative, the readable equations, RK4 and the
 Filippov sliding step, and a cache of checked pipelines."""
 
+import copy
 import dataclasses
 import functools
 import time
@@ -97,14 +98,21 @@ DIVERGING_DT = 0.12
 DIVERGING_P_M = {"three_bus": (0, 0.3), "sixty_eight_bus": (20, 0.5)}
 
 
-@functools.cache
 def diverging_start(name: str):
     """(model, p_m, plant, ctrl) from which RK4 at `DIVERGING_DT` diverges under p_m.
 
     The start is where a settle under p_m ends: at rest, or near it after the
     300 s the 68-bus network is given. So chunks run before the state grows:
-    doubling chunks where K is dense, lane chunks on the 68-bus network.
+    doubling chunks where K is dense, lane chunks on the 68-bus network. The
+    settle runs once per network; each call hands out copies of p_m, plant
+    and ctrl, so that no test sees what another wrote into them.
     """
+    model, *start = _diverging_rest(name)
+    return model, *copy.deepcopy(start)
+
+
+@functools.cache
+def _diverging_rest(name: str):
     model = bundled_network(name)
     bus, value = DIVERGING_P_M[name]
     p_m = np.zeros(model.n)

@@ -350,9 +350,9 @@ def test_a_lane_maker_builds_p_once_it_has_min_steps_left(chunks):
     first = chunks[0]
     maker = simulator._LaneSteps(first.maps.piece, scenario.dt)
     rows = np.empty((maker.steps + 1, first.y.size))
-    one_lane = maker.states(first.y, simulator._LaneSteps.min_steps - 1, rows).copy()
+    one_lane = maker.states(first.y, simulator._LaneSteps.min_steps - 1, rows)[0].copy()
     assert maker.P is None and len(one_lane) == maker.steps + 1
-    lanes = maker.states(first.y, simulator._LaneSteps.min_steps, rows)
+    lanes, _ = maker.states(first.y, simulator._LaneSteps.min_steps, rows)
     P = maker.P
     assert P is not None and rows_within(lanes, one_lane)
     maker.states(first.y, simulator._LaneSteps.min_steps, rows)
@@ -379,7 +379,7 @@ def test_a_lane_chunk_of_512_steps_starts_its_lanes_with_31_products_with_p(chun
         """The states of n steps from y, in as many chunks as the maker takes."""
         rows, out = np.empty((n + 1, y.size)), [y[np.newaxis]]
         while sum(len(b) for b in out) <= n:
-            Y = maker.states(out[-1][-1].copy(), n + 1 - sum(len(b) for b in out), rows)
+            Y, _ = maker.states(out[-1][-1].copy(), n + 1 - sum(len(b) for b in out), rows)
             assert len(Y) > 1, "a chunk took no step"
             out.append(Y[1:].copy())
         return np.vstack(out)

@@ -147,7 +147,7 @@ def test_a_chunk_stops_short_of_an_overflowing_power():
     )
     steps = _AffineSteps(piece, dt=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        Y = steps.states(np.zeros(dim), 256, np.empty((257, dim)))
+        Y, _ = steps.states(np.zeros(dim), 256, np.empty((257, dim)))
     overflows = next(i for i in range(9) if not np.all(np.isfinite(steps.powers[i][0])))
     assert len(Y) == 2**overflows
     assert np.all(Y == 0.0)
