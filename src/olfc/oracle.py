@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfeasibleProblemError, NumericalError, ValidationError
 from .network import NetworkModel
@@ -124,6 +123,9 @@ def check_feasibility(model: NetworkModel, p_m: np.ndarray) -> np.ndarray:
 
     Returns a feasible phi (gauge phi_0 = 0) or raises InfeasibleProblemError.
     """
+    # Imported here, so that a process that never checks feasibility (`olfc run`) does not load scipy.optimize.
+    from scipy.optimize import linprog
+
     p_m = np.asarray(p_m, dtype=float)
     n = model.n
     box = model.load_box

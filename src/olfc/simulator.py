@@ -55,23 +55,24 @@ which gives the stage's derivatives and region rows at once. The size rule
 picks the chunk maker. Where K is dense, `_AffineSteps` takes R y + r and
 each stage's region map from one kernel step of the columns of the identity
 of size dim + 1, and makes the states by doubling with the powers R^(2^i),
-up to 256 steps. Where K is CSR (the 68-bus network), `_LaneSteps` runs 32
-lanes of 16 steps side by side, a chunk of up to 512 states: the lane starts
-come from the 16-step map P = R^16, one matrix-vector product each, and
-each stage of the 32 lanes is one CSR product of A with the stage block over
-a row of ones. P is built with the same kernel the first time a maker has
-700 or more steps left in its segment; with fewer left and no P, a chunk is
-one lane of up to 512 steps, which needs neither P nor p. P is kept across
-events while J is unchanged, and `settle` takes `run`'s last maker
-(`TrajectoryLog._last`) whole where it starts on its piece, else its P where
-J is the same. Every other block is plain `rk4` steps, up to 256.
-`run` cuts each block at the next event step, since c depends on p_m, and
-logs its states straight into its record. `settle` stops at the first y
-that rests, max|Phi_dt(y) - y| / dt < tol with Phi_dt the step taken there.
-The stepper reads it off the step's increment: a plain step's
-(`ClosedLoop.increment`), else a chunk's, which the maker's `states` hands
-back with the rows (a doubling chunk's G y + r, a lane's step), and ends
-each block at its first resting row.
+up to 2 048 steps, testing the stage regions 256 rows at a time so that no
+temporary grows with the chunk. Where K is CSR (the 68-bus network),
+`_LaneSteps` runs 32 lanes of 16 steps side by side, a chunk of up to 512
+states: the lane starts come from the 16-step map P = R^16, one
+matrix-vector product each, and each stage of the 32 lanes is one CSR
+product of A with the stage block over a row of ones. P is built with the
+same kernel the first time a maker has 700 or more steps left in its
+segment; with fewer left and no P, a chunk is one lane of up to 512 steps,
+which needs neither P nor p. P is kept across events while J is unchanged,
+and `settle` takes `run`'s last maker (`TrajectoryLog._last`) whole where it
+starts on its piece, else its P where J is the same. Every other block is
+plain `rk4` steps, up to 256. `run` cuts each block at the next event step,
+since c depends on p_m, and logs its states straight into its record.
+`settle` stops at the first y that rests, max|Phi_dt(y) - y| / dt < tol with
+Phi_dt the step taken there. The stepper reads it off the step's increment:
+a plain step's (`ClosedLoop.increment`), else a chunk's, which the maker's
+`states` hands back with the rows (a doubling chunk's G y + r, a lane's
+step), and ends each block at its first resting row.
 
 A bus whose price lies strictly inside the Clarke interval at a cost kink
 slides on it: Filippov's solution holds d at the kink, with g the
@@ -801,16 +802,31 @@ def _rest_residual(increment: np.ndarray, dt: float):
     return np.max(np.abs(increment), axis=-1) / dt
 
 
+# Most steps in one block of plain steps, and in the wait for the next chunk attempt after one that took no step; and
+# the most rows a doubling chunk maps at a time (`_mapped`).
+_CHUNK_STEPS = 256
+
+
 def _finite_rows(rows: np.ndarray, taken: int) -> np.ndarray:
-    """rows[: taken + 1], cut before the first row that is not finite."""
-    bad = ~np.isfinite(rows[1 : taken + 1]).all(axis=1)
-    if bad.any():
-        taken = int(np.argmax(bad))
+    """rows[: taken + 1], cut before the first row that is not finite, tested `_CHUNK_STEPS` rows at a time."""
+    for b in range(1, taken + 1, _CHUNK_STEPS):
+        bad = ~np.isfinite(rows[b : min(b + _CHUNK_STEPS, taken + 1)]).all(axis=1)
+        if bad.any():
+            return rows[: b + int(np.argmax(bad))]
     return rows[: taken + 1]
 
 
-# Most steps in one chunk, and in one block of plain steps.
-_CHUNK_STEPS = 256
+def _mapped(X: np.ndarray, M_T: np.ndarray, m: np.ndarray):
+    """(b, X[b : b + 256] @ M_T + m) for b = 0, 256, ..., each made in one buffer that the next slice reuses.
+
+    A doubling chunk's region test and rest residuals take its rows this way,
+    so that no temporary grows with the chunk.
+    """
+    out = np.empty((min(len(X), _CHUNK_STEPS), m.size))
+    for b in range(0, len(X), _CHUNK_STEPS):
+        part = np.matmul(X[b : b + _CHUNK_STEPS], M_T, out=out[: min(_CHUNK_STEPS, len(X) - b)])
+        part += m
+        yield b, part
 
 
 class _Chunks:
@@ -825,7 +841,6 @@ class _Chunks:
     """
 
     piece: AffinePiece
-    steps = _CHUNK_STEPS
 
     def __init__(self, piece: AffinePiece, dt: float):
         """The augmented operator of `piece`."""
@@ -886,10 +901,14 @@ class _AffineSteps(_Chunks):
     [W A_i | W a_i + w] of its state A_i y + a_i. A chunk holds the states
     y_0 .. y_n as rows: y_0 is given, and rows 2^i .. 2^(i+1) - 1 are
     R^(2^i) applied to rows 0 .. 2^i - 1 (row n, when n is a power of 2, is R
-    applied to row n - 1), so 256 steps take 8 products with the powers and
-    one with R. Each new block is checked before the next is made: a step is
-    taken only if its stages are strictly inside.
+    applied to row n - 1), so 2 048 steps take 11 products with the powers
+    and one with R. Each new block is checked before the next is made: a step
+    is taken only if its stages are strictly inside. A block is checked, and
+    the rest residuals G y + r are made, 256 rows at a time (`_mapped`), so
+    that no temporary grows with the chunk: only the rows do.
     """
+
+    steps = 2048
 
     def __init__(self, piece: AffinePiece, dt: float, last: _Chunks | None = None):
         """The maps of `piece`; `last` is not read, since they cost less than a few plain steps to make."""
@@ -900,7 +919,7 @@ class _AffineSteps(_Chunks):
         regions = np.empty((4, piece.w.size, dim + 1))
         increment = self._increment(self.A, np.eye(dim + 1), np.eye(dim + 1), regions)
         # Row blocks hold the states, so every map is applied from the right. Each is a contiguous copy: with a strided
-        # stage_a, a 256-step chunk on the 9-bus network ran 2-4 % slower (best of 300).
+        # stage_a, a 2 048-step chunk on the 9-bus network ran 6-7 % slower (best of 300, one BLAS thread).
         self.stage_T = np.ascontiguousarray(regions[..., :dim].reshape(-1, dim).T)
         self.stage_a = regions[..., dim].flatten()
         self.stage_lower, self.stage_upper = np.tile(piece.lower, 4), np.tile(piece.upper, 4)
@@ -928,14 +947,9 @@ class _AffineSteps(_Chunks):
         Y[0] = y
         done, made = 0, 1  # rows checked, rows made
         while True:
-            S = Y[done : min(made, n)] @ self.stage_T
-            S += self.stage_a
-            inside = np.all((self.stage_lower < S) & (S < self.stage_upper), axis=1)
-            if not inside.all():
-                taken = done + int(np.argmin(inside))
-                break
-            if made > n:
-                taken = n
+            # Once made > n, every row up to n has been made, and the rows before it checked, so taken = n.
+            taken = done + self._inside(Y[done : min(made, n)])
+            if taken < min(made, n) or made > n:
                 break
             # The next rows are `span` steps past rows made - span, ...
             span = made if made < n else 1
@@ -945,7 +959,18 @@ class _AffineSteps(_Chunks):
             new += p
             done, made = made, made + k
         Y = _finite_rows(Y, taken)
-        return Y, _rest_residual(Y[:-1] @ self.G_T + self.r, self.dt) if rest else None
+        residuals = np.empty(len(Y) - 1) if rest else None
+        for b, increment in _mapped(Y[:-1], self.G_T, self.r) if rest else ():
+            residuals[b : b + len(increment)] = _rest_residual(increment, self.dt)
+        return Y, residuals
+
+    def _inside(self, X: np.ndarray) -> int:
+        """The number of leading rows of X whose four stages are all strictly inside the region."""
+        for b, S in _mapped(X, self.stage_T, self.stage_a):
+            inside = np.all((self.stage_lower < S) & (S < self.stage_upper), axis=1)
+            if not inside.all():
+                return b + int(np.argmin(inside))
+        return len(X)
 
 
 # Lanes of a chunk where J is CSR, and steps per lane: 32 lanes of 16 steps make a chunk of 512 steps, whose lane
@@ -1071,7 +1096,7 @@ class _Stepper:
     sliding piece holds there (`_slide`). After a chunk that takes no step,
     the next is tried only after 1, 2, 4, ... 256 plain steps. A chunk is
     given every step left in the segment, and its maker caps them at its
-    `steps`: 256 for doubling, 512 for lanes. Its `states` hands back the
+    `steps`: 2 048 for doubling, 512 for lanes. Its `states` hands back the
     rows with, when a settle asks, the rest residual of the step from each
     row but the last (else None). Where a new piece is the last maker's
     piece, that maker is taken again, P, p and tiled bounds included.

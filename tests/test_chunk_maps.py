@@ -9,20 +9,28 @@ a `three_bus_interior_kink` settle, this checks that:
   W s_i + w are those of the textbook RK4 stages s_i of J y + c, within
   1e-14 relative, over the rows of a chunk;
 - its stage maps, G and every power of R are C-contiguous: with a strided
-  stage offset, a 256-step chunk on the 9-bus network ran 2-4 % slower;
+  stage offset, a 2 048-step chunk on the 9-bus network ran 6-7 % slower;
+- its region test, made 256 rows at a time, cuts a chunk whose first stage
+  exit lies past row 256 of a doubling block at the row where a row-by-row
+  check of the textbook stages does;
 - `states(..., rest=True)` hands back with its rows the rest residual
   max|Phi_dt(y) - y| / dt of the step from each row but the last, within
   1e-12 relative of the textbook step's, for the doubling maker and the lane
   maker (on the same piece held CSR), in one lane and in lanes started from
-  P; without `rest` it hands back None.
+  P; without `rest` it hands back None;
+- on the first piece of a `nine_bus_steps` run, the traced peak of one
+  doubling `states(..., rest=True)` call, over its rows, is the same to
+  within 64 KiB for 512 and 2 048 steps: no temporary grows with the chunk.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
 from olfc import load_scenario, simulator
-from olfc.simulator import settle
+from olfc.simulator import run, settle
 
 from conftest import rows_within, scenario_path, textbook_increment, textbook_stages
 
@@ -80,3 +88,50 @@ def test_states_hands_back_the_rest_residuals_of_its_rows(chunks, kind, how):
     assert len(Y) > 1 and residuals.shape == (len(Y) - 1,)
     textbook = np.max(np.abs(textbook_increment(field(piece), Y[:-1], dt)), axis=1) / dt
     assert np.all(np.abs(residuals - textbook) <= 1e-12 * textbook)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_region_test_cuts_past_the_first_slice_of_a_block(chunks, kind):
+    piece, y, dt = settle_piece(chunks, kind)
+    maker = simulator._AffineSteps(piece, dt)
+    rows = np.empty((maker.steps + 1, y.size))
+    Y = maker.states(y, maker.steps, rows)[0].copy()
+    assert len(Y) == maker.steps + 1, "the chunk should take all its steps"
+    _, stages = textbook_stages(field(piece), Y[:-1], dt)
+    regions = np.stack([(piece.W @ s.T).T + piece.w for s in stages], axis=1)
+    # An upper bound on region row q halfway between its stages' maximum over the rows before row j and their value at
+    # row j, the first new maximum at or past row `after`: that lies in the second 256-row slice of the last doubling
+    # block, rows steps/2 .. steps - 1.
+    after, top = maker.steps // 2 + 300, regions.max(axis=1)
+    record = top[after:] > np.maximum.accumulate(top)[after - 1 : -1]
+    q = int(np.argmax(record.any(axis=0)))
+    j = after + int(np.argmax(record[:, q]))
+    assert record[:, q].any()
+    upper = piece.upper.copy()
+    upper[q] = 0.5 * (top[j, q] + top[:j, q].max())
+    # The first row with a stage outside, row by row.
+    outside = ~np.all((piece.lower < regions) & (regions < upper), axis=(1, 2))
+    cut = int(np.argmax(outside))
+    assert cut == j >= maker.steps // 2 + 256
+    got, _ = simulator._AffineSteps(piece._replace(upper=upper), dt).states(y, maker.steps, rows)
+    assert len(got) == cut + 1 and np.array_equal(got, Y[: cut + 1])
+
+
+def test_the_traced_peak_of_a_doubling_chunk_does_not_grow_with_it(chunks):
+    scenario = load_scenario(scenario_path("nine_bus_steps"))
+    run(scenario)
+    first = next(c for c in chunks if c.taken == c.maps.steps)
+    maker = simulator._AffineSteps(first.maps.piece, scenario.dt)
+    rows = np.empty((maker.steps + 1, first.y.size))
+    # Every power of R is made before the peaks are traced.
+    maker.states(first.y, maker.steps, rows, rest=True)
+    peaks = []
+    for n in (512, maker.steps):
+        tracemalloc.start()
+        try:
+            Y, residuals = maker.states(first.y, n, rows, rest=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(Y) == n + 1 and residuals.shape == (n,)
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks

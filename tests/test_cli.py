@@ -3,10 +3,14 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import olfc
 from olfc import cli
 from olfc.cli import main
 from olfc.network import load_network
@@ -296,6 +300,14 @@ def test_a_field_of_a_wrong_json_type_exits_1_naming_file_and_field(tmp_path, ca
 
 
 # -- run ----------------------------------------------------------------------
+
+
+def test_importing_the_cli_does_not_load_the_lp_solver():
+    """Only a feasibility check needs scipy.optimize, so a fresh `import olfc.cli` (as `olfc run` makes) leaves it unloaded."""
+    src = str(Path(olfc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, olfc.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_run_writes_csv(tmp_scenario, tmp_path, capsys):
