@@ -17,9 +17,8 @@ scenario is integrated, its event buses and warm-start files against its
 network too; `settle` and `check` pass that network on to the job. So is
 every file `--out` names: one that is a directory or lies under a file
 exits 1 before any work, as does a write that fails later.
-`run` and `check` take several scenarios in min(scenarios, usable CPUs)
-worker processes (`taskset` caps the usable CPUs); the outputs do not
-depend on that count. Both report every scenario that finishes: a numerical
+`run` and `check` take several scenarios one after another, in this
+process. Both report every scenario that finishes: a numerical
 failure in one of them prints one error line naming it (with a "scenario"
 field), and the `wrote` lines, the tables and the `--out` files still hold
 the others. The exit code is the gravest outcome: 1 if any input is
@@ -33,11 +32,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -286,32 +281,15 @@ def _print_check_table(result: dict) -> None:
     print(f"  {'overall':<22} {'PASS' if rep['passed'] else 'FAIL'}")
 
 
-def _job(fn, args: tuple) -> dict:
-    """fn(*args), the job of the scenario file args[0], or its numerical failure as {"scenario", "error"}."""
-    try:
-        return fn(*args)
-    except NumericalError as exc:
-        return {"scenario": args[0], "error": str(exc)}
-
-
 def _map_jobs(fn, job_args: list[tuple]) -> list[dict]:
-    """fn(*args) of the jobs that do not fail numerically, in order; each that does is one error line naming it.
-
-    The jobs run in min(jobs, CPUs this process may run on) worker processes, or in-process for 1.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(len(job_args), cpus)
-    job = partial(_job, fn)
-    if workers <= 1:
-        done = [job(a) for a in job_args]
-    else:
-        # Spawned, not forked: a fork copies a process whose BLAS threads may hold locks.
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            done = list(pool.map(job, job_args))
-    for res in done:
-        if "error" in res:
-            _emit_error("numerical", res["error"], scenario=res["scenario"])
-    return [res for res in done if "error" not in res]
+    """fn(*args) of the jobs that do not fail numerically, in order; each that does is one error line naming it, args[0]."""
+    results = []
+    for args in job_args:
+        try:
+            results.append(fn(*args))
+        except NumericalError as exc:
+            _emit_error("numerical", str(exc), scenario=args[0])
+    return results
 
 
 def _cmd_validate(ns) -> int:

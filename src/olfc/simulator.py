@@ -72,7 +72,9 @@ since c depends on p_m, and logs its states straight into its record.
 Phi_dt the step taken there. The stepper reads it off the step's increment:
 a plain step's (`ClosedLoop.increment`), else a chunk's, which the maker's
 `states` hands back with the rows (a doubling chunk's G y + r, a lane's
-step), and ends each block at its first resting row.
+step), and ends each block at its first resting row. A doubling chunk tests
+its residuals 256 rows at a time as it checks its blocks, and makes no block
+past the slice of its first resting row.
 
 A bus whose price lies strictly inside the Clarke interval at a cost kink
 slides on it: Filippov's solution holds d at the kink, with g the
@@ -802,6 +804,11 @@ def _rest_residual(increment: np.ndarray, dt: float):
     return np.max(np.abs(increment), axis=-1) / dt
 
 
+def _rests(residual, tol: float):
+    """Whether a state with this rest residual (or each of an array of them) ends a settle: below tol, or not finite."""
+    return (residual < tol) | ~np.isfinite(residual)
+
+
 # Most steps in one block of plain steps, and in the wait for the next chunk attempt after one that took no step; and
 # the most rows a doubling chunk maps at a time (`_mapped`).
 _CHUNK_STEPS = 256
@@ -905,7 +912,9 @@ class _AffineSteps(_Chunks):
     and one with R. Each new block is checked before the next is made: a step
     is taken only if its stages are strictly inside. A block is checked, and
     the rest residuals G y + r are made, 256 rows at a time (`_mapped`), so
-    that no temporary grows with the chunk: only the rows do.
+    that no temporary grows with the chunk: only the rows do. A settle's
+    residuals are tested as their slices are made, so its chunk stops making
+    blocks at the slice that holds its first resting row.
     """
 
     steps = 2048
@@ -933,23 +942,38 @@ class _AffineSteps(_Chunks):
             self.powers.append((P_T @ P_T, p @ P_T + p))
         return self.powers[i]
 
-    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
         """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
 
         The rows are the first of `rows`, which y may be one of. No row is
         handed back past one that is not finite: a power of R can overflow
         before the states it would make do, so the steps that are left go to
-        `rk4`. Returned with the rows: given `rest`, the rest residual of the
-        step from each row but the last, G y + r over dt; else None.
+        `rk4`. Returned with the rows: given `tol`, the rest residual of the
+        step from each row but the last, G y + r over dt; else None. The rows
+        end instead at the first that rests (its residual below tol or not
+        finite), whose residual is then handed back too: the residuals are
+        made 256 rows at a time from row 0, each slice once its rows are
+        checked, and no block is made past the slice of the first resting row.
         """
         n = min(n, self.steps)
         Y = rows[: n + 1]
         Y[0] = y
-        done, made = 0, 1  # rows checked, rows made
+        residuals = None if tol is None else np.empty(n)
+        done, made, tested = 0, 1, 0  # rows checked, rows made, rows with a residual
         while True:
             # Once made > n, every row up to n has been made, and the rows before it checked, so taken = n.
             taken = done + self._inside(Y[done : min(made, n)])
-            if taken < min(made, n) or made > n:
+            last = taken < min(made, n) or made > n
+            if tol is not None:
+                # Whole slices only, but for the chunk's last, so that a residual's bits do not depend on where it stops.
+                end = taken if last else taken - taken % _CHUNK_STEPS
+                for b, increment in _mapped(Y[tested:end], self.G_T, self.r):
+                    residuals[tested + b : tested + b + len(increment)] = _rest_residual(increment, self.dt)
+                rest = np.flatnonzero(_rests(residuals[tested:end], tol))
+                if rest.size:
+                    return Y[: tested + rest[0] + 1], residuals[: tested + rest[0] + 1]
+                tested = end
+            if last:
                 break
             # The next rows are `span` steps past rows made - span, ...
             span = made if made < n else 1
@@ -959,10 +983,7 @@ class _AffineSteps(_Chunks):
             new += p
             done, made = made, made + k
         Y = _finite_rows(Y, taken)
-        residuals = np.empty(len(Y) - 1) if rest else None
-        for b, increment in _mapped(Y[:-1], self.G_T, self.r) if rest else ():
-            residuals[b : b + len(increment)] = _rest_residual(increment, self.dt)
-        return Y, residuals
+        return Y, None if tol is None else residuals[: len(Y) - 1]
 
     def _inside(self, X: np.ndarray) -> int:
         """The number of leading rows of X whose four stages are all strictly inside the region."""
@@ -1040,11 +1061,12 @@ class _LaneSteps(_Chunks):
             P[:, b : b + w] = self._lanes(self.piece.J, X)
         return P
 
-    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
         """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
 
-        As `_AffineSteps.states`; given `rest`, each residual is the lane
-        step's max|increment| over dt.
+        As `_AffineSteps.states`, but for the rest: given `tol`, the residual of
+        each row but the last is the lane step's max|increment| over dt, and
+        the chunk runs on past a row that rests.
         """
         dim = y.size
         if self.p is None and (self.P is not None or n >= self.min_steps):
@@ -1072,14 +1094,14 @@ class _LaneSteps(_Chunks):
                 lanes, step = int(np.argmin(np.all((lower < r) & (r < upper), axis=(0, 1)))), i
                 if lanes == 0:
                     break
-            if rest:
+            if tol is not None:
                 np.max(np.abs(increment), axis=0, out=res[i])
             x += increment
             if i + 1 < M:
                 rows[i + 1 : L * M : M] = x.T
         rows[L * M] = x[:, -1]
         Y = _finite_rows(rows, min(n, lanes * M + step))
-        return Y, res.T.reshape(-1)[: len(Y) - 1] / self.dt if rest else None
+        return Y, None if tol is None else res.T.reshape(-1)[: len(Y) - 1] / self.dt
 
 
 class _Stepper:
@@ -1098,8 +1120,10 @@ class _Stepper:
     given every step left in the segment, and its maker caps them at its
     `steps`: 2 048 for doubling, 512 for lanes. Its `states` hands back the
     rows with, when a settle asks, the rest residual of the step from each
-    row but the last (else None). Where a new piece is the last maker's
-    piece, that maker is taken again, P, p and tiled bounds included.
+    row but the last (else None), or, from a doubling chunk, the rows up to
+    the first that rests, each with its residual. Where a new piece is the
+    last maker's piece, that maker is taken again, P, p and tiled bounds
+    included.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray, last: _Chunks | None = None):
@@ -1145,10 +1169,10 @@ class _Stepper:
         if k >= self.next_chunk:
             # A chunk writes its rows over the last block, whose last row y may be.
             y = y.copy()
-            Y, r = self._chunk(y, k, n, tol is not None)
+            Y, r = self._chunk(y, k, n, tol)
             if Y is not None:
                 if r is not None:
-                    rest = np.flatnonzero((r < tol) | ~np.isfinite(r))
+                    rest = np.flatnonzero(_rests(r, tol))
                     if rest.size:
                         return Y[: rest[0] + 1], float(r[rest[0]])
                 return Y, None
@@ -1159,17 +1183,17 @@ class _Stepper:
             Y[j] = self.loop.rk4(Y[j - 1], self.p_m, self.dt, self.aff)
             if tol is not None:
                 r = float(_rest_residual(self.loop.increment, self.dt))
-                if r < tol or not math.isfinite(r):
+                if _rests(r, tol):
                     self.plain = j
                     return Y[:j], r
             self.rk4_steps += 1
         self.plain = len(Y)
         return Y, None
 
-    def _chunk(self, y: np.ndarray, k: int, n: int, rest: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The maker's (rows, residuals or None) of a chunk from y at step k that takes from 1 to n steps.
+    def _chunk(self, y: np.ndarray, k: int, n: int, tol: float | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The maker's (rows, residuals or None, given tol or not) of a chunk from y at step k that takes from 1 to n steps.
 
-        (None, None) when it takes no step, once the next attempt is set.
+        (None, None) when it takes no step and y does not rest, once the next attempt is set.
         """
         if not self.whole:
             y = self._slide(y)
@@ -1177,8 +1201,9 @@ class _Stepper:
             piece = self.loop.affine_piece(y, self.aff)
             self.chunk = None if piece is None else self._make(piece)
         if self.chunk is not None:
-            Y, r = self.chunk.states(y, n, self.rows, rest)
-            if len(Y) > 1:
+            Y, r = self.chunk.states(y, n, self.rows, tol)
+            # A chunk that rests at y hands back y alone, with its residual.
+            if len(Y) > 1 or r is not None and r.size:
                 self.wait, self.plain, self.whole = 1, 0, len(Y) > min(self.chunk.steps, n)
                 return Y, r
         self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)

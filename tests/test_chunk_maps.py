@@ -13,13 +13,13 @@ a `three_bus_interior_kink` settle, this checks that:
 - its region test, made 256 rows at a time, cuts a chunk whose first stage
   exit lies past row 256 of a doubling block at the row where a row-by-row
   check of the textbook stages does;
-- `states(..., rest=True)` hands back with its rows the rest residual
-  max|Phi_dt(y) - y| / dt of the step from each row but the last, within
-  1e-12 relative of the textbook step's, for the doubling maker and the lane
-  maker (on the same piece held CSR), in one lane and in lanes started from
-  P; without `rest` it hands back None;
+- `states(..., tol=0.0)`, where no row rests, hands back with its rows the
+  rest residual max|Phi_dt(y) - y| / dt of the step from each row but the
+  last, within 1e-12 relative of the textbook step's, for the doubling maker
+  and the lane maker (on the same piece held CSR), in one lane and in lanes
+  started from P; without `tol` it hands back None;
 - on the first piece of a `nine_bus_steps` run, the traced peak of one
-  doubling `states(..., rest=True)` call, over its rows, is the same to
+  doubling `states(..., tol=0.0)` call, over its rows, is the same to
   within 64 KiB for 512 and 2 048 steps: no temporary grows with the chunk.
 """
 
@@ -84,7 +84,7 @@ def test_states_hands_back_the_rest_residuals_of_its_rows(chunks, kind, how):
     rows = np.empty((maker.steps + 1, y.size))
     assert maker.states(y, n, rows)[1] is None
     assert (getattr(maker, "P", None) is not None) == (how == "lanes")
-    Y, residuals = maker.states(y, n, rows, rest=True)
+    Y, residuals = maker.states(y, n, rows, tol=0.0)
     assert len(Y) > 1 and residuals.shape == (len(Y) - 1,)
     textbook = np.max(np.abs(textbook_increment(field(piece), Y[:-1], dt)), axis=1) / dt
     assert np.all(np.abs(residuals - textbook) <= 1e-12 * textbook)
@@ -124,12 +124,12 @@ def test_the_traced_peak_of_a_doubling_chunk_does_not_grow_with_it(chunks):
     maker = simulator._AffineSteps(first.maps.piece, scenario.dt)
     rows = np.empty((maker.steps + 1, first.y.size))
     # Every power of R is made before the peaks are traced.
-    maker.states(first.y, maker.steps, rows, rest=True)
+    maker.states(first.y, maker.steps, rows, tol=0.0)
     peaks = []
     for n in (512, maker.steps):
         tracemalloc.start()
         try:
-            Y, residuals = maker.states(first.y, n, rows, rest=True)
+            Y, residuals = maker.states(first.y, n, rows, tol=0.0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -35,14 +35,6 @@ def tmp_scenario(tmp_path):
     return make
 
 
-def pin_cpus(monkeypatch, cpus: int) -> None:
-    """Let this process run on `cpus` CPUs, as a `taskset` mask would, so `run` and `check` start at most that many workers.
-
-    At 1 every scenario runs in this process, where a test can count the calls it makes.
-    """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
 def read_stderr_json(capsys):
     """The captured output and stderr's lines, each of which must be one JSON object."""
     captured = capsys.readouterr()
@@ -189,59 +181,13 @@ def test_tolerance_must_be_finite_and_positive(tmp_scenario, tmp_path, capsys, c
 
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_jobs_is_no_option(tmp_scenario, tmp_path, capsys, command):
-    """The worker count is worked out, so `--jobs` is neither listed nor taken."""
+    """Scenarios run one after another in this process, so `--jobs` is neither listed nor taken."""
     assert main([command, "--help"]) == 0
     assert "--jobs" not in capsys.readouterr().out
     assert main([command, tmp_scenario(), "--out", str(tmp_path / "x"), "--jobs", "2"]) == 1
     _, errs = read_stderr_json(capsys)
     assert errs[-1]["error"] == "validation" and "--jobs" in errs[-1]["message"]
     assert not (tmp_path / "x").exists()
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
-
-    max_workers: list = []
-
-    def __init__(self, max_workers, mp_context=None):
-        self.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, args):
-        return map(fn, args)
-
-
-@pytest.mark.parametrize("command", ["run", "check"])
-@pytest.mark.parametrize("cpus, scenarios, pools", [(64, 2, [2]), (1, 2, []), (64, 1, [])])
-def test_workers_are_the_scenarios_capped_at_the_usable_cpus(tmp_scenario, tmp_path, monkeypatch, capsys, command, cpus, scenarios, pools):
-    """min(scenarios, usable CPUs) workers; at 1 no pool is built. The fake pool maps in this process.
-
-    `check` gets no time to settle, so each scenario fails fast (exit 2).
-    """
-    monkeypatch.setattr("olfc.cli.ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "max_workers", [])
-    pin_cpus(monkeypatch, cpus)
-    paths = [tmp_scenario(f"{k}.json", t_end=0.05) for k in range(scenarios)]
-    budget = ["--t-max", "0.01"] if command == "check" else []
-    assert main([command, *paths, "--out", str(tmp_path / "out"), *budget]) == (0 if command == "run" else 2)
-    assert _InlinePool.max_workers == pools
-
-
-@pytest.mark.parametrize("cpu_count, pools", [(64, [2]), (None, [])])
-def test_workers_fall_back_to_the_cpu_count(tmp_scenario, tmp_path, monkeypatch, capsys, cpu_count, pools):
-    """Where the platform cannot tell the usable CPUs, all CPUs count, and an unknown count as one."""
-    monkeypatch.setattr("olfc.cli.ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "max_workers", [])
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    paths = [tmp_scenario(f"{k}.json", t_end=0.05) for k in range(2)]
-    assert main(["run", *paths, "--out", str(tmp_path / "out")]) == 0
-    assert _InlinePool.max_workers == pools
 
 
 # -- wrong JSON types ---------------------------------------------------------
@@ -352,6 +298,33 @@ def test_run_multiple_scenarios_to_directory(tmp_scenario, tmp_path, capsys):
     assert (outdir / "b.csv").exists()
 
 
+def test_several_scenarios_give_each_the_bytes_it_gives_alone(tmp_path, capsys):
+    """One `check` or `run` of several scenarios prints, reports and writes for each what a call with it alone does.
+
+    The scenarios run one after another in one process, so nothing one of
+    them leaves behind may reach the next: the `check --out` entries and
+    tables, and the `run` CSVs, must be those of one call per scenario.
+    """
+    paths = [str(scenario_path(name)) for name in ("three_bus_smooth", "two_bus_box", "nine_bus_steps")]
+    assert main(["check", *paths, "--out", str(tmp_path / "all.json")]) == 0
+    together = capsys.readouterr().out
+    alone = []
+    for k, path in enumerate(paths):
+        assert main(["check", path, "--out", str(tmp_path / f"{k}.json")]) == 0
+        alone.append(capsys.readouterr().out)
+    assert together == "".join(alone)
+    entries = json.loads((tmp_path / "all.json").read_text())
+    assert entries == [json.loads((tmp_path / f"{k}.json").read_text())[0] for k in range(len(paths))]
+
+    runs = [str(scenario_path(name)) for name in ("three_bus_congested", "nine_bus_steps")]
+    flags = ["--t-end", "6", "--log-decimation", "1"]
+    assert main(["run", *runs, *flags, "--out", str(tmp_path / "together") + "/"]) == 0
+    for path in runs:
+        csv = Path(path).stem + ".csv"
+        assert main(["run", path, *flags, "--out", str(tmp_path / "alone" / csv)]) == 0
+        assert (tmp_path / "together" / csv).read_bytes() == (tmp_path / "alone" / csv).read_bytes()
+
+
 def test_run_rejects_scenarios_that_share_a_csv(tmp_scenario, tmp_path, capsys):
     """Two scenario files with one stem would write one CSV: exit 1 before anything runs."""
     (tmp_path / "a").mkdir()
@@ -397,7 +370,6 @@ def test_run_rejects_an_existing_file_as_the_directory_of_several(tmp_scenario, 
 )
 def test_an_invalid_scenario_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command, over, message):
     """The valid first scenario is never run: every scenario is loaded, overridden and checked first."""
-    pin_cpus(monkeypatch, 1)
     monkeypatch.setattr("olfc.cli.run", lambda *args: pytest.fail("a scenario was integrated"))
     np.savetxt(tmp_path / "short.txt", np.zeros(14))
     good = tmp_scenario("good.json", t_end=0.05)
@@ -556,14 +528,12 @@ def test_check_names_an_infeasible_injection(tmp_scenario, capsys):
     assert errs == [{"error": "validation", "message": f"{scn}: total injection 5 outside aggregate load range [-3, 3]"}]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("command", ["check", "run"])
-def test_check_reports_the_scenarios_that_settle(tmp_scenario, tmp_path, capsys, monkeypatch, command, cpus):
-    """One numerical failure among several scenarios: the others are still printed and written, exit 2, in this process or in two workers.
+def test_check_reports_the_scenarios_that_settle(tmp_scenario, tmp_path, capsys, command):
+    """One numerical failure among several scenarios: the others are still printed and written, exit 2.
 
     The failing scenario is the second: under `check` it does not settle in time, under `run` its step is past RK4's stability bound.
     """
-    pin_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     if command == "check":
         paths = [str(scenario_path("three_bus_smooth")), str(scenario_path("two_bus_box"))]
@@ -585,7 +555,6 @@ def test_check_reports_the_scenarios_that_settle(tmp_scenario, tmp_path, capsys,
 
 def test_check_loads_each_network_once(tmp_scenario, monkeypatch, capsys):
     """The network a scenario is checked against at load time is the one it runs on."""
-    pin_cpus(monkeypatch, 1)
     calls = []
     monkeypatch.setattr("olfc.simulator.load_network", lambda path, load=load_network: calls.append(path) or load(path))
     paths = [tmp_scenario("a.json", t_end=0.05), tmp_scenario("b.json", t_end=0.05)]
@@ -607,7 +576,6 @@ def test_check_loads_each_network_once(tmp_scenario, monkeypatch, capsys):
     ids=["check_under_a_file", "check_a_directory", "run_under_a_file", "run_several_under_a_file"],
 )
 def test_an_unwritable_out_exits_1_before_anything_is_integrated(tmp_scenario, tmp_path, capsys, monkeypatch, command, scenarios, target, message):
-    pin_cpus(monkeypatch, 1)
     monkeypatch.setattr("olfc.cli.run", lambda *args: pytest.fail("a scenario was integrated"))
     (tmp_path / "afile").write_text("keep me\n")
     (tmp_path / "adir").mkdir()
@@ -623,7 +591,6 @@ def test_an_unwritable_out_exits_1_before_anything_is_integrated(tmp_scenario, t
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_a_failed_write_of_out_is_a_validation_error(tmp_scenario, tmp_path, capsys, monkeypatch, command):
     """--out's directory becomes a file while the scenario runs: the write fails, exit 1 with one line naming --out."""
-    pin_cpus(monkeypatch, 1)
     outdir = tmp_path / "d"
     outdir.mkdir()
     integrate = cli.run

@@ -237,6 +237,30 @@ def test_a_sixty_eight_bus_check_builds_p_once(chunks, monkeypatch):
     assert chunks[first].maps is chunks[first - 1].maps and chunks[first].maps.P is built[0].P
 
 
+def test_a_doubling_settle_makes_no_slice_past_its_first_resting_row(monkeypatch):
+    """three_bus_smooth's run ends at rest, so its settle rests at its first row: its chunk checks 256 rows, not 2 048.
+
+    The rest test follows the region test, slice by slice, so the chunk makes
+    no block past its first 256-row slice. That slice's residuals are made as
+    one, as in a whole chunk, so the settle's residual is bit for bit the
+    first of a whole chunk's.
+    """
+    scenario = load_scenario(scenario_path("three_bus_smooth"))
+    model = scenario.load_model()
+    log = simulator.run(scenario, model)
+    plant, ctrl = log.final_plant(model), log.final_controller()
+    checked = []
+    inside = simulator._AffineSteps._inside
+    monkeypatch.setattr(simulator._AffineSteps, "_inside", lambda self, X: checked.append((self, len(X))) or inside(self, X))
+    sr = settle(model, log.p_m_final, plant=plant, ctrl=ctrl, config=scenario.config, dt=scenario.dt)
+    assert (sr.converged, sr.t, sr.rk4_steps) == (True, 0.0, 0)
+    assert sum(rows for _, rows in checked) == simulator._CHUNK_STEPS
+    maker = checked[0][0]
+    y = ClosedLoop(model, scenario.config).pack(plant, ctrl)
+    Y, residuals = maker.states(y, maker.steps, np.empty((maker.steps + 1, y.size)), tol=0.0)
+    assert len(Y) == maker.steps + 1 and residuals[0] == sr.residual
+
+
 @pytest.mark.parametrize(
     "name, kind",
     [("three_bus_kink", "piece"), ("two_bus_box", "box"), ("three_bus_congested", "varphi")],
