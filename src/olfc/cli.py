@@ -211,8 +211,8 @@ class ScenarioResult:
 def settle_scenario(scenario: Scenario, model: NetworkModel, tol: float, t_max: float) -> ScenarioResult:
     """Integrate a scenario on its network over its horizon, then settle it from the run's end state."""
     log = run(scenario, model)
-    # The settle goes on from the run's end under its p_m, so it takes the run's last chunk maker and its maps (the
-    # 68-bus P); the log lets go of it, so that it lives no longer than the settle.
+    # The settle goes on from the run's end at the run's dt, so it borrows the P of the run's last lane maker (68-bus)
+    # where J is the same; the log lets go of that maker, so that it lives no longer than the settle.
     last, log._last = log._last, None
     settled = settle(
         model,

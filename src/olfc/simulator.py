@@ -63,18 +63,18 @@ matrix-vector product each, and each stage of the 32 lanes is one CSR
 product of A with the stage block over a row of ones. P is built with the
 same kernel the first time a maker has 700 or more steps left in its
 segment; with fewer left and no P, a chunk is one lane of up to 512 steps,
-which needs neither P nor p. P is kept across events while J is unchanged,
-and `settle` takes `run`'s last maker (`TrajectoryLog._last`) whole where it
-starts on its piece, else its P where J is the same. Every other block is
-plain `rk4` steps, up to 256. `run` cuts each block at the next event step,
-since c depends on p_m, and logs its states straight into its record.
-`settle` stops at the first y that rests, max|Phi_dt(y) - y| / dt < tol with
-Phi_dt the step taken there. The stepper reads it off the step's increment:
-a plain step's (`ClosedLoop.increment`), else a chunk's, which the maker's
-`states` hands back with the rows (a doubling chunk's G y + r, a lane's
-step), and ends each block at its first resting row. A doubling chunk tests
-its residuals 256 rows at a time as it checks its blocks, and makes no block
-past the slice of its first resting row.
+which needs neither P nor p. Each new piece gets a new maker, which borrows
+one thing from the maker before it: its P, where dt and J are the same. So P
+is kept across events while J is unchanged, and `settle` borrows it from
+`run`'s last maker (`TrajectoryLog._last`). Every other block is plain `rk4`
+steps, up to 256. `run` cuts each block at the next event step, since c
+depends on p_m, and logs its states straight into its record. `settle` stops
+at the first y that rests, max|Phi_dt(y) - y| / dt < tol with Phi_dt the
+step taken there. The stepper reads it off the step's increment: a plain
+step's (`ClosedLoop.increment`), else a chunk's. Both makers' `states(y, n,
+rows, rest)` hand back the rows and, given `rest`, the rest residual of the
+step from each row but the last (a doubling chunk's G y + r, a lane's step);
+the stepper alone ends a block at its first resting row.
 
 A bus whose price lies strictly inside the Clarke interval at a cost kink
 slides on it: Filippov's solution holds d at the kink, with g the
@@ -640,7 +640,7 @@ class TrajectoryLog:
     flows: np.ndarray
     cost: np.ndarray
     p_m_final: np.ndarray
-    # The run's last chunk maker, which a settle from the run's end takes (`settle`'s `_last`). Not a field, so no
+    # The run's last chunk maker, whose P a settle from the run's end borrows (`settle`'s `_last`). Not a field, so no
     # copy of the log keeps it.
     _last = None
 
@@ -766,7 +766,7 @@ def run(scenario: Scenario, model: NetworkModel | None = None) -> TrajectoryLog:
             segments.append(p_m.copy())
     record(n_steps, y[np.newaxis])
     # y and the last block are views of the stepper's buffers: free them before `observe` makes its temporaries. Only a
-    # lane maker lends its maps to a settle from here (`TrajectoryLog._last`).
+    # lane maker lends its P to a settle from here (`TrajectoryLog._last`).
     last = stepper.last if isinstance(stepper.last, _LaneSteps) else None
     stepper = y = Y = None
 
@@ -794,11 +794,6 @@ class SettleResult:
     rk4_steps: int
 
 
-def _same(a, b) -> bool:
-    """Whether two arrays or matrices, dense or CSR, are equal entry for entry."""
-    return (a != b).nnz == 0 if issparse(a) else np.array_equal(a, b)
-
-
 def _rest_residual(increment: np.ndarray, dt: float):
     """max|Phi_dt(y) - y| / dt from the increment Phi_dt(y) - y of an RK4 step, or one per row of a stack of them."""
     return np.max(np.abs(increment), axis=-1) / dt
@@ -815,7 +810,7 @@ _CHUNK_STEPS = 256
 
 
 def _finite_rows(rows: np.ndarray, taken: int) -> np.ndarray:
-    """rows[: taken + 1], cut before the first row that is not finite, tested `_CHUNK_STEPS` rows at a time."""
+    """rows[: taken + 1], cut before the first row that is not finite, checked `_CHUNK_STEPS` rows at a time."""
     for b in range(1, taken + 1, _CHUNK_STEPS):
         bad = ~np.isfinite(rows[b : min(b + _CHUNK_STEPS, taken + 1)]).all(axis=1)
         if bad.any():
@@ -911,10 +906,9 @@ class _AffineSteps(_Chunks):
     applied to row n - 1), so 2 048 steps take 11 products with the powers
     and one with R. Each new block is checked before the next is made: a step
     is taken only if its stages are strictly inside. A block is checked, and
-    the rest residuals G y + r are made, 256 rows at a time (`_mapped`), so
-    that no temporary grows with the chunk: only the rows do. A settle's
-    residuals are tested as their slices are made, so its chunk stops making
-    blocks at the slice that holds its first resting row.
+    once the rows are made the rest residuals G y + r are made, 256 rows at a
+    time (`_mapped`), so that no temporary grows with the chunk: only the rows
+    do.
     """
 
     steps = 2048
@@ -942,38 +936,24 @@ class _AffineSteps(_Chunks):
             self.powers.append((P_T @ P_T, p @ P_T + p))
         return self.powers[i]
 
-    def states(self, y: np.ndarray, n: int, rows: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
 
         The rows are the first of `rows`, which y may be one of. No row is
         handed back past one that is not finite: a power of R can overflow
         before the states it would make do, so the steps that are left go to
-        `rk4`. Returned with the rows: given `tol`, the rest residual of the
-        step from each row but the last, G y + r over dt; else None. The rows
-        end instead at the first that rests (its residual below tol or not
-        finite), whose residual is then handed back too: the residuals are
-        made 256 rows at a time from row 0, each slice once its rows are
-        checked, and no block is made past the slice of the first resting row.
+        `rk4`. Returned with the rows: given `rest`, the rest residual of the
+        step from each row but the last, G y + r over dt, made 256 rows at a
+        time from row 0; else None.
         """
         n = min(n, self.steps)
         Y = rows[: n + 1]
         Y[0] = y
-        residuals = None if tol is None else np.empty(n)
-        done, made, tested = 0, 1, 0  # rows checked, rows made, rows with a residual
+        done, made = 0, 1  # rows checked, rows made
         while True:
             # Once made > n, every row up to n has been made, and the rows before it checked, so taken = n.
             taken = done + self._inside(Y[done : min(made, n)])
-            last = taken < min(made, n) or made > n
-            if tol is not None:
-                # Whole slices only, but for the chunk's last, so that a residual's bits do not depend on where it stops.
-                end = taken if last else taken - taken % _CHUNK_STEPS
-                for b, increment in _mapped(Y[tested:end], self.G_T, self.r):
-                    residuals[tested + b : tested + b + len(increment)] = _rest_residual(increment, self.dt)
-                rest = np.flatnonzero(_rests(residuals[tested:end], tol))
-                if rest.size:
-                    return Y[: tested + rest[0] + 1], residuals[: tested + rest[0] + 1]
-                tested = end
-            if last:
+            if taken < min(made, n) or made > n:
                 break
             # The next rows are `span` steps past rows made - span, ...
             span = made if made < n else 1
@@ -983,7 +963,12 @@ class _AffineSteps(_Chunks):
             new += p
             done, made = made, made + k
         Y = _finite_rows(Y, taken)
-        return Y, None if tol is None else residuals[: len(Y) - 1]
+        if not rest:
+            return Y, None
+        residuals = np.empty(len(Y) - 1)
+        for b, increment in _mapped(Y[:-1], self.G_T, self.r):
+            residuals[b : b + len(increment)] = _rest_residual(increment, self.dt)
+        return Y, residuals
 
     def _inside(self, X: np.ndarray) -> int:
         """The number of leading rows of X whose four stages are all strictly inside the region."""
@@ -1021,8 +1006,9 @@ class _LaneSteps(_Chunks):
     the same kernel, the first time `states` has `min_steps` or more steps
     left: P by M steps of the columns of the identity on J alone, p by M
     steps of the block [0; 1] on A. Until then a chunk is one lane of up to
-    512 steps from y, which needs neither. P depends on J alone, so a maker
-    whose J is the last maker's takes its P. Every product that makes a state
+    512 steps from y, which needs neither. P depends on dt and J alone, so a
+    maker borrows the last maker's P where both are the same, and builds
+    nothing else from it. Every product that makes a state
     is a CSR product or a matrix-vector one, so its sums run in an order that
     does not depend on BLAS threads.
     """
@@ -1040,9 +1026,9 @@ class _LaneSteps(_Chunks):
         # The bounds as (R, 1) columns, for one lane; `states` tiles them over the lanes once it has P and p, so that a
         # lane step's region test is one contiguous pass over each stage.
         self.lower, self.upper = piece.lower[:, np.newaxis], piece.upper[:, np.newaxis]
-        # P and p, made by `states`; a last maker's P where J is the same.
-        self.P = last.P if last is not None and _same(last.piece.J, piece.J) else None
-        self.p = None
+        # P and p, made by `states`; the last maker's P where dt and J are the same.
+        same = last is not None and last.dt == dt and (last.piece.J != piece.J).nnz == 0
+        self.P, self.p = last.P if same else None, None
 
     def _lanes(self, A, X: np.ndarray) -> np.ndarray:
         """The lanes of X, as `_increment` reads them, after M steps, stepped in place."""
@@ -1061,12 +1047,11 @@ class _LaneSteps(_Chunks):
             P[:, b : b + w] = self._lanes(self.piece.J, X)
         return P
 
-    def states(self, y: np.ndarray, n: int, rows: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    def states(self, y: np.ndarray, n: int, rows: np.ndarray, rest: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """y and the states of the steps from it, up to n and `steps`, before the first one with a stage outside the region, as rows.
 
-        As `_AffineSteps.states`, but for the rest: given `tol`, the residual of
-        each row but the last is the lane step's max|increment| over dt, and
-        the chunk runs on past a row that rests.
+        As `_AffineSteps.states`; given `rest`, each residual is the lane
+        step's max|increment| over dt.
         """
         dim = y.size
         if self.p is None and (self.P is not None or n >= self.min_steps):
@@ -1094,14 +1079,14 @@ class _LaneSteps(_Chunks):
                 lanes, step = int(np.argmin(np.all((lower < r) & (r < upper), axis=(0, 1)))), i
                 if lanes == 0:
                     break
-            if tol is not None:
+            if rest:
                 np.max(np.abs(increment), axis=0, out=res[i])
             x += increment
             if i + 1 < M:
                 rows[i + 1 : L * M : M] = x.T
         rows[L * M] = x[:, -1]
         Y = _finite_rows(rows, min(n, lanes * M + step))
-        return Y, None if tol is None else res.T.reshape(-1)[: len(Y) - 1] / self.dt
+        return Y, res.T.reshape(-1)[: len(Y) - 1] / self.dt if rest else None
 
 
 class _Stepper:
@@ -1112,18 +1097,17 @@ class _Stepper:
     doubles where K is dense (the bundled 2-, 3- and 9-bus networks),
     `_LaneSteps` runs lanes where it is CSR (the 68-bus one). The maker's
     maps belong to the piece around the state that last found one, and to
-    the feedthrough: `feed` sets a new one and drops them (a lane maker on
-    the same J keeps its P). A chunk attempt
+    the feedthrough: `feed` sets a new one and drops them. Each new piece
+    gets a new maker, given the last one made, of which a lane maker
+    borrows P where dt and J are the same. A chunk attempt
     first moves each bus within one step's reach of a kink onto it, where a
     sliding piece holds there (`_slide`). After a chunk that takes no step,
     the next is tried only after 1, 2, 4, ... 256 plain steps. A chunk is
     given every step left in the segment, and its maker caps them at its
     `steps`: 2 048 for doubling, 512 for lanes. Its `states` hands back the
     rows with, when a settle asks, the rest residual of the step from each
-    row but the last (else None), or, from a doubling chunk, the rows up to
-    the first that rests, each with its residual. Where a new piece is the
-    last maker's piece, that maker is taken again, P, p and tiled bounds
-    included.
+    row but the last (else None); `advance` alone cuts them at the first
+    that rests.
     """
 
     def __init__(self, loop: ClosedLoop, dt: float, p_m: np.ndarray, aff: np.ndarray, last: _Chunks | None = None):
@@ -1139,9 +1123,8 @@ class _Stepper:
         # step it could. A chunk that runs to its length stopped at no boundary, so the next attempt skips `_slide`:
         # a bus that nears a kink stops a chunk short first.
         self.plain, self.whole = 0, False
-        # The last chunk maker made, kept across `feed`; at first, one handed over from another stepper on the network
-        # at the same dt.
-        self.last = last if last is not None and last.dt == dt else None
+        # The last chunk maker made, kept across `feed`; at first, one handed over from another stepper on the network.
+        self.last = last
         self.feed(p_m, aff)
 
     def feed(self, p_m: np.ndarray, aff: np.ndarray) -> None:
@@ -1149,10 +1132,8 @@ class _Stepper:
         self.p_m, self.aff, self.chunk = p_m, aff, None
 
     def _make(self, piece: AffinePiece) -> _Chunks:
-        """The chunk maker on `piece`: the last one where its piece is this one (a run's, handed to a settle under its p_m)."""
-        if self.last is None or not all(_same(a, b) for a, b in zip(self.last.piece, piece)):
-            self.last = self.maker(piece, self.dt, self.last)
-        self.chunk = self.last
+        """A new chunk maker on `piece`, given the last one made."""
+        self.chunk = self.last = self.maker(piece, self.dt, self.last)
         return self.chunk
 
     def advance(self, y: np.ndarray, k: int, n: int, tol: float | None = None) -> tuple[np.ndarray, float | None]:
@@ -1162,14 +1143,15 @@ class _Stepper:
         step a chunk may start at (at most 256). At a chunk attempt the first
         row is y with any move onto a kink (`_slide`). Given tol, the rows end at the
         first whose rest residual (the increment of the step from it, over dt)
-        is below tol or not finite, returned with them; else, and without tol,
-        t >= 1, the last row is untested and None is returned. The rows are
+        is below tol or not finite, returned with them, a chunk's cut here and
+        nowhere else; else, and without tol,
+        t >= 1, the last row is not checked for rest and None is returned. The rows are
         valid until the next call, which may write over them once it has read y.
         """
         if k >= self.next_chunk:
             # A chunk writes its rows over the last block, whose last row y may be.
             y = y.copy()
-            Y, r = self._chunk(y, k, n, tol)
+            Y, r = self._chunk(y, k, n, tol is not None)
             if Y is not None:
                 if r is not None:
                     rest = np.flatnonzero(_rests(r, tol))
@@ -1190,10 +1172,10 @@ class _Stepper:
         self.plain = len(Y)
         return Y, None
 
-    def _chunk(self, y: np.ndarray, k: int, n: int, tol: float | None) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The maker's (rows, residuals or None, given tol or not) of a chunk from y at step k that takes from 1 to n steps.
+    def _chunk(self, y: np.ndarray, k: int, n: int, rest: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The maker's (rows, residuals or None, given `rest` or not) of a chunk from y at step k that takes from 1 to n steps.
 
-        (None, None) when it takes no step and y does not rest, once the next attempt is set.
+        (None, None) when it takes no step, once the next attempt is set.
         """
         if not self.whole:
             y = self._slide(y)
@@ -1201,9 +1183,8 @@ class _Stepper:
             piece = self.loop.affine_piece(y, self.aff)
             self.chunk = None if piece is None else self._make(piece)
         if self.chunk is not None:
-            Y, r = self.chunk.states(y, n, self.rows, tol)
-            # A chunk that rests at y hands back y alone, with its residual.
-            if len(Y) > 1 or r is not None and r.size:
+            Y, r = self.chunk.states(y, n, self.rows, rest)
+            if len(Y) > 1:
                 self.wait, self.plain, self.whole = 1, 0, len(Y) > min(self.chunk.steps, n)
                 return Y, r
         self.next_chunk, self.wait = k + self.wait, min(2 * self.wait, _CHUNK_STEPS)
@@ -1267,9 +1248,9 @@ def settle(
     convergence is a finding, not a crash.
 
     `_last` is a chunk maker of an earlier stepper on the same network and
-    configuration, such as `run`'s last (`TrajectoryLog._last`): a lane
-    maker on its J lends its P instead of building it again, and a maker on
-    the piece the settle starts on (the run's, under its p_m) is taken whole.
+    configuration, such as `run`'s last (`TrajectoryLog._last`): the
+    settle's first lane maker borrows its P where dt and J are the same,
+    instead of building it again, and nothing else of it.
     """
     require_finite("settle", tol=tol, t_max=t_max, dt=dt)
     if not tol > 0:

@@ -13,14 +13,16 @@ a `three_bus_interior_kink` settle, this checks that:
 - its region test, made 256 rows at a time, cuts a chunk whose first stage
   exit lies past row 256 of a doubling block at the row where a row-by-row
   check of the textbook stages does;
-- `states(..., tol=0.0)`, where no row rests, hands back with its rows the
-  rest residual max|Phi_dt(y) - y| / dt of the step from each row but the
-  last, within 1e-12 relative of the textbook step's, for the doubling maker
-  and the lane maker (on the same piece held CSR), in one lane and in lanes
-  started from P; without `tol` it hands back None;
+- `states(..., rest=True)` hands back with its rows the rest residual
+  max|Phi_dt(y) - y| / dt of the step from each row but the last, within
+  1e-12 relative of the textbook step's, for the doubling maker and the lane
+  maker (on the same piece held CSR), in one lane and in lanes started from
+  P; without `rest` it hands back None;
 - on the first piece of a `nine_bus_steps` run, the traced peak of one
-  doubling `states(..., tol=0.0)` call, over its rows, is the same to
-  within 64 KiB for 512 and 2 048 steps: no temporary grows with the chunk.
+  doubling `states(..., rest=True)` call, over its rows, is the same to
+  within 64 KiB for 512 and 2 048 steps: no temporary grows with the chunk;
+- a lane maker made with the last one borrows its P only at the same dt and
+  J, and builds its own otherwise.
 """
 
 import tracemalloc
@@ -32,7 +34,7 @@ from scipy.sparse import csr_matrix
 from olfc import load_scenario, simulator
 from olfc.simulator import run, settle
 
-from conftest import rows_within, scenario_path, textbook_increment, textbook_stages
+from conftest import rows_within, same_bits, scenario_path, textbook_increment, textbook_stages
 
 pytestmark = pytest.mark.hot
 
@@ -84,7 +86,7 @@ def test_states_hands_back_the_rest_residuals_of_its_rows(chunks, kind, how):
     rows = np.empty((maker.steps + 1, y.size))
     assert maker.states(y, n, rows)[1] is None
     assert (getattr(maker, "P", None) is not None) == (how == "lanes")
-    Y, residuals = maker.states(y, n, rows, tol=0.0)
+    Y, residuals = maker.states(y, n, rows, rest=True)
     assert len(Y) > 1 and residuals.shape == (len(Y) - 1,)
     textbook = np.max(np.abs(textbook_increment(field(piece), Y[:-1], dt)), axis=1) / dt
     assert np.all(np.abs(residuals - textbook) <= 1e-12 * textbook)
@@ -124,14 +126,40 @@ def test_the_traced_peak_of_a_doubling_chunk_does_not_grow_with_it(chunks):
     maker = simulator._AffineSteps(first.maps.piece, scenario.dt)
     rows = np.empty((maker.steps + 1, first.y.size))
     # Every power of R is made before the peaks are traced.
-    maker.states(first.y, maker.steps, rows, tol=0.0)
+    maker.states(first.y, maker.steps, rows, rest=True)
     peaks = []
     for n in (512, maker.steps):
         tracemalloc.start()
         try:
-            Y, residuals = maker.states(first.y, n, rows, tol=0.0)
+            Y, residuals = maker.states(first.y, n, rows, rest=True)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert len(Y) == n + 1 and residuals.shape == (n,)
     assert abs(peaks[1] - peaks[0]) <= 64 * 1024, peaks
+
+
+def test_a_lane_maker_borrows_the_last_makers_p_only_at_its_dt_and_j(chunks, monkeypatch):
+    """A new c keeps J, so P is borrowed, and the rows are those of a maker that builds its own; a new dt or J builds one."""
+    piece, y, dt = settle_piece(chunks, "smooth")
+    piece = piece._replace(J=csr_matrix(piece.J), W=csr_matrix(piece.W))
+    built = []
+    power = simulator._LaneSteps._power
+    monkeypatch.setattr(simulator._LaneSteps, "_power", lambda self: built.append(self) or power(self))
+    n = simulator._LaneSteps.min_steps
+    rows = np.empty((simulator._LaneSteps.steps + 1, y.size))
+    last = simulator._LaneSteps(piece, dt)
+    last.states(y, n, rows)
+    moved = piece._replace(c=piece.c * (1.0 + 1e-6))
+    borrowed = simulator._LaneSteps(moved, dt, last)
+    assert borrowed.P is last.P
+    Y = borrowed.states(y, n, rows)[0].copy()
+    assert built == [last] and len(Y) > 1
+    assert same_bits(Y, simulator._LaneSteps(moved, dt).states(y, n, rows)[0])
+    J = piece.J.copy()
+    J.data[0] *= 1.0 + 1e-9
+    for other in (simulator._LaneSteps(piece, 2 * dt, last), simulator._LaneSteps(piece._replace(J=J), dt, last)):
+        assert other.P is None
+        other.states(y, n, rows)
+        assert built[-1] is other and other.P is not last.P
+    assert len(built) == 4

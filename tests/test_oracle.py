@@ -8,7 +8,14 @@ import pytest
 from olfc.costs import PiecewiseCost
 from olfc.errors import InfeasibleProblemError, NumericalError, ValidationError
 from olfc.network import NetworkModel, load_network
-from olfc.oracle import _assert_solution_invariants, _grounded_inverse, check_feasibility, lattice_search, solve_olc
+from olfc.oracle import (
+    _assert_solution_invariants,
+    _grounded_inverse,
+    _price_map,
+    check_feasibility,
+    lattice_search,
+    solve_olc,
+)
 
 from conftest import DEGENERATE_NETWORKS, NETWORKS, bundled_network, degenerate_network, network_path
 
@@ -197,3 +204,12 @@ def test_the_grounded_inverse_is_the_pseudo_inverse(name):
     for A in (L, L @ L + C @ C.T):
         ref = np.linalg.pinv(A)
         assert np.max(np.abs(_grounded_inverse(A) - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+
+
+@pytest.mark.parametrize("name", NETWORKS + ("three_bus_interior_kink",) + DEGENERATE_NETWORKS)
+def test_the_dual_step_bound_holds_without_an_svd(name):
+    """The bound on ||T||_2^2 that sets the dual step is at least the SVD's, to rounding, and is n on every network here."""
+    net = bundled_network(name) if name not in DEGENERATE_NETWORKS else degenerate_network(name)
+    T, bound = _price_map(net)
+    assert bound >= np.linalg.norm(T, 2) ** 2 * (1.0 - 1e-12)
+    assert bound == net.n
